@@ -12,9 +12,8 @@ import math
 import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, fields
+from statistics import fmean
 
 from .classifier import ClassifierVerdict, TermModel, classify_message
 from .errors import InputError
@@ -76,7 +75,7 @@ def coupling(
     sizes = [len(c.files) for c, v in zip(commits, verdicts) if not v.corrective and c.files]
     if not sizes:
         return None
-    return float(np.mean(winsorize([float(s) for s in sizes], cap_quantile)))
+    return fmean(winsorize([float(s) for s in sizes], cap_quantile))
 
 
 def coupling_by_file(
@@ -99,8 +98,7 @@ def coupling_by_file(
     for (commit, _), size in zip(raw, capped_sizes):
         for path in commit.files:
             sizes_by_file.setdefault(path, []).append(size)
-    per_file_means = [float(np.mean(sizes)) for sizes in sizes_by_file.values()]
-    return float(np.mean(per_file_means))
+    return fmean(fmean(sizes) for sizes in sizes_by_file.values())
 
 
 def file_length_stats(
@@ -120,7 +118,7 @@ def file_length_stats(
         sizes = [min(s, float(cap_override_bytes)) for s in sizes]
     else:
         sizes = winsorize(sizes, cap_quantile)
-    return float(np.mean(sizes)) / 1024.0
+    return fmean(sizes) / 1024.0
 
 
 def developer_speed(
@@ -133,7 +131,7 @@ def developer_speed(
     missing = involved - set(counts)
     if missing:
         raise ValueError(f"involved authors absent from commits: {sorted(missing)[:3]}")
-    return float(np.mean([min(counts[a], cap) for a in involved]))
+    return fmean(min(counts[a], cap) for a in involved)
 
 
 def retention(year_t_involved: set[str], year_t1_authors: set[str]) -> float | None:
@@ -272,6 +270,12 @@ class ProjectYearStats:
             "avg_file_kb": self.avg_file_kb,
         }
 
+    @classmethod
+    def flat_columns(cls) -> list[str]:
+        """Keys of ``as_flat_dict``, in order: the CSV report's header."""
+        ccp_columns = ["hit_rate", "ccp_raw", "ccp_status"]
+        return [f.name for f in fields(cls) if f.name != "ccp"] + ccp_columns
+
     def as_flat_dict(self) -> dict:
         out = self.as_dict()
         ccp = out.pop("ccp")
@@ -302,10 +306,10 @@ def compare_groups(values_by_label: Mapping[str, list[float]]) -> dict[str, Grou
         complement = [
             v for other, vals in values_by_label.items() if other != label for v in vals
         ]
-        mean = float(np.mean(values)) if values else None
+        mean = fmean(values) if values else None
         lift = None
         if values and complement:
-            comp_mean = float(np.mean(complement))
+            comp_mean = fmean(complement)
             if comp_mean != 0.0:
                 lift = mean / comp_mean - 1.0
         out[label] = GroupComparison(n=len(values), mean_ccp=mean, lift=lift)
@@ -363,9 +367,9 @@ def control_groups(profiles: list[ProjectProfile]) -> ControlPartitions:
         elif p.first_commit_year >= 2008:
             age["old"].append(p.repo_id)
 
-    counts = [p.n_developers for p in profiles]
-    p25 = int(np.percentile(counts, 25, method="lower"))
-    p75 = int(np.percentile(counts, 75, method="lower"))
+    counts = sorted(p.n_developers for p in profiles)
+    last = len(counts) - 1
+    p25, p75 = counts[25 * last // 100], counts[75 * last // 100]
     developers: dict[str, list[str]] = {"few": [], "intermediate": [], "numerous": []}
     for p in profiles:
         if p.n_developers <= p25:

@@ -18,13 +18,11 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InputError, ModelLoadError
+from .ingestion import read_text
 
 _BACKREF_RE = re.compile(r"\\[1-9]")
 
@@ -81,11 +79,6 @@ class ClassifierVerdict:
         return self.score > 0
 
 
-class Certainty(str, Enum):
-    CERTAIN = "certain"
-    UNCERTAIN = "uncertain"
-
-
 @dataclass(frozen=True)
 class LabeledCommit:
     """A commit message with its gold-standard corrective label."""
@@ -93,7 +86,6 @@ class LabeledCommit:
     message: str
     label: bool
     annotator_labels: tuple[bool, ...] | None = None
-    certainty: Certainty | None = None
 
     def __post_init__(self):
         if self.annotator_labels is not None:
@@ -184,13 +176,6 @@ class EnglishModel:
 # ---------------------------------------------------------------------------
 # Model loading
 
-def _read_text(path: str | Path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ModelLoadError(f"cannot read model file {path}: {exc}") from exc
-
-
 def parse_term_model(text: str) -> TermModel:
     """Parse the line-oriented term-model format (see load_term_model)."""
     model_id = ""
@@ -229,23 +214,23 @@ def load_term_model(path: str | Path) -> TermModel:
     and ``[negation]``, ``#`` comments, and a ``model_id:`` header line.
     Malformed patterns raise ModelLoadError here, never mid-classification.
     """
-    return parse_term_model(_read_text(path))
+    return parse_term_model(read_text(path, ModelLoadError))
 
 
 def load_default_term_model() -> TermModel:
-    text = resources.files("ccp_miner.data").joinpath("default_model.terms").read_text("utf-8")
-    return parse_term_model(text)
+    with resources.as_file(resources.files("ccp_miner.data").joinpath("default_model.terms")) as p:
+        return load_term_model(p)
 
 
 def load_english_model(path: str | Path) -> EnglishModel:
     """Load an english model file: one lowercase word per line."""
-    words = frozenset(w.strip() for w in _read_text(path).splitlines() if w.strip())
+    words = frozenset(w.strip() for w in read_text(path, ModelLoadError).splitlines() if w.strip())
     return EnglishModel(words=words)
 
 
 def load_default_english_model() -> EnglishModel:
-    text = resources.files("ccp_miner.data").joinpath("english_top100.txt").read_text("utf-8")
-    return EnglishModel(words=frozenset(w.strip() for w in text.splitlines() if w.strip()))
+    with resources.as_file(resources.files("ccp_miner.data").joinpath("english_top100.txt")) as p:
+        return load_english_model(p)
 
 
 def load_labeled_corpus(path: str | Path) -> list[LabeledCommit]:
@@ -254,21 +239,22 @@ def load_labeled_corpus(path: str | Path) -> list[LabeledCommit]:
     ``label`` is 0 or 1; an optional third column holds comma-separated
     annotator votes (e.g. ``1,0,1``).
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read corpus {path}: {exc}") from exc
     corpus = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, InputError).splitlines(), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
         if len(parts) < 2 or parts[0] not in ("0", "1"):
-            raise InputError(f"malformed corpus line {lineno}: {raw!r}")
+            raise InputError(f"{path}, line {lineno}: malformed corpus line {raw!r}")
         votes = None
         if len(parts) >= 3 and parts[2].strip():
             votes = tuple(v == "1" for v in parts[2].strip().split(","))
-        corpus.append(LabeledCommit(message=parts[1], label=parts[0] == "1", annotator_labels=votes))
+        try:
+            corpus.append(
+                LabeledCommit(message=parts[1], label=parts[0] == "1", annotator_labels=votes)
+            )
+        except ValueError as exc:
+            raise InputError(f"{path}, line {lineno}: {exc}") from exc
     if not corpus:
         raise InputError(f"corpus {path} contains no records")
     return corpus
@@ -359,7 +345,6 @@ def terse_message_profile(messages: list[str]) -> tuple[int, int]:
     """
     if not messages:
         raise InputError("terse_message_profile requires at least one message")
-    lengths = np.array([len(m) for m in messages])
-    median = int(np.percentile(lengths, 50, method="lower"))
-    p90 = int(np.percentile(lengths, 90, method="lower"))
-    return median, p90
+    lengths = sorted(len(m) for m in messages)
+    last = len(lengths) - 1
+    return lengths[50 * last // 100], lengths[90 * last // 100]

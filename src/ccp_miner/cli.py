@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import os
 import sys
@@ -38,37 +37,29 @@ DIAGNOSTIC_REFERENCE = {
 }
 
 
-def _load_env_config() -> dict[str, str]:
-    path = os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"malformed config line in {path}: {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+# The keys a CCP_MINER_CONFIG file may set, each also a global flag.
+CONFIG_KEYS = (
+    "model", "english_model", "perf", "table", "year", "seed", "format", "enforce_selection"
+)
 
 
 class RunConfig:
-    """Resolved models, constants and thresholds for one command run."""
+    """Resolved models, constants and output settings for one command run."""
 
     def __init__(self, args: argparse.Namespace):
-        env = _load_env_config()
+        env_path = os.environ.get(CONFIG_ENV_VAR)
+        env = ingestion.read_config(env_path, CONFIG_KEYS, ConfigError) if env_path else {}
 
-        def pick(name: str, default=None):
+        def pick(name: str, convert=str, default=None):
             value = getattr(args, name, None)
             if value is not None:
                 return value
-            return env.get(name, default)
+            if name not in env:
+                return default
+            try:
+                return convert(env[name])
+            except ValueError as exc:
+                raise ConfigError(f"{env_path}: bad value for {name}: {env[name]!r}") from exc
 
         model_path = pick("model")
         self.term_model = (
@@ -93,17 +84,13 @@ class RunConfig:
             if table_path
             else estimator.load_default_distribution_table()
         )
-        self.year = int(pick("year")) if pick("year") is not None else None
-        self.seed = int(pick("seed", 0))
-        self.output_format = pick("format", "json")
+        self.year = pick("year", int)
+        self.seed = pick("seed", int, 0)
+        self.output_format = pick("format", default="json")
         self.enforce_selection = bool(
             getattr(args, "enforce_selection", False)
             or env.get("enforce_selection", "").lower() in ("1", "true")
         )
-        self.min_commits = int(pick("min_commits", 200))
-        self.involvement = int(pick("involvement", 12))
-        self.speed_cap = int(pick("speed_cap", 500))
-        self.cap_quantile = float(pick("cap_quantile", 0.99))
 
         fingerprint = {
             "tool_version": __version__,
@@ -114,10 +101,12 @@ class RunConfig:
             "seed": self.seed,
             "format": self.output_format,
             "enforce_selection": self.enforce_selection,
-            "min_commits": self.min_commits,
-            "involvement": self.involvement,
-            "speed_cap": self.speed_cap,
-            "cap_quantile": self.cap_quantile,
+            # The paper's fixed thresholds (the analysis functions' defaults),
+            # kept in the hash so it stays comparable with earlier reports.
+            "min_commits": 200,
+            "involvement": 12,
+            "speed_cap": 500,
+            "cap_quantile": 0.99,
             "table": self.table.rows,
         }
         digest = hashlib.sha256(
@@ -139,28 +128,22 @@ class RunConfig:
 def _read_commits(args: argparse.Namespace) -> ingestion.ParseResult:
     merged = ingestion.ParseResult(records=[], skipped=0)
     for path in args.input:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot read input {path}: {exc}") from exc
+        text = ingestion.read_text(path, InputError)
         if getattr(args, "input_format", "ndjson") == "git":
             repo = getattr(args, "repo", None) or Path(path).stem
             result = ingestion.parse_raw_git_log(text, repo_id=repo)
         else:
-            result = ingestion.parse_git_log(io.StringIO(text))
+            result = ingestion.parse_git_log(text.split("\n"))
         merged.records.extend(result.records)
         merged.skipped += result.skipped
-    if not merged.records:
-        raise InputError("no commit records parsed from inputs")
     return merged
 
 
 def _emit(report: dict, config: RunConfig) -> None:
     if config.output_format == "csv" and isinstance(report.get("rows"), list):
-        rows = report["rows"]
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(sys.stdout, fieldnames=analytics.ProjectYearStats.flat_columns())
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(report["rows"])
         return
     print(json.dumps(report, sort_keys=True, indent=2, default=str))
 
@@ -189,13 +172,14 @@ def _project_year_stats(
     commits: list[ingestion.CommitRecord],
     by_year: dict[int, list[ingestion.CommitRecord]],
     config: RunConfig,
-    head_listing: list[tuple[str, int]] | None,
+    language: str | None,
+    avg_kb: float | None,
 ) -> analytics.ProjectYearStats:
     verdicts = [classifier.classify_message(c.message, config.term_model) for c in commits]
     k = sum(1 for v in verdicts if v.corrective)
     ccp = estimator.estimate_ccp(k=k, n=len(commits), perf=config.performance)
-    involved = ingestion.involved_authors(commits, threshold=config.involvement)
-    speed = analytics.developer_speed(commits, involved, cap=config.speed_cap)
+    involved = ingestion.involved_authors(commits)
+    speed = analytics.developer_speed(commits, involved)
 
     retention = onboarding = None
     next_commits = by_year.get(year + 1)
@@ -205,13 +189,8 @@ def _project_year_stats(
         prior_authors = {
             c.author_id for y, cs in by_year.items() if y <= year for c in cs
         }
-        next_involved = ingestion.involved_authors(next_commits, threshold=config.involvement)
+        next_involved = ingestion.involved_authors(next_commits)
         onboarding = analytics.onboarding(prior_authors, next_authors, next_involved)
-
-    language = avg_kb = None
-    if head_listing:
-        language = analytics.dominant_language(head_listing)
-        avg_kb = analytics.file_length_stats(head_listing, cap_quantile=config.cap_quantile)
 
     return analytics.ProjectYearStats(
         repo_id=repo_id,
@@ -219,10 +198,8 @@ def _project_year_stats(
         n_commits=len(commits),
         k_hits=k,
         ccp=ccp,
-        coupling=analytics.coupling(commits, verdicts, cap_quantile=config.cap_quantile),
-        coupling_by_file=analytics.coupling_by_file(
-            commits, verdicts, cap_quantile=config.cap_quantile
-        ),
+        coupling=analytics.coupling(commits, verdicts),
+        coupling_by_file=analytics.coupling_by_file(commits, verdicts),
         speed=speed,
         retention=retention,
         onboarding=onboarding,
@@ -237,15 +214,14 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     for record in parsed.records:
         by_repo.setdefault(record.repo_id, []).append(record)
 
-    head_listing = None
+    language = avg_kb = None
     if args.head_listing:
-        try:
-            with open(args.head_listing, newline="", encoding="utf-8") as fh:
-                head_listing = [
-                    (r["path"], int(r["size_bytes"])) for r in csv.DictReader(fh)
-                ]
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"cannot load head listing {args.head_listing}: {exc}") from exc
+        head_listing = list(
+            ingestion.read_csv(args.head_listing, {"path": str, "size_bytes": int})
+        )
+        if head_listing:
+            language = analytics.dominant_language(head_listing)
+            avg_kb = analytics.file_length_stats(head_listing)
 
     exclusions: list[dict] = []
     if config.enforce_selection:
@@ -265,9 +241,7 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
                     is_fork=meta.get("is_fork", False),
                 )
             )
-        selection = ingestion.select_projects(
-            descriptors, year=config.year, min_commits=config.min_commits
-        )
+        selection = ingestion.select_projects(descriptors, year=config.year)
         accepted_ids = {p.repo_id for p in selection.accepted}
         exclusions = [{"repo_id": r, "rule": rule} for r, rule in selection.exclusions]
         by_repo = {r: commits for r, commits in by_repo.items() if r in accepted_ids}
@@ -281,9 +255,7 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
             commits = by_year.get(year)
             if not commits:
                 continue
-            stat = _project_year_stats(
-                repo_id, year, commits, by_year, config, head_listing
-            )
+            stat = _project_year_stats(repo_id, year, commits, by_year, config, language, avg_kb)
             entry = stat.as_dict()
             if stat.ccp.valid:
                 entry["band"] = estimator.rank_on_scale(stat.ccp.ccp_raw, config.table).as_dict()
@@ -406,24 +378,9 @@ def cmd_cochange(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_dev_series(path: str) -> dict[tuple[str, str], stats.MetricSeries]:
-    series: dict[tuple[str, str], dict[int, float]] = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                key = (row["developer"], row["project"])
-                series.setdefault(key, {})[int(row["year"])] = float(row["value"])
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"cannot load developer series {path}: {exc}") from exc
-    return {
-        key: stats.MetricSeries(entity_id=f"{key[0]}:{key[1]}", points=points)
-        for key, points in series.items()
-    }
-
-
 def cmd_twin(args: argparse.Namespace, config: RunConfig) -> int:
     report = stats.twin_analysis(
-        _load_dev_series(args.dev_series),
+        stats.load_developer_series_csv(args.dev_series),
         stats.load_series_csv(args.project_series),
         delta_project=args.delta_project,
         delta_dev=args.delta_dev,

@@ -8,22 +8,24 @@ when the observed hit rate lies inside [fpr, recall]; estimates outside
 that domain are reported as diagnostics, never clamped.
 
 Bootstrap operations quantify how sensitive the estimate is to resampling
-of the labeled corpus and to re-measuring the classifier performance.
+of the labeled corpus and to re-measuring the classifier performance. Only
+they use numpy, and they import it when called.
 """
 
 from __future__ import annotations
 
-import csv
-import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .classifier import LabeledCommit, TermModel, classify_message
 from .errors import ConfigError, InputError
+from .ingestion import read_config, read_csv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,14 @@ def expected_hit_rate(pr: float, perf: ModelPerformance) -> float:
 
 
 def ccp_from_hit_rate(hr: float, perf: ModelPerformance) -> tuple[float, EstimateStatus]:
-    """Invert the hit rate into the most likely CCP, with validity status."""
+    """Invert the hit rate into the most likely CCP, with validity status.
+
+    The status follows the computed value: a valid estimate lies in [0, 1].
+    """
     ccp = (hr - perf.fpr) / (perf.recall - perf.fpr)
-    if hr < perf.fpr:
+    if ccp < 0.0:
         status = EstimateStatus.BELOW_ZERO
-    elif hr > perf.recall:
+    elif ccp > 1.0:
         status = EstimateStatus.ABOVE_ONE
     else:
         status = EstimateStatus.VALID
@@ -106,16 +111,13 @@ def estimate_ccp(k: int, n: int, perf: ModelPerformance = DEFAULT_PERFORMANCE) -
     return CcpEstimate(n=n, k=k, ccp_raw=ccp, status=status)
 
 
-def valid_hit_rate_domain(perf: ModelPerformance) -> tuple[float, float]:
-    """Closed hit-rate interval on which the estimate is a probability."""
-    return perf.fpr, perf.recall
-
-
 # ---------------------------------------------------------------------------
 # Performance measurement and config
 
 def fit_performance(labels: np.ndarray, hits: np.ndarray) -> ModelPerformance:
     """Measure (recall, fpr) from parallel boolean label/hit arrays."""
+    import numpy as np
+
     labels = np.asarray(labels, dtype=bool)
     hits = np.asarray(hits, dtype=bool)
     positives = int(labels.sum())
@@ -128,6 +130,8 @@ def fit_performance(labels: np.ndarray, hits: np.ndarray) -> ModelPerformance:
 
 
 def _corpus_arrays(corpus: list[LabeledCommit], model: TermModel) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     labels = np.array([c.label for c in corpus], dtype=bool)
     hits = np.array([classify_message(c.message, model).corrective for c in corpus], dtype=bool)
     return labels, hits
@@ -135,19 +139,7 @@ def _corpus_arrays(corpus: list[LabeledCommit], model: TermModel) -> tuple[np.nd
 
 def load_performance_config(path: str | Path) -> tuple[ModelPerformance, str]:
     """Load a ``recall= / fpr= / model_id=`` key-value config file."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read performance config {path}: {exc}") from exc
-    values: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"malformed performance config line: {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+    values = read_config(path, ("recall", "fpr", "model_id"), ConfigError)
     try:
         perf = ModelPerformance(recall=float(values["recall"]), fpr=float(values["fpr"]))
     except (KeyError, ValueError) as exc:
@@ -187,13 +179,6 @@ class BootstrapReport:
         }
 
 
-def _central_interval(values: np.ndarray, coverage: float) -> tuple[float, float]:
-    # Empirical quantiles, nearest-rank (lower): trim (1-coverage)/2 per tail.
-    tail = (1.0 - coverage) / 2.0
-    low, high = np.percentile(values, [100.0 * tail, 100.0 * (1.0 - tail)], method="lower")
-    return float(low), float(high)
-
-
 def bootstrap_difference_distribution(
     corpus: list[LabeledCommit],
     model: TermModel,
@@ -216,6 +201,8 @@ def bootstrap_difference_distribution(
         raise ValueError("iterations must be >= 1")
     if not 0.0 < coverage < 1.0:
         raise ValueError("coverage must be in (0, 1)")
+    import numpy as np
+
     labels, hits = _corpus_arrays(corpus, model)
     if perf is None:
         perf = fit_performance(labels, hits)
@@ -226,14 +213,16 @@ def bootstrap_difference_distribution(
     hr = hits[idx].mean(axis=1)
     estimates = (hr - perf.fpr) / (perf.recall - perf.fpr)
     diffs = estimates - truth
-    low, high = _central_interval(diffs, coverage)
+    # Empirical quantiles, nearest-rank (lower): trim (1-coverage)/2 per tail.
+    tail = (1.0 - coverage) / 2.0
+    low, high = np.percentile(diffs, [100.0 * tail, 100.0 * (1.0 - tail)], method="lower")
     return BootstrapReport(
         iterations=iterations,
         seed=seed,
         coverage=coverage,
         mean_difference=float(diffs.mean()),
-        interval_low=low,
-        interval_high=high,
+        interval_low=float(low),
+        interval_high=float(high),
     )
 
 
@@ -292,6 +281,8 @@ def estimator_sensitivity(
     for low, high in eval_segments:
         if not (0.0 <= low <= high <= 1.0):
             raise ValueError(f"eval segment [{low}, {high}] outside [0, 1]")
+    import numpy as np
+
     labels, hits = _corpus_arrays(corpus, model)
     n = len(corpus)
     rng = np.random.default_rng(seed)
@@ -379,13 +370,9 @@ class PercentileBand:
 
 def load_distribution_table(path: str | Path) -> DistributionTable:
     """Load a ``percentile,ccp`` CSV sorted ascending by percentile."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            rows = tuple((int(r["percentile"]), float(r["ccp"])) for r in reader)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot load distribution table {path}: {exc}") from exc
-    return DistributionTable(rows=rows)
+    return DistributionTable(
+        rows=tuple(read_csv(path, {"percentile": int, "ccp": float}, ConfigError))
+    )
 
 
 def load_default_distribution_table() -> DistributionTable:

@@ -1,7 +1,10 @@
-"""Commit-history ingestion: log parsing, year windowing, project selection.
+"""Input file readers and commit-history ingestion.
 
-The canonical export format is newline-delimited JSON, one object per commit
-with keys ``repo``, ``hash``, ``author``, ``ts`` (ISO-8601), ``msg``,
+Every input file is read by ``read_text``, ``read_csv`` or ``read_config``,
+which raise the caller's error class naming the file.
+
+The canonical commit export format is newline-delimited JSON, one object per
+commit with keys ``repo``, ``hash``, ``author``, ``ts`` (ISO-8601), ``msg``,
 ``files`` and ``merge``. A raw ``git log`` format (record/unit separator
 based, documented by the ``export-log-recipe`` subcommand) is also parsed.
 """
@@ -11,12 +14,102 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter, defaultdict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import InputError
+from .errors import CcpMinerError, InputError
+
+# ---------------------------------------------------------------------------
+# Readers
+
+
+def read_text(path: str | Path, error: type[CcpMinerError] = InputError) -> str:
+    """Read a UTF-8 file with universal newlines, as ``Path.read_text`` does.
+
+    An unreadable file or bytes that are not UTF-8 raise ``error`` naming
+    the file and the offset of the first bad byte.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8: byte {exc.start} is {data[exc.start]:#04x}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_csv(
+    path: str | Path,
+    columns: Mapping[str, Callable[[str], object]],
+    error: type[CcpMinerError] = InputError,
+) -> Iterator[tuple]:
+    """Yield the ``columns`` of each row of a UTF-8 CSV file with a header line.
+
+    ``columns`` maps header names to converters, and each tuple holds the
+    converted values in that order. Blank lines are skipped, as
+    ``csv.DictReader`` does. A missing column, a short row or a value its
+    converter rejects raises ``error`` naming the file and line.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header is None:
+                return
+            positions = {name: i for i, name in enumerate(header)}
+            missing = [name for name in columns if name not in positions]
+            if missing:
+                raise error(f"{path}: missing column(s) {', '.join(missing)}")
+            needed = [(positions[name], convert) for name, convert in columns.items()]
+            width = max(i for i, _ in needed) + 1
+            for row in rows:
+                if not row:
+                    continue
+                if len(row) < width:
+                    raise error(f"{path}, line {rows.line_num}: {len(row)} fields, need {width}")
+                try:
+                    yield tuple(convert(row[i]) for i, convert in needed)
+                except ValueError as exc:
+                    raise error(f"{path}, line {rows.line_num}: {exc}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        read_text(path, error)  # raises, naming the offset of the first bad byte
+        raise error(f"{path} is not UTF-8") from exc
+    except csv.Error as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
+def read_config(
+    path: str | Path, keys: Iterable[str], error: type[CcpMinerError]
+) -> dict[str, str]:
+    """Read a ``key=value`` file: ``#`` comments, blank lines, one pair a line.
+
+    Dashes in keys read as underscores. A line without ``=`` or a key not
+    in ``keys`` raises ``error`` naming the file and line.
+    """
+    known = set(keys)
+    values = {}
+    for lineno, raw in enumerate(read_text(path, error).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise error(f"{path}, line {lineno}: expected key=value, got {line!r}")
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise error(f"{path}, line {lineno}: unknown key {key!r}; known: {sorted(known)}")
+        values[key] = value.strip()
+    return values
+
 
 GIT_LOG_RECIPE = r"""Export a repository's history for ccp-miner:
 
@@ -30,8 +123,7 @@ The file list produced by --name-only follows the last field.
 A commit with more than one parent is flagged as a merge.
 
 Feed the file to `ccp-miner classify` or `ccp-miner analyze` with
-`--input-format git --repo <name>`, or convert it once to the canonical
-newline-delimited JSON with `ccp-miner classify` piping.
+`--input-format git --repo <name>`.
 """
 
 
@@ -54,20 +146,6 @@ class CommitRecord:
     @property
     def year(self) -> int:
         return self.timestamp.astimezone(timezone.utc).year
-
-    def as_dict(self) -> dict:
-        return {
-            "repo": self.repo_id,
-            "hash": self.hash,
-            "author": self.author_id,
-            "ts": self.timestamp.astimezone(timezone.utc).isoformat(),
-            "msg": self.message,
-            "files": list(self.files),
-            "merge": self.is_merge,
-        }
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.as_dict(), ensure_ascii=False, sort_keys=True)
 
 
 @dataclass
@@ -186,17 +264,6 @@ class ProjectDescriptor:
     is_fork: bool
     commit_hashes_by_year: dict[int, frozenset[str]] = field(default_factory=dict)
 
-    @property
-    def commit_hashes(self) -> frozenset[str]:
-        out: set[str] = set()
-        for hashes in self.commit_hashes_by_year.values():
-            out |= hashes
-        return frozenset(out)
-
-    @property
-    def commit_count_by_year(self) -> dict[int, int]:
-        return {year: len(hashes) for year, hashes in self.commit_hashes_by_year.items()}
-
     def total_commits(self) -> int:
         return sum(len(h) for h in self.commit_hashes_by_year.values())
 
@@ -306,17 +373,13 @@ def select_projects(
 
 def load_project_metadata(path: str | Path) -> dict[str, dict]:
     """Load the ``repo_id,owner,name,is_fork`` project metadata CSV."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            rows = {
-                r["repo_id"]: {
-                    "owner": r["owner"],
-                    "name": r["name"],
-                    "is_fork": r["is_fork"].strip().lower() in ("1", "true", "yes"),
-                }
-                for r in reader
-            }
-    except (OSError, KeyError, TypeError) as exc:
-        raise InputError(f"cannot load project metadata {path}: {exc}") from exc
-    return rows
+    columns = {
+        "repo_id": str,
+        "owner": str,
+        "name": str,
+        "is_fork": lambda v: v.strip().lower() in ("1", "true", "yes"),
+    }
+    return {
+        repo_id: {"owner": owner, "name": name, "is_fork": is_fork}
+        for repo_id, owner, name, is_fork in read_csv(path, columns)
+    }

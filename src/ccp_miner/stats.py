@@ -9,14 +9,13 @@ use the inclusive comparator by default.
 
 from __future__ import annotations
 
-import csv
+import statistics
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InputError
+from .ingestion import read_csv
 
 
 @dataclass(frozen=True)
@@ -30,30 +29,28 @@ class MetricSeries:
 def load_series_csv(path: str | Path) -> list[MetricSeries]:
     """Load an ``entity,year,value`` CSV into metric series."""
     points: dict[str, dict[int, float]] = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                entity = row["entity"]
-                year = int(row["year"])
-                if year in points.get(entity, {}):
-                    raise InputError(f"duplicate year {year} for entity {entity!r} in {path}")
-                points.setdefault(entity, {})[year] = float(row["value"])
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"cannot load series {path}: {exc}") from exc
+    for entity, year, value in read_csv(path, {"entity": str, "year": int, "value": float}):
+        if year in points.get(entity, {}):
+            raise InputError(f"duplicate year {year} for entity {entity!r} in {path}")
+        points.setdefault(entity, {})[year] = value
     return [MetricSeries(entity_id=e, points=p) for e, p in points.items()]
 
 
+def load_developer_series_csv(path: str | Path) -> dict[tuple[str, str], MetricSeries]:
+    """Load a ``developer,project,year,value`` CSV into per-pair metric series."""
+    columns = {"developer": str, "project": str, "year": int, "value": float}
+    series: dict[tuple[str, str], dict[int, float]] = {}
+    for developer, project, year, value in read_csv(path, columns):
+        series.setdefault((developer, project), {})[year] = value
+    return {
+        key: MetricSeries(entity_id=f"{key[0]}:{key[1]}", points=points)
+        for key, points in series.items()
+    }
+
+
 def pearson(xs: list[float], ys: list[float]) -> float:
-    """Standard sample Pearson correlation coefficient."""
-    if len(xs) != len(ys):
-        raise ValueError("series must have equal length")
-    if len(xs) < 2:
-        raise ValueError("pearson requires at least two points")
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        raise ValueError("pearson is undefined for a constant series")
-    return float(np.corrcoef(x, y)[0, 1])
+    """Sample Pearson correlation; ValueError for unequal, short or constant series."""
+    return statistics.correlation(xs, ys)
 
 
 def _adjacent_pairs(
@@ -99,8 +96,8 @@ def stability(
     return StabilityReport(
         n_pairs=len(pairs),
         pearson=pearson(first, second),
-        mean_signed_delta=float(np.mean(deltas)),
-        mean_abs_delta=float(np.mean(np.abs(deltas))),
+        mean_signed_delta=statistics.fmean(deltas),
+        mean_abs_delta=statistics.fmean(abs(d) for d in deltas),
     )
 
 

@@ -1,6 +1,10 @@
 """End-to-end CLI tests driven through main() with captured stdout."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,14 @@ class TestAnalyzeCommand:
         assert code == EXIT_OK
         header = out.splitlines()[0]
         assert "repo_id" in header and "ccp_raw" in header
+
+    def test_csv_format_with_no_rows_prints_the_header(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "csv", "--year", "2020", "--enforce-selection", "analyze", LOG
+        )
+        assert code == EXIT_OK
+        [header] = out.splitlines()
+        assert header.startswith("repo_id,year,n_commits") and header.endswith(",ccp_status")
 
     def test_year_filter(self, capsys):
         code, out, _ = run(capsys, "--year", "2018", "analyze", MALFORMED)
@@ -243,6 +255,69 @@ class TestConfigResolution:
         perf.write_text("recall=0.1\nfpr=0.9\n")
         code, _, _ = run(capsys, "--perf", str(perf), "rank", "--ccp", "0.2")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line,key", [("min_commits=10", "min_commits"), ("year=soon", "year")])
+    def test_env_config_key_not_read_or_bad_value(self, capsys, tmp_path, monkeypatch, line, key):
+        cfg = tmp_path / "miner.cfg"
+        cfg.write_text(line + "\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        code, _, err = run(capsys, "rank", "--ccp", "0.2")
+        assert code == EXIT_CONFIG
+        assert str(cfg) in err and key in err
+
+
+LATIN1 = "caf\xe9".encode("latin-1")
+
+
+@pytest.mark.parametrize(
+    "name,content,argv,exit_code",
+    [
+        ("projects.csv", b"repo_id,owner,name,is_fork\nacme/widget,acme,widget\n",
+         ["--year", "2019", "--enforce-selection", "analyze", LOG, "--projects", "{path}"],
+         EXIT_INPUT),
+        ("projects.csv", b"repo_id,owner,name,is_fork\nacme/widget,acme," + LATIN1 + b",no\n",
+         ["--year", "2019", "--enforce-selection", "analyze", LOG, "--projects", "{path}"],
+         EXIT_INPUT),
+        ("corpus.tsv", b"1\tfix crash\n0\t" + LATIN1 + b"\n", ["validate-model", "{path}"],
+         EXIT_INPUT),
+        ("miner.cfg", b"seed=1\n# " + LATIN1 + b"\n", ["rank", "--ccp", "0.2"], EXIT_CONFIG),
+        ("perf.cfg", b"recall=0.8\nfpr=0.1\nmodel_id=" + LATIN1 + b"\n",
+         ["--perf", "{path}", "rank", "--ccp", "0.2"], EXIT_CONFIG),
+        ("model.terms", b"model_id: m\n[fix]\n" + LATIN1 + b"\n",
+         ["--model", "{path}", "rank", "--ccp", "0.2"], EXIT_CONFIG),
+        ("widget.log",
+         b"\x1eaaa\x1fann@x\x1f2019-01-01T00:00:00+00:00\x1fp\x1ffix " + LATIN1 + b"\x1f\n",
+         ["analyze", "{path}", "--input-format", "git"], EXIT_INPUT),
+    ],
+    ids=["metadata-short-row", "metadata-latin1", "corpus-latin1", "env-config-latin1",
+         "perf-latin1", "model-latin1", "raw-git-log-latin1"],
+)
+def test_bad_input_file_is_a_named_config_or_input_error(
+    capsys, tmp_path, monkeypatch, name, content, argv, exit_code
+):
+    path = tmp_path / name
+    path.write_bytes(content)
+    if name == "miner.cfg":
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
+    code, _, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == exit_code
+    assert str(path) in err
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    probe = (
+        "import sys, ccp_miner.cli as cli;"
+        "cli.RunConfig(cli.build_parser().parse_args(['rank', '--ccp', '0.2']));"
+        "print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestExportLogRecipe:

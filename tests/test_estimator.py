@@ -16,7 +16,6 @@ from ccp_miner.estimator import (
     load_distribution_table,
     load_performance_config,
     rank_on_scale,
-    valid_hit_rate_domain,
 )
 
 from conftest import build_corpus
@@ -103,21 +102,19 @@ class TestEstimateCcp:
 
 
 class TestValidDomain:
-    def test_default_domain(self, default_perf):
-        assert valid_hit_rate_domain(default_perf) == (0.042, 0.84)
-
-    def test_perfect_classifier(self):
-        assert valid_hit_rate_domain(ModelPerformance(recall=1.0, fpr=0.0)) == (0.0, 1.0)
-
-    def test_direct_fields(self):
-        assert valid_hit_rate_domain(ModelPerformance(recall=0.5, fpr=0.1)) == (0.1, 0.5)
-
     def test_status_matches_domain(self, default_perf):
-        low, high = valid_hit_rate_domain(default_perf)
+        low, high = default_perf.fpr, default_perf.recall
         for hr in (low, high, (low + high) / 2):
             assert ccp_from_hit_rate(hr, default_perf)[1] is EstimateStatus.VALID
         assert ccp_from_hit_rate(low - 1e-9, default_perf)[1] is EstimateStatus.BELOW_ZERO
         assert ccp_from_hit_rate(high + 1e-9, default_perf)[1] is EstimateStatus.ABOVE_ONE
+
+    def test_status_follows_the_rounded_value(self):
+        # k/n = 1.0 lies above recall, but the division rounds to exactly 1.0
+        perf = ModelPerformance(recall=0.9999999999999999, fpr=0.06)
+        estimate = estimate_ccp(k=1, n=1, perf=perf)
+        assert estimate.ccp_raw == 1.0
+        assert estimate.status is EstimateStatus.VALID
 
 
 class TestBootstrap:

@@ -1,6 +1,7 @@
 """Ingestion unit tests: parsing, windowing, selection, involvement."""
 
 import io
+import json
 from datetime import datetime
 
 import pytest
@@ -61,7 +62,12 @@ class TestParseGitLog:
     def test_round_trip(self):
         with open(FIXTURES / "log_small.ndjson", encoding="utf-8") as fh:
             first = parse_git_log(fh)
-        lines = [r.to_json_line() for r in first.records]
+        lines = [
+            json.dumps({"repo": r.repo_id, "hash": r.hash, "author": r.author_id,
+                        "ts": r.timestamp.isoformat(), "msg": r.message,
+                        "files": list(r.files), "merge": r.is_merge})
+            for r in first.records
+        ]
         second = parse_git_log(io.StringIO("\n".join(lines)))
         assert second.records == first.records
         assert second.skipped == 0
@@ -226,6 +232,8 @@ class TestProjectDescriptor:
         project = ProjectDescriptor.from_commits(commits)
         assert project.owner == "acme"
         assert project.name == "widget"
-        assert project.commit_count_by_year == {2018: 1, 2019: 2}
+        assert project.commit_hashes_by_year == {
+            2018: frozenset({"h1"}),
+            2019: frozenset({"h2", "h3"}),
+        }
         assert project.total_commits() == 3
-        assert project.commit_hashes == frozenset({"h1", "h2", "h3"})
