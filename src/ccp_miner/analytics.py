@@ -20,6 +20,11 @@ from .errors import InputError
 from .estimator import CcpEstimate, ModelPerformance, estimate_ccp
 from .ingestion import CommitRecord
 
+# The paper's fixed thresholds.
+CAP_QUANTILE = 0.99  # quantile at which distributions are capped
+SPEED_CAP = 500  # most commits one developer counts for in developer speed
+MIN_NEW_DEVELOPERS = 10  # new developers below which onboarding is not reported
+
 # Extensions of common Turing-complete programming languages; used to
 # restrict dominant-language detection to code.
 LANGUAGE_EXTENSIONS = frozenset(
@@ -33,7 +38,7 @@ LANGUAGE_EXTENSIONS = frozenset(
 )
 
 
-def winsorize(values: list[float], quantile: float = 0.99) -> list[float]:
+def winsorize(values: list[float], quantile: float = CAP_QUANTILE) -> list[float]:
     """One-sided winsorizing: cap values above the nearest-rank(lower) quantile.
 
     Order and length are preserved; idempotent and monotone.
@@ -59,79 +64,60 @@ def project_ccp(
     return estimate_ccp(k=k, n=len(commits), perf=perf)
 
 
-def coupling(
-    commits: list[CommitRecord],
-    verdicts: list[ClassifierVerdict],
-    cap_quantile: float = 0.99,
-) -> float | None:
-    """Mean files per non-corrective commit, winsorized at `cap_quantile`.
+def _capped_sizes(
+    commits: list[CommitRecord], verdicts: list[ClassifierVerdict]
+) -> list[tuple[CommitRecord, float]]:
+    """Non-corrective commits that carry files, each with its capped file count."""
+    if len(commits) != len(verdicts):
+        raise ValueError("commits and verdicts must be aligned")
+    kept = [c for c, v in zip(commits, verdicts) if not v.corrective and c.files]
+    if not kept:
+        return []
+    return list(zip(kept, winsorize([float(len(c.files)) for c in kept])))
+
+
+def coupling(commits: list[CommitRecord], verdicts: list[ClassifierVerdict]) -> float | None:
+    """Mean files per non-corrective commit, winsorized at CAP_QUANTILE.
 
     Corrective commits are excluded because bug fixes touch systematically
     fewer files and would distort the comparison. None when no
     non-corrective commit carries files.
     """
-    if len(commits) != len(verdicts):
-        raise ValueError("commits and verdicts must be aligned")
-    sizes = [len(c.files) for c, v in zip(commits, verdicts) if not v.corrective and c.files]
-    if not sizes:
+    capped = _capped_sizes(commits, verdicts)
+    if not capped:
         return None
-    return fmean(winsorize([float(s) for s in sizes], cap_quantile))
+    return fmean(size for _, size in capped)
 
 
 def coupling_by_file(
-    commits: list[CommitRecord],
-    verdicts: list[ClassifierVerdict],
-    cap_quantile: float = 0.99,
+    commits: list[CommitRecord], verdicts: list[ClassifierVerdict]
 ) -> float | None:
     """Per-file variant: mean over files of the mean size of their commits."""
-    if len(commits) != len(verdicts):
-        raise ValueError("commits and verdicts must be aligned")
     sizes_by_file: dict[str, list[float]] = {}
-    raw = [
-        (c, float(len(c.files)))
-        for c, v in zip(commits, verdicts)
-        if not v.corrective and c.files
-    ]
-    if not raw:
-        return None
-    capped_sizes = winsorize([s for _, s in raw], cap_quantile)
-    for (commit, _), size in zip(raw, capped_sizes):
+    for commit, size in _capped_sizes(commits, verdicts):
         for path in commit.files:
             sizes_by_file.setdefault(path, []).append(size)
+    if not sizes_by_file:
+        return None
     return fmean(fmean(sizes) for sizes in sizes_by_file.values())
 
 
-def file_length_stats(
-    head_listing: list[tuple[str, int]],
-    cap_quantile: float = 0.99,
-    cap_override_bytes: int | None = None,
-) -> float:
-    """Mean file size in KB over a HEAD snapshot listing, capped.
-
-    The cap is the corpus-level `cap_quantile` threshold by default;
-    `cap_override_bytes` pins a fixed cap instead.
-    """
+def file_length_stats(head_listing: list[tuple[str, int]]) -> float:
+    """Mean file size in KB over a HEAD snapshot listing, winsorized at CAP_QUANTILE."""
     if not head_listing:
         raise InputError("file_length_stats requires a non-empty listing")
-    sizes = [float(size) for _, size in head_listing]
-    if cap_override_bytes is not None:
-        sizes = [min(s, float(cap_override_bytes)) for s in sizes]
-    else:
-        sizes = winsorize(sizes, cap_quantile)
-    return fmean(sizes) / 1024.0
+    return fmean(winsorize([float(size) for _, size in head_listing])) / 1024.0
 
 
-def developer_speed(
-    commits: list[CommitRecord], involved: set[str], cap: int = 500
-) -> float | None:
-    """Mean capped non-merge commits per involved author; None when none involved."""
+def developer_speed(commits: list[CommitRecord], involved: set[str]) -> float | None:
+    """Mean non-merge commits per involved author, capped at SPEED_CAP; None when none involved."""
     if not involved:
         return None
     counts = Counter(c.author_id for c in commits if not c.is_merge)
     missing = involved - set(counts)
     if missing:
         raise ValueError(f"involved authors absent from commits: {sorted(missing)[:3]}")
-    return fmean(min(counts[a], cap) for a in involved)
+    return fmean(min(counts[a], SPEED_CAP) for a in involved)
 
 
 def retention(year_t_involved: set[str], year_t1_authors: set[str]) -> float | None:
@@ -145,15 +131,14 @@ def onboarding(
     prior_authors: set[str],
     year_t1_authors: set[str],
     year_t1_involved: set[str],
-    min_new: int = 10,
 ) -> float | None:
     """Fraction of newly arrived developers that become involved.
 
     New developers are authors of year t+1 not seen before; the ratio is
-    suppressed (None) below `min_new` new developers to avoid noise.
+    suppressed (None) below MIN_NEW_DEVELOPERS new developers to avoid noise.
     """
     new = year_t1_authors - prior_authors
-    if len(new) < min_new:
+    if len(new) < MIN_NEW_DEVELOPERS:
         return None
     return len(new & year_t1_involved) / len(new)
 

@@ -74,10 +74,11 @@ class RunConfig:
             else classifier.load_default_english_model()
         )
         perf_path = pick("perf")
-        if perf_path:
-            self.performance, self.perf_model_id = estimator.load_performance_config(perf_path)
-        else:
-            self.performance, self.perf_model_id = estimator.load_default_performance()
+        self.performance = (
+            estimator.load_performance_config(perf_path)
+            if perf_path
+            else estimator.load_default_performance()
+        )
         table_path = pick("table")
         self.table = (
             estimator.load_distribution_table(table_path)
@@ -101,12 +102,11 @@ class RunConfig:
             "seed": self.seed,
             "format": self.output_format,
             "enforce_selection": self.enforce_selection,
-            # The paper's fixed thresholds (the analysis functions' defaults),
-            # kept in the hash so it stays comparable with earlier reports.
-            "min_commits": 200,
-            "involvement": 12,
-            "speed_cap": 500,
-            "cap_quantile": 0.99,
+            # The paper's fixed thresholds, kept so the hash matches earlier reports.
+            "min_commits": ingestion.MIN_COMMITS,
+            "involvement": ingestion.INVOLVED_COMMITS,
+            "speed_cap": analytics.SPEED_CAP,
+            "cap_quantile": analytics.CAP_QUANTILE,
             "table": self.table.rows,
         }
         digest = hashlib.sha256(
@@ -129,11 +129,14 @@ def _read_commits(args: argparse.Namespace) -> ingestion.ParseResult:
     merged = ingestion.ParseResult(records=[], skipped=0)
     for path in args.input:
         text = ingestion.read_text(path, InputError)
-        if getattr(args, "input_format", "ndjson") == "git":
-            repo = getattr(args, "repo", None) or Path(path).stem
-            result = ingestion.parse_raw_git_log(text, repo_id=repo)
-        else:
-            result = ingestion.parse_git_log(text.split("\n"))
+        try:
+            if getattr(args, "input_format", "ndjson") == "git":
+                repo = getattr(args, "repo", None) or Path(path).stem
+                result = ingestion.parse_raw_git_log(text, repo_id=repo)
+            else:
+                result = ingestion.parse_git_log(text.split("\n"))
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
         merged.records.extend(result.records)
         merged.skipped += result.skipped
     return merged
@@ -299,24 +302,29 @@ def cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
-    corpus = classifier.load_labeled_corpus(args.corpus)
-    matrix = classifier.evaluate_model(corpus, config.term_model)
-    perf = None if args.perf_source == "corpus" else config.performance
-    bootstrap = estimator.bootstrap_difference_distribution(
+def _bootstrap(
+    args: argparse.Namespace, config: RunConfig, corpus: list[classifier.LabeledCommit]
+) -> dict:
+    """The bootstrap difference report of ``validate-model`` and ``bootstrap``."""
+    return estimator.bootstrap_difference_distribution(
         corpus,
         config.term_model,
-        perf=perf,
+        perf=None if args.perf_source == "corpus" else config.performance,
         iterations=args.iterations,
         coverage=args.coverage,
         seed=config.seed,
-    )
+    ).as_dict()
+
+
+def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
+    corpus = classifier.load_labeled_corpus(args.corpus)
+    matrix = classifier.evaluate_model(corpus, config.term_model)
     _emit(
         {
             "meta": config.meta(),
             "report_type": "validate-model",
             "confusion_matrix": matrix.as_dict(),
-            "bootstrap": bootstrap.as_dict(),
+            "bootstrap": _bootstrap(args, config, corpus),
         },
         config,
     )
@@ -336,18 +344,10 @@ def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:
 
 def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = classifier.load_labeled_corpus(args.corpus)
-    perf = None if args.perf_source == "corpus" else config.performance
     report = {
         "meta": config.meta(),
         "report_type": "bootstrap",
-        "difference": estimator.bootstrap_difference_distribution(
-            corpus,
-            config.term_model,
-            perf=perf,
-            iterations=args.iterations,
-            coverage=args.coverage,
-            seed=config.seed,
-        ).as_dict(),
+        "difference": _bootstrap(args, config, corpus),
     }
     if args.sensitivity:
         report["sensitivity"] = estimator.estimator_sensitivity(
@@ -421,6 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    corpus_args = argparse.ArgumentParser(add_help=False)
+    corpus_args.add_argument("corpus", help="labeled corpus file (label<TAB>message)")
+    corpus_args.add_argument("--iterations", type=int, default=10_000)
+    corpus_args.add_argument("--coverage", type=float, default=0.95)
+    corpus_args.add_argument("--perf-source", choices=("corpus", "config"), default="corpus")
+
     p = sub.add_parser("classify", help="per-commit verdict stream (NDJSON)")
     p.add_argument("input", nargs="+", help="commit log file(s)")
     p.add_argument("--input-format", choices=("ndjson", "git"), default="ndjson")
@@ -439,18 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ccp", type=float, required=True)
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("validate-model", help="confusion matrix + bootstrap report")
-    p.add_argument("corpus", help="labeled corpus file (label<TAB>message)")
-    p.add_argument("--iterations", type=int, default=10_000)
-    p.add_argument("--coverage", type=float, default=0.95)
-    p.add_argument("--perf-source", choices=("corpus", "config"), default="corpus")
+    p = sub.add_parser(
+        "validate-model", parents=[corpus_args], help="confusion matrix + bootstrap report"
+    )
     p.set_defaults(func=cmd_validate_model)
 
-    p = sub.add_parser("bootstrap", help="estimate-vs-truth bootstrap distribution")
-    p.add_argument("corpus", help="labeled corpus file")
-    p.add_argument("--iterations", type=int, default=10_000)
-    p.add_argument("--coverage", type=float, default=0.95)
-    p.add_argument("--perf-source", choices=("corpus", "config"), default="corpus")
+    p = sub.add_parser(
+        "bootstrap", parents=[corpus_args], help="estimate-vs-truth bootstrap distribution"
+    )
     p.add_argument("--sensitivity", action="store_true", help="add sensitivity analysis")
     p.add_argument("--segments", default="0:1,0.042:0.84,0.06:0.39")
     p.set_defaults(func=cmd_bootstrap)
@@ -485,7 +487,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = RunConfig(args)
-        return args.func(args, config)
+        code = args.func(args, config)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed (`| head`); devnull keeps the interpreter's last flush quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

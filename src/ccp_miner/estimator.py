@@ -137,17 +137,29 @@ def _corpus_arrays(corpus: list[LabeledCommit], model: TermModel) -> tuple[np.nd
     return labels, hits
 
 
-def load_performance_config(path: str | Path) -> tuple[ModelPerformance, str]:
-    """Load a ``recall= / fpr= / model_id=`` key-value config file."""
+def _resample_counts(
+    labels: np.ndarray, hits: np.ndarray, rows: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positives, hits and true positives of ``rows`` resamples with replacement."""
+    n = len(labels)
+    idx = rng.integers(0, n, size=(rows, n))
+    lab = labels[idx]
+    hit = hits[idx]
+    positives, hit_counts = lab.sum(axis=1), hit.sum(axis=1)
+    lab &= hit  # in place: one fewer matrix of fresh pages
+    return positives, hit_counts, lab.sum(axis=1)
+
+
+def load_performance_config(path: str | Path) -> ModelPerformance:
+    """Load a ``recall= / fpr= / model_id=`` key-value config file; ``model_id`` is a label."""
     values = read_config(path, ("recall", "fpr", "model_id"), ConfigError)
     try:
-        perf = ModelPerformance(recall=float(values["recall"]), fpr=float(values["fpr"]))
+        return ModelPerformance(recall=float(values["recall"]), fpr=float(values["fpr"]))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"performance config {path} needs numeric 'recall' and 'fpr'") from exc
-    return perf, values.get("model_id", "")
 
 
-def load_default_performance() -> tuple[ModelPerformance, str]:
+def load_default_performance() -> ModelPerformance:
     with resources.as_file(resources.files("ccp_miner.data").joinpath("performance.cfg")) as p:
         return load_performance_config(p)
 
@@ -208,11 +220,9 @@ def bootstrap_difference_distribution(
         perf = fit_performance(labels, hits)
     n = len(corpus)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(iterations, n))
-    truth = labels[idx].mean(axis=1)
-    hr = hits[idx].mean(axis=1)
-    estimates = (hr - perf.fpr) / (perf.recall - perf.fpr)
-    diffs = estimates - truth
+    positives, hit_counts, _ = _resample_counts(labels, hits, iterations, rng)
+    estimates = (hit_counts / n - perf.fpr) / (perf.recall - perf.fpr)
+    diffs = estimates - positives / n
     # Empirical quantiles, nearest-rank (lower): trim (1-coverage)/2 per tail.
     tail = (1.0 - coverage) / 2.0
     low, high = np.percentile(diffs, [100.0 * tail, 100.0 * (1.0 - tail)], method="lower")
@@ -286,31 +296,27 @@ def estimator_sensitivity(
     labels, hits = _corpus_arrays(corpus, model)
     n = len(corpus)
     rng = np.random.default_rng(seed)
+    redraws = 0
 
     def draw(count: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw `count` (recall, fpr) pairs from valid resamples."""
+        nonlocal redraws
         recall = np.empty(count)
         fpr = np.empty(count)
         pending = np.arange(count)
-        redraws = 0
         while pending.size:
-            idx = rng.integers(0, n, size=(pending.size, n))
-            lab = labels[idx]
-            hit = hits[idx]
-            pos = lab.sum(axis=1)
+            pos, hit, true_pos = _resample_counts(labels, hits, pending.size, rng)
             neg = n - pos
             with np.errstate(divide="ignore", invalid="ignore"):
-                r = (lab & hit).sum(axis=1) / pos
-                f = (~lab & hit).sum(axis=1) / neg
+                r = true_pos / pos
+                f = (hit - true_pos) / neg
             ok = (pos > 0) & (neg > 0) & (r > f)
             recall[pending[ok]] = r[ok]
             fpr[pending[ok]] = f[ok]
             redraws += int((~ok).sum())
             pending = pending[~ok]
-        draw.redraws += redraws  # type: ignore[attr-defined]
         return recall, fpr
 
-    draw.redraws = 0  # type: ignore[attr-defined]
     recall_a, fpr_a = draw(iterations)
     recall_b, fpr_b = draw(iterations)
 
@@ -331,7 +337,7 @@ def estimator_sensitivity(
     return SensitivityReport(
         iterations=iterations,
         seed=seed,
-        redraws=draw.redraws,  # type: ignore[attr-defined]
+        redraws=redraws,
         segments=tuple(segments),
     )
 

@@ -4,9 +4,10 @@ Every input file is read by ``read_text``, ``read_csv`` or ``read_config``,
 which raise the caller's error class naming the file.
 
 The canonical commit export format is newline-delimited JSON, one object per
-commit with keys ``repo``, ``hash``, ``author``, ``ts`` (ISO-8601), ``msg``,
-``files`` and ``merge``. A raw ``git log`` format (record/unit separator
-based, documented by the ``export-log-recipe`` subcommand) is also parsed.
+commit with string keys ``repo``, ``hash``, ``author``, ``ts`` (ISO-8601) and
+``msg``, and optional ``files`` (a list of strings or null) and ``merge`` (a
+boolean). A raw ``git log`` format (record/unit separator based, documented
+by the ``export-log-recipe`` subcommand) is also parsed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import CcpMinerError, InputError
+
+# The paper's fixed thresholds.
+MIN_COMMITS = 200  # commits in the analysis year for a project to be selected
+SHARED_HASHES = 50  # shared hashes above which the smaller project is dominated
+INVOLVED_COMMITS = 12  # non-merge commits in a year for an involved developer
 
 # ---------------------------------------------------------------------------
 # Readers
@@ -154,87 +160,84 @@ class ParseResult:
     skipped: int
 
 
-def _record_from_dict(obj: dict) -> CommitRecord:
-    ts = datetime.fromisoformat(obj["ts"])
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return CommitRecord(
-        repo_id=str(obj["repo"]),
-        hash=str(obj["hash"]),
-        author_id=str(obj["author"]).strip().lower(),
-        timestamp=ts,
-        message=str(obj["msg"]),
-        files=tuple(obj.get("files") or ()),
-        is_merge=bool(obj.get("merge", False)),
-    )
+def _ndjson_record(line: str) -> CommitRecord | None:
+    """One NDJSON commit, or None when the line is not the object the module describes."""
+    try:
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            return None
+        files = obj.get("files")
+        merge = obj.get("merge", False)
+        if not (
+            isinstance(obj.get("repo"), str) and isinstance(obj.get("hash"), str)
+            and isinstance(obj.get("author"), str) and isinstance(obj.get("ts"), str)
+            and isinstance(obj.get("msg"), str)
+            and isinstance(files, (list, type(None)))
+            and all(isinstance(f, str) for f in files or ())
+            and isinstance(merge, bool)
+        ):
+            return None
+        ts = datetime.fromisoformat(obj["ts"])
+        return CommitRecord(
+            repo_id=obj["repo"],
+            hash=obj["hash"],
+            author_id=obj["author"].strip().lower(),
+            timestamp=ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc),
+            message=obj["msg"],
+            files=tuple(files or ()),
+            is_merge=merge,
+        )
+    except ValueError:  # json.JSONDecodeError, a bad timestamp or an empty hash
+        return None
+
+
+def _raw_record(chunk: str, repo_id: str) -> CommitRecord | None:
+    """One ``git log`` chunk of GIT_LOG_RECIPE, or None when it does not parse."""
+    try:
+        commit_hash, author, ts_text, parents, message, file_block = chunk.split("\x1f")
+        return CommitRecord(
+            repo_id=repo_id,
+            hash=commit_hash.strip(),
+            author_id=author.strip().lower(),
+            timestamp=datetime.fromisoformat(ts_text.strip()),
+            message=message.rstrip("\n"),
+            files=tuple(f.strip() for f in file_block.splitlines() if f.strip()),
+            is_merge=len(parents.split()) > 1,
+        )
+    except ValueError:  # a wrong field count, a bad timestamp or an empty hash
+        return None
+
+
+def _accept(records: Iterable[CommitRecord | None], unit: str) -> ParseResult:
+    """Keep the first record of each (repo_id, hash), count the rest; InputError if none."""
+    kept: list[CommitRecord] = []
+    skipped = 0
+    seen: set[tuple[str, str]] = set()
+    for record in records:
+        if record is None or (record.repo_id, record.hash) in seen:
+            skipped += 1
+            continue
+        seen.add((record.repo_id, record.hash))
+        kept.append(record)
+    if not kept:
+        raise InputError(f"no parseable commit records (skipped {skipped} {unit})")
+    return ParseResult(records=kept, skipped=skipped)
 
 
 def parse_git_log(stream: Iterable[str]) -> ParseResult:
     """Parse newline-delimited JSON commit objects.
 
-    Malformed lines are skipped and counted; an input with zero parseable
-    records raises InputError.
+    Malformed lines, lines with a field of the wrong type and repeated
+    commits are skipped and counted; an input with zero parseable records
+    raises InputError.
     """
-    records: list[CommitRecord] = []
-    skipped = 0
-    seen: set[tuple[str, str]] = set()
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = _record_from_dict(json.loads(line))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            skipped += 1
-            continue
-        key = (record.repo_id, record.hash)
-        if key in seen:
-            skipped += 1
-            continue
-        seen.add(key)
-        records.append(record)
-    if not records:
-        raise InputError(f"no parseable commit records (skipped {skipped} lines)")
-    return ParseResult(records=records, skipped=skipped)
+    return _accept((_ndjson_record(line) for line in stream if line.strip()), "lines")
 
 
 def parse_raw_git_log(text: str, repo_id: str) -> ParseResult:
-    """Parse the separator-based `git log` export documented in GIT_LOG_RECIPE."""
-    records: list[CommitRecord] = []
-    skipped = 0
-    seen: set[str] = set()
-    for chunk in text.split("\x1e"):
-        if not chunk.strip():
-            continue
-        fields = chunk.split("\x1f")
-        if len(fields) != 6:
-            skipped += 1
-            continue
-        commit_hash, author, ts_text, parents, message, file_block = fields
-        try:
-            ts = datetime.fromisoformat(ts_text.strip())
-        except ValueError:
-            skipped += 1
-            continue
-        if commit_hash in seen:
-            skipped += 1
-            continue
-        seen.add(commit_hash)
-        files = tuple(f.strip() for f in file_block.splitlines() if f.strip())
-        records.append(
-            CommitRecord(
-                repo_id=repo_id,
-                hash=commit_hash.strip(),
-                author_id=author.strip().lower(),
-                timestamp=ts,
-                message=message.rstrip("\n"),
-                files=files,
-                is_merge=len(parents.split()) > 1,
-            )
-        )
-    if not records:
-        raise InputError(f"no parseable commit records (skipped {skipped} chunks)")
-    return ParseResult(records=records, skipped=skipped)
+    """Parse the `git log` export of GIT_LOG_RECIPE; bad chunks and repeated hashes are skipped."""
+    chunks = (chunk for chunk in text.split("\x1e") if chunk.strip())
+    return _accept((_raw_record(chunk, repo_id) for chunk in chunks), "chunks")
 
 
 def window_by_year(commits: Iterable[CommitRecord]) -> dict[int, list[CommitRecord]]:
@@ -245,10 +248,10 @@ def window_by_year(commits: Iterable[CommitRecord]) -> dict[int, list[CommitReco
     return dict(windows)
 
 
-def involved_authors(commits: Iterable[CommitRecord], threshold: int = 12) -> set[str]:
-    """Authors with at least `threshold` non-merge commits in the given set."""
+def involved_authors(commits: Iterable[CommitRecord]) -> set[str]:
+    """Authors with at least INVOLVED_COMMITS non-merge commits in the given set."""
     counts = Counter(c.author_id for c in commits if not c.is_merge)
-    return {author for author, n in counts.items() if n >= threshold}
+    return {author for author, n in counts.items() if n >= INVOLVED_COMMITS}
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +308,12 @@ def _size_key(project: ProjectDescriptor, year: int) -> tuple[int, int, str]:
     )
 
 
-def select_projects(
-    projects: list[ProjectDescriptor],
-    year: int,
-    min_commits: int = 200,
-    shared_threshold: int = 50,
-) -> SelectionResult:
+def select_projects(projects: list[ProjectDescriptor], year: int) -> SelectionResult:
     """Apply the selection pipeline for one analysis year.
 
-    In order: drop projects under `min_commits` commits in the year, drop
+    In order: drop projects under MIN_COMMITS commits in the year, drop
     forks, drop projects dominated by a strictly larger surviving project
-    (more than `shared_threshold` shared hashes in the year), and dedup
+    (more than SHARED_HASHES shared hashes in the year), and dedup
     same-name projects keeping the owner with more projects in the input.
     Every excluded project appears exactly once in the report.
     """
@@ -323,7 +321,7 @@ def select_projects(
 
     survivors = []
     for project in projects:
-        if len(project.commit_hashes_by_year.get(year, frozenset())) < min_commits:
+        if len(project.commit_hashes_by_year.get(year, frozenset())) < MIN_COMMITS:
             exclusions.append((project.repo_id, "min_commits"))
         else:
             survivors.append(project)
@@ -345,7 +343,7 @@ def select_projects(
         hashes = project.commit_hashes_by_year.get(year, frozenset())
         for larger in retained:
             larger_hashes = larger.commit_hashes_by_year.get(year, frozenset())
-            if len(hashes & larger_hashes) > shared_threshold:
+            if len(hashes & larger_hashes) > SHARED_HASHES:
                 dominated.add(project.repo_id)
                 exclusions.append((project.repo_id, "dominated"))
                 break

@@ -138,11 +138,6 @@ class TestFileLengthStats:
         listing = [("a.c", 1024), ("b.c", 3072)]
         assert file_length_stats(listing) == pytest.approx(2.0)
 
-    def test_override_cap(self):
-        listing = [("a.c", 1024), ("b.c", 10_000_000)]
-        value = file_length_stats(listing, cap_override_bytes=2048)
-        assert value == pytest.approx((1024 + 2048) / 2 / 1024)
-
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             file_length_stats([])
@@ -156,7 +151,7 @@ class TestDeveloperSpeed:
 
     def test_cap_applies(self):
         commits = [make_commit(hash=f"a{i}", author="ann@x") for i in range(600)]
-        assert developer_speed(commits, involved={"ann@x"}, cap=500) == 500.0
+        assert developer_speed(commits, involved={"ann@x"}) == 500.0
 
     def test_merges_not_counted(self):
         commits = [make_commit(hash=f"a{i}", author="ann@x") for i in range(12)]

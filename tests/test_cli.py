@@ -79,6 +79,16 @@ class TestAnalyzeCommand:
             assert 0.0 <= diag["english_hit_rate"] <= 1.0
             assert diag["median_message_chars"] > 0
 
+    def test_raw_chunk_with_an_empty_hash_is_skipped(self, capsys, tmp_path):
+        raw = tmp_path / "widget.log"
+        raw.write_text(
+            "\x1eaaa\x1fann@x\x1f2019-01-01T00:00:00+00:00\x1fp\x1ffix crash\x1f\nsrc/a.c\n"
+            "\x1e\x1fann@x\x1f2019-01-01T00:00:00+00:00\x1fp\x1ffix crash\x1f"
+        )
+        code, out, _ = run(capsys, "analyze", str(raw), "--input-format", "git")
+        assert code == EXIT_OK
+        assert json.loads(out)["skipped_lines"] == 1
+
     def test_skipped_lines_reported(self, capsys):
         code, out, _ = run(capsys, "analyze", MALFORMED)
         assert code == EXIT_OK
@@ -288,9 +298,12 @@ LATIN1 = "caf\xe9".encode("latin-1")
         ("widget.log",
          b"\x1eaaa\x1fann@x\x1f2019-01-01T00:00:00+00:00\x1fp\x1ffix " + LATIN1 + b"\x1f\n",
          ["analyze", "{path}", "--input-format", "git"], EXIT_INPUT),
+        ("garbage.ndjson", b"not json\n", ["analyze", "{path}"], EXIT_INPUT),
+        ("empty.log", b"", ["analyze", "{path}", "--input-format", "git"], EXIT_INPUT),
     ],
     ids=["metadata-short-row", "metadata-latin1", "corpus-latin1", "env-config-latin1",
-         "perf-latin1", "model-latin1", "raw-git-log-latin1"],
+         "perf-latin1", "model-latin1", "raw-git-log-latin1", "ndjson-no-record",
+         "raw-git-log-no-chunk"],
 )
 def test_bad_input_file_is_a_named_config_or_input_error(
     capsys, tmp_path, monkeypatch, name, content, argv, exit_code
@@ -304,10 +317,14 @@ def test_bad_input_file_is_a_named_config_or_input_error(
     assert str(path) in err
 
 
-def test_importing_the_cli_does_not_load_numpy():
+def _subprocess_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    env = _subprocess_env()
     probe = (
         "import sys, ccp_miner.cli as cli;"
         "cli.RunConfig(cli.build_parser().parse_args(['rank', '--ccp', '0.2']));"
@@ -318,6 +335,25 @@ def test_importing_the_cli_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    log = tmp_path / "big.ndjson"
+    log.write_text("".join(
+        json.dumps({"repo": "r", "hash": f"h{i}", "author": "a@x",
+                    "ts": "2019-01-01T00:00:00+00:00", "msg": "fix crash"}) + "\n"
+        for i in range(500)
+    ))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccp_miner.cli", "classify", str(log)],
+            env=_subprocess_env(), stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
 
 
 class TestExportLogRecipe:

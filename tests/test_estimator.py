@@ -212,8 +212,7 @@ class TestConfigFiles:
     def test_performance_config(self, tmp_path):
         cfg = tmp_path / "perf.cfg"
         cfg.write_text("recall=0.9\nfpr=0.1\nmodel_id=alt\n")
-        perf, model_id = load_performance_config(cfg)
-        assert (perf.recall, perf.fpr, model_id) == (0.9, 0.1, "alt")
+        assert load_performance_config(cfg) == ModelPerformance(recall=0.9, fpr=0.1)
 
     def test_malformed_performance_config(self, tmp_path):
         cfg = tmp_path / "perf.cfg"

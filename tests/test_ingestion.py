@@ -81,6 +81,20 @@ class TestParseGitLog:
         assert len(result.records) == 1
         assert result.skipped == 1
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("repo", None), ("hash", 123), ("author", ["ann@x"]), ("msg", {"text": "fix"}),
+         ("files", "abc"), ("files", {"x": 1}), ("files", ["a.c", 2]),
+         ("merge", "false"), ("merge", 0), ("merge", None)],
+    )
+    def test_field_of_the_wrong_type_is_skipped(self, field, value):
+        good = {"repo": "r", "hash": "h1", "author": "a@b.com",
+                "ts": "2019-01-02T03:04:05+00:00", "msg": "m", "files": ["a.c"], "merge": False}
+        bad = {**good, "hash": "h2", field: value}
+        result = parse_git_log(io.StringIO(json.dumps(good) + "\n" + json.dumps(bad)))
+        assert [r.hash for r in result.records] == ["h1"]
+        assert result.skipped == 1
+
 
 class TestParseRawGitLog:
     def test_separator_format(self):
