@@ -15,6 +15,7 @@ domain).
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -24,10 +25,41 @@ from pathlib import Path
 from .errors import InputError, ModelLoadError
 from .ingestion import read_text
 
+try:
+    from re import _constants as _sre_constants, _parser as _sre_parse
+except ImportError:  # Python 3.10
+    import sre_constants as _sre_constants
+    import sre_parse as _sre_parse
+
 _BACKREF_RE = re.compile(r"\\[1-9]")
 
+# Under re.IGNORECASE an ASCII character matches the code points that
+# str.lower() maps to it, and these three besides. "İ".lower() is two
+# characters, so they are translated before lower().
+_FOLD = str.maketrans("İıſ", "iis")
 
-def _compile_patterns(patterns: Iterable[str], list_name: str) -> tuple[re.Pattern, ...]:
+
+@functools.lru_cache(maxsize=512)
+def _leading_literal(pattern: str) -> str:
+    """The lowercased ASCII text every match of ``pattern`` under re.I starts with.
+
+    Leading anchors are skipped; the text ends at the first operation that
+    is not a literal, or at a non-ASCII literal. "" when there is none.
+    Cached because the CLI loads its term model again on every run.
+    """
+    literal = []
+    for op, code in _sre_parse.parse(pattern, re.IGNORECASE):
+        if op is _sre_constants.AT and not literal:
+            continue
+        if op is not _sre_constants.LITERAL or code > 0x7F:
+            break
+        literal.append(chr(code).lower())
+    return "".join(literal)
+
+
+def _compile_patterns(
+    patterns: Iterable[str], list_name: str
+) -> tuple[tuple[str, re.Pattern], ...]:
     compiled = []
     for pat in patterns:
         if _BACKREF_RE.search(pat):
@@ -36,9 +68,10 @@ def _compile_patterns(patterns: Iterable[str], list_name: str) -> tuple[re.Patte
                 "which is outside the supported dialect"
             )
         try:
-            compiled.append(re.compile(pat, re.IGNORECASE))
+            regex = re.compile(pat, re.IGNORECASE)
         except re.error as exc:
             raise ModelLoadError(f"pattern {pat!r} in [{list_name}] does not compile: {exc}") from exc
+        compiled.append((_leading_literal(pat), regex))
     return tuple(compiled)
 
 
@@ -50,9 +83,10 @@ class TermModel:
     fix_patterns: tuple[str, ...]
     other_fix_patterns: tuple[str, ...]
     negation_patterns: tuple[str, ...]
-    _fix: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False)
-    _other: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False)
-    _negation: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False)
+    # (leading literal, compiled pattern) per pattern; see classify_message.
+    _fix: tuple[tuple[str, re.Pattern], ...] = field(init=False, repr=False, compare=False)
+    _other: tuple[tuple[str, re.Pattern], ...] = field(init=False, repr=False, compare=False)
+    _negation: tuple[tuple[str, re.Pattern], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.model_id:
@@ -268,12 +302,19 @@ def classify_message(message: str, model: TermModel) -> ClassifierVerdict:
 
     Counts distinct pattern matches per list (each pattern at most once) and
     derives score and the corrective decision. Pure and total over unicode
-    text; an empty message yields zero counts.
+    text; an empty message yields zero counts. A pattern is searched only
+    when its leading literal occurs in the folded message, which every
+    match implies, so the counts are those of searching every pattern.
     """
+    folded = message.translate(_FOLD).lower()
+
+    def hits(patterns: tuple[tuple[str, re.Pattern], ...]) -> int:
+        return sum(1 for literal, p in patterns if literal in folded and p.search(message))
+
     return ClassifierVerdict(
-        fix_hits=sum(1 for p in model._fix if p.search(message)),
-        other_fix_hits=sum(1 for p in model._other if p.search(message)),
-        negation_hits=sum(1 for p in model._negation if p.search(message)),
+        fix_hits=hits(model._fix),
+        other_fix_hits=hits(model._other),
+        negation_hits=hits(model._negation),
     )
 
 

@@ -126,15 +126,17 @@ class RunConfig:
 
 
 def _read_commits(args: argparse.Namespace) -> ingestion.ParseResult:
+    """Parse every input file; a commit read from an earlier file is a repeat, as within one."""
     merged = ingestion.ParseResult(records=[], skipped=0)
+    seen: set[tuple[str, str]] = set()
     for path in args.input:
         text = ingestion.read_text(path, InputError)
         try:
             if getattr(args, "input_format", "ndjson") == "git":
                 repo = getattr(args, "repo", None) or Path(path).stem
-                result = ingestion.parse_raw_git_log(text, repo_id=repo)
+                result = ingestion.parse_raw_git_log(text, repo_id=repo, seen=seen)
             else:
-                result = ingestion.parse_git_log(text.split("\n"))
+                result = ingestion.parse_git_log(text.split("\n"), seen=seen)
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
         merged.records.extend(result.records)
@@ -423,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     corpus_args = argparse.ArgumentParser(add_help=False)
     corpus_args.add_argument("corpus", help="labeled corpus file (label<TAB>message)")
-    corpus_args.add_argument("--iterations", type=int, default=10_000)
-    corpus_args.add_argument("--coverage", type=float, default=0.95)
+    corpus_args.add_argument("--iterations", type=int, default=estimator.DEFAULT_ITERATIONS)
+    corpus_args.add_argument("--coverage", type=float, default=estimator.DEFAULT_COVERAGE)
     corpus_args.add_argument("--perf-source", choices=("corpus", "config"), default="corpus")
 
     p = sub.add_parser("classify", help="per-commit verdict stream (NDJSON)")
@@ -454,7 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
         "bootstrap", parents=[corpus_args], help="estimate-vs-truth bootstrap distribution"
     )
     p.add_argument("--sensitivity", action="store_true", help="add sensitivity analysis")
-    p.add_argument("--segments", default="0:1,0.042:0.84,0.06:0.39")
+    p.add_argument(
+        "--segments",
+        default=",".join(f"{low}:{high}" for low, high in estimator.DEFAULT_SENSITIVITY_SEGMENTS),
+    )
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("cochange", help="co-change precision and lift of two metrics")

@@ -191,12 +191,17 @@ class BootstrapReport:
         }
 
 
+# Defaults of the bootstrap and sensitivity studies, and of the CLI flags.
+DEFAULT_ITERATIONS = 10_000
+DEFAULT_COVERAGE = 0.95
+
+
 def bootstrap_difference_distribution(
     corpus: list[LabeledCommit],
     model: TermModel,
     perf: ModelPerformance | None = None,
-    iterations: int = 10_000,
-    coverage: float = 0.95,
+    iterations: int = DEFAULT_ITERATIONS,
+    coverage: float = DEFAULT_COVERAGE,
     seed: int = 0,
 ) -> BootstrapReport:
     """Distribution of (CCP estimate - true rate) under corpus resampling.
@@ -273,7 +278,7 @@ DEFAULT_SENSITIVITY_SEGMENTS = ((0.0, 1.0), (0.042, 0.84), (0.06, 0.39))
 def estimator_sensitivity(
     corpus: list[LabeledCommit],
     model: TermModel,
-    iterations: int = 10_000,
+    iterations: int = DEFAULT_ITERATIONS,
     eval_segments: tuple[tuple[float, float], ...] = DEFAULT_SENSITIVITY_SEGMENTS,
     seed: int = 0,
 ) -> SensitivityReport:

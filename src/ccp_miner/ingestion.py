@@ -160,6 +160,12 @@ class ParseResult:
     skipped: int
 
 
+def _timestamp(text: str) -> datetime:
+    """An ISO-8601 timestamp; one without an offset is taken as UTC, whatever the host's zone."""
+    ts = datetime.fromisoformat(text)
+    return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
+
+
 def _ndjson_record(line: str) -> CommitRecord | None:
     """One NDJSON commit, or None when the line is not the object the module describes."""
     try:
@@ -177,12 +183,11 @@ def _ndjson_record(line: str) -> CommitRecord | None:
             and isinstance(merge, bool)
         ):
             return None
-        ts = datetime.fromisoformat(obj["ts"])
         return CommitRecord(
             repo_id=obj["repo"],
             hash=obj["hash"],
             author_id=obj["author"].strip().lower(),
-            timestamp=ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc),
+            timestamp=_timestamp(obj["ts"]),
             message=obj["msg"],
             files=tuple(files or ()),
             is_merge=merge,
@@ -199,7 +204,7 @@ def _raw_record(chunk: str, repo_id: str) -> CommitRecord | None:
             repo_id=repo_id,
             hash=commit_hash.strip(),
             author_id=author.strip().lower(),
-            timestamp=datetime.fromisoformat(ts_text.strip()),
+            timestamp=_timestamp(ts_text.strip()),
             message=message.rstrip("\n"),
             files=tuple(f.strip() for f in file_block.splitlines() if f.strip()),
             is_merge=len(parents.split()) > 1,
@@ -208,36 +213,50 @@ def _raw_record(chunk: str, repo_id: str) -> CommitRecord | None:
         return None
 
 
-def _accept(records: Iterable[CommitRecord | None], unit: str) -> ParseResult:
-    """Keep the first record of each (repo_id, hash), count the rest; InputError if none."""
+def _accept(
+    records: Iterable[CommitRecord | None], unit: str, seen: set[tuple[str, str]] | None
+) -> ParseResult:
+    """Keep each record whose (repo_id, hash) is not in ``seen`` yet, count the rest.
+
+    Kept records join ``seen``. InputError if no record parses.
+    """
     kept: list[CommitRecord] = []
-    skipped = 0
-    seen: set[tuple[str, str]] = set()
+    unparsed = repeated = 0
+    if seen is None:
+        seen = set()
     for record in records:
-        if record is None or (record.repo_id, record.hash) in seen:
-            skipped += 1
-            continue
-        seen.add((record.repo_id, record.hash))
-        kept.append(record)
-    if not kept:
-        raise InputError(f"no parseable commit records (skipped {skipped} {unit})")
-    return ParseResult(records=kept, skipped=skipped)
+        if record is None:
+            unparsed += 1
+        elif (record.repo_id, record.hash) in seen:
+            repeated += 1
+        else:
+            seen.add((record.repo_id, record.hash))
+            kept.append(record)
+    if not kept and not repeated:
+        raise InputError(f"no parseable commit records (skipped {unparsed} {unit})")
+    return ParseResult(records=kept, skipped=unparsed + repeated)
 
 
-def parse_git_log(stream: Iterable[str]) -> ParseResult:
+def parse_git_log(stream: Iterable[str], seen: set[tuple[str, str]] | None = None) -> ParseResult:
     """Parse newline-delimited JSON commit objects.
 
     Malformed lines, lines with a field of the wrong type and repeated
     commits are skipped and counted; an input with zero parseable records
-    raises InputError.
+    raises InputError. ``seen`` holds the (repo, hash) pairs of input read
+    before, whose commits count as repeats here; the commits kept join it.
     """
-    return _accept((_ndjson_record(line) for line in stream if line.strip()), "lines")
+    return _accept((_ndjson_record(line) for line in stream if line.strip()), "lines", seen)
 
 
-def parse_raw_git_log(text: str, repo_id: str) -> ParseResult:
-    """Parse the `git log` export of GIT_LOG_RECIPE; bad chunks and repeated hashes are skipped."""
+def parse_raw_git_log(
+    text: str, repo_id: str, seen: set[tuple[str, str]] | None = None
+) -> ParseResult:
+    """Parse the `git log` export of GIT_LOG_RECIPE; bad chunks and repeated hashes are skipped.
+
+    ``seen`` works as in parse_git_log.
+    """
     chunks = (chunk for chunk in text.split("\x1e") if chunk.strip())
-    return _accept((_raw_record(chunk, repo_id) for chunk in chunks), "chunks")
+    return _accept((_raw_record(chunk, repo_id) for chunk in chunks), "chunks", seen)
 
 
 def window_by_year(commits: Iterable[CommitRecord]) -> dict[int, list[CommitRecord]]:

@@ -1,7 +1,11 @@
 """Classifier unit tests: scoring, english detection, evaluation, agreement."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccp_miner import classifier
 from ccp_miner.classifier import (
@@ -56,6 +60,93 @@ class TestClassifyMessage:
         one = classify_message("bug", term_model)
         many = classify_message("bug bug bug bug", term_model)
         assert one.fix_hits == many.fix_hits
+
+
+# Text the bundled model's patterns match, and the non-ASCII code points that
+# re.IGNORECASE matches to ASCII letters: İ and ı (i), ſ (s), Kelvin sign (k).
+MODEL_WORDS = (
+    "bug", "bugfixes", "fix", "fixed", "hotfix", "failure", "errors", "defect", "faulty",
+    "flawed", "crashing", "broken", "regression", "correct this", "leaks", "null pointer",
+    "npe", "segfault", "incorrectly", "wrongly", "mistaken", "oops", "repairing",
+    "resolved the issue", "solves a crash", "overflows", "race condition", "deadlock",
+    "infinite loop", "off-by-one", "fix typos", "fixes the indentation", "fix merge conflicts",
+    "fixed docs", "error message", "failure messages", "cosmetic fixes",
+    "not really a bug", "isn't an issue", "isnt the problem", "no errors", "non-bug",
+    "doesn't fix", "nothing to fix",
+)
+CASE_PARTNERS = {"i": "iIİı", "s": "sSſ", "k": "kKK"}
+
+
+def _any_case(word: str):
+    return st.tuples(*(st.sampled_from(CASE_PARTNERS.get(c, c + c.upper())) for c in word)).map(
+        "".join
+    )
+
+
+_messages = st.lists(
+    st.one_of(
+        st.sampled_from(MODEL_WORDS).flatmap(_any_case),
+        st.text(max_size=8),
+        st.sampled_from(" \n-'İıſK"),
+    ),
+    max_size=12,
+).map(" ".join)
+
+
+def _reference_counts(message, model):
+    """Hit counts from searching every pattern, with no prefilter."""
+    return tuple(
+        sum(1 for pat in patterns if re.compile(pat, re.IGNORECASE).search(message))
+        for patterns in (model.fix_patterns, model.other_fix_patterns, model.negation_patterns)
+    )
+
+
+class TestLeadingLiteralPrefilter:
+    @pytest.mark.parametrize(
+        "pattern,literal",
+        [
+            (r"\bbug(s)?\b", "bug"),
+            (r"\bisn'?t", "isn"),
+            ("a|b", ""),
+            ("(a|b)c", ""),
+            ("[ab]c", ""),
+            (r"(?x) \b Bug  s? \b  # verbose", "bug"),
+            (r"^\bNull pointer", "null pointer"),
+            (r"\bcafé\b", "caf"),
+            (r"\bſtop", ""),
+        ],
+    )
+    def test_leading_literal(self, pattern, literal):
+        assert classifier._leading_literal(pattern) == literal
+
+    def test_every_ignorecase_partner_of_ascii_folds_to_it(self):
+        # Derived literals are lowercased ASCII, so checking all 128 ASCII
+        # characters covers every literal a model can yield.
+        every_code_point = "".join(map(chr, range(0x110000)))
+        for code in range(0x80):
+            char = chr(code)
+            for match in re.finditer(re.escape(char), every_code_point, re.IGNORECASE):
+                assert match[0].translate(classifier._FOLD).lower() == char.lower(), (
+                    f"U+{ord(match[0]):04X} matches {char!r}"
+                )
+
+    @pytest.mark.parametrize(
+        "message", ["miſtake", "FİX the build", "fıxed", "memory leaK", "İSN'T a bug"]
+    )
+    def test_non_ascii_case_partners_match(self, message, term_model):
+        verdict = classify_message(message, term_model)
+        assert (verdict.fix_hits, verdict.other_fix_hits, verdict.negation_hits) == (
+            _reference_counts(message, term_model)
+        )
+        assert verdict.fix_hits >= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(message=_messages)
+    def test_equals_searching_every_pattern(self, message, term_model):
+        verdict = classify_message(message, term_model)
+        assert (verdict.fix_hits, verdict.other_fix_hits, verdict.negation_hits) == (
+            _reference_counts(message, term_model)
+        )
 
 
 class TestClassifyCommits:

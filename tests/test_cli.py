@@ -2,17 +2,21 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from ccp_miner import estimator
 from ccp_miner.cli import (
     CONFIG_ENV_VAR,
     EXIT_CONFIG,
     EXIT_INPUT,
     EXIT_OK,
+    _parse_segments,
+    build_parser,
     main,
 )
 
@@ -88,6 +92,22 @@ class TestAnalyzeCommand:
         code, out, _ = run(capsys, "analyze", str(raw), "--input-format", "git")
         assert code == EXIT_OK
         assert json.loads(out)["skipped_lines"] == 1
+
+    def test_same_file_twice_counts_each_commit_once(self, capsys):
+        _, once, _ = run(capsys, "analyze", LOG)
+        code, twice, _ = run(capsys, "analyze", LOG, LOG)
+        assert code == EXIT_OK
+        once, twice = json.loads(once), json.loads(twice)
+        lines = sum(1 for line in Path(LOG).read_text().splitlines() if line.strip())
+        assert twice["skipped_lines"] == once["skipped_lines"] + lines
+        assert {**twice, "skipped_lines": once["skipped_lines"]} == once
+
+    def test_file_without_a_record_is_named_after_a_good_one(self, capsys, tmp_path):
+        garbage = tmp_path / "garbage.ndjson"
+        garbage.write_text("not json\n")
+        code, _, err = run(capsys, "analyze", LOG, str(garbage))
+        assert code == EXIT_INPUT
+        assert str(garbage) in err
 
     def test_skipped_lines_reported(self, capsys):
         code, out, _ = run(capsys, "analyze", MALFORMED)
@@ -183,6 +203,12 @@ class TestBootstrapCommand:
         assert "difference" in report
         segments = report["sensitivity"]["segments"]
         assert [s["segment"][0] for s in segments] == [0.0, 0.042, 0.06]
+
+    def test_defaults_are_the_estimators(self):
+        args = build_parser().parse_args(["bootstrap", GOLD])
+        assert args.iterations == estimator.DEFAULT_ITERATIONS
+        assert args.coverage == estimator.DEFAULT_COVERAGE
+        assert _parse_segments(args.segments) == estimator.DEFAULT_SENSITIVITY_SEGMENTS
 
     def test_malformed_segments(self, capsys):
         code, _, _ = run(
@@ -337,6 +363,22 @@ def test_importing_the_cli_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_offset_less_raw_timestamp_is_utc_in_every_time_zone(tmp_path):
+    raw = tmp_path / "widget.log"
+    raw.write_text("\x1eaaa\x1fann@x\x1f2019-12-31T23:30:00\x1fp\x1ffix crash\x1f\n")
+    argv = [sys.executable, "-m", "ccp_miner.cli", "analyze", str(raw), "--input-format", "git"]
+    # POSIX TZ strings, which need no time zone database: UTC and UTC-5.
+    outputs = [
+        subprocess.run(
+            argv, env={**_subprocess_env(), "TZ": tz}, capture_output=True, timeout=60
+        ).stdout
+        for tz in ("UTC0", "EST5")
+    ]
+    assert outputs[0] == outputs[1]
+    [project] = json.loads(outputs[0])["projects"]
+    assert project["year"] == 2019
+
+
 def test_closed_stdout_ends_quietly(tmp_path):
     log = tmp_path / "big.ndjson"
     log.write_text("".join(
@@ -354,6 +396,27 @@ def test_closed_stdout_ends_quietly(tmp_path):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+
+
+def test_model_without_leading_literals_classifies_every_pattern(capsys, tmp_path):
+    sections = {
+        "fix": ["(bug|crash)", "[Ff]ix", r"\w*leak"],
+        "other_fix": ["(?:fix|Fix)(es|ed)? typos?"],
+        "negation": ["(no|not) bugs?"],
+    }
+    model = tmp_path / "model.terms"
+    model.write_text("model_id: no-literals\n" + "".join(
+        f"[{name}]\n" + "".join(p + "\n" for p in patterns) for name, patterns in sections.items()
+    ))
+    code, out, _ = run(capsys, "--model", str(model), "classify", LOG)
+    assert code == EXIT_OK
+    messages = {r["hash"]: r["msg"] for r in map(json.loads, Path(LOG).read_text().splitlines())}
+    for verdict in map(json.loads, out.splitlines()):
+        expected = [
+            sum(1 for p in patterns if re.search(p, messages[verdict["hash"]], re.IGNORECASE))
+            for patterns in sections.values()
+        ]
+        assert [verdict[f"{name}_hits"] for name in sections] == expected
 
 
 class TestExportLogRecipe:

@@ -2,7 +2,7 @@
 
 import io
 import json
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
 
@@ -81,6 +81,21 @@ class TestParseGitLog:
         assert len(result.records) == 1
         assert result.skipped == 1
 
+    def test_commits_seen_in_earlier_input_are_repeats(self):
+        lines = [
+            json.dumps({"repo": "r", "hash": h, "author": "a@b.com",
+                        "ts": "2019-01-02T03:04:05+00:00", "msg": "m"})
+            for h in ("h1", "h2", "h3")
+        ]
+        seen = set()
+        first = parse_git_log(lines[:2], seen=seen)
+        second = parse_git_log(lines[1:], seen=seen)
+        again = parse_git_log(lines[:2], seen=seen)  # only repeats: not an error
+        assert ([r.hash for r in first.records], first.skipped) == (["h1", "h2"], 0)
+        assert ([r.hash for r in second.records], second.skipped) == (["h3"], 1)
+        assert (again.records, again.skipped) == ([], 2)
+        assert seen == {("r", "h1"), ("r", "h2"), ("r", "h3")}
+
     @pytest.mark.parametrize(
         "field,value",
         [("repo", None), ("hash", 123), ("author", ["ann@x"]), ("msg", {"text": "fix"}),
@@ -115,6 +130,12 @@ class TestParseRawGitLog:
     def test_no_records_is_an_error(self):
         with pytest.raises(InputError):
             parse_raw_git_log("garbage", repo_id="r")
+
+    def test_timestamp_without_offset_is_utc(self):
+        text = "\x1eabc\x1fann@x\x1f2019-12-31T23:30:00\x1fp\x1ffix crash\x1f\n"
+        [record] = parse_raw_git_log(text, repo_id="r").records
+        assert record.timestamp == datetime(2019, 12, 31, 23, 30, tzinfo=timezone.utc)
+        assert record.year == 2019
 
 
 class TestWindowByYear:
