@@ -130,14 +130,16 @@ def _read_commits(args: argparse.Namespace) -> ingestion.ParseResult:
     merged = ingestion.ParseResult(records=[], skipped=0)
     seen: set[tuple[str, str]] = set()
     for path in args.input:
-        text = ingestion.read_text(path, InputError)
         try:
             if getattr(args, "input_format", "ndjson") == "git":
+                text = ingestion.read_text(path, InputError)
                 repo = getattr(args, "repo", None) or Path(path).stem
                 result = ingestion.parse_raw_git_log(text, repo_id=repo, seen=seen)
             else:
-                result = ingestion.parse_git_log(text.split("\n"), seen=seen)
+                result = ingestion.parse_git_log(ingestion.read_lines(path, InputError), seen=seen)
         except InputError as exc:
+            if isinstance(exc.__cause__, (OSError, UnicodeDecodeError)):
+                raise  # the reader's error, which names the file already
             raise InputError(f"{path}: {exc}") from exc
         merged.records.extend(result.records)
         merged.skipped += result.skipped

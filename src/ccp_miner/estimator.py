@@ -137,17 +137,34 @@ def _corpus_arrays(corpus: list[LabeledCommit], model: TermModel) -> tuple[np.nd
     return labels, hits
 
 
+# Indices per block of resamples: memory stays flat whatever the row count.
+RESAMPLE_BLOCK = 1 << 19
+
+
 def _resample_counts(
     labels: np.ndarray, hits: np.ndarray, rows: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positives, hits and true positives of ``rows`` resamples with replacement."""
+    """Positives, hits and true positives of ``rows`` resamples with replacement.
+
+    The ``rows x n`` index matrix is drawn in blocks of whole rows, about
+    RESAMPLE_BLOCK indices each. The generator's stream is the same as for
+    one ``rows x n`` draw, and so are the counts.
+    """
+    import numpy as np
+
     n = len(labels)
-    idx = rng.integers(0, n, size=(rows, n))
-    lab = labels[idx]
-    hit = hits[idx]
-    positives, hit_counts = lab.sum(axis=1), hit.sum(axis=1)
-    lab &= hit  # in place: one fewer matrix of fresh pages
-    return positives, hit_counts, lab.sum(axis=1)
+    step = max(1, RESAMPLE_BLOCK // n)
+    positives, hit_counts, true_pos = np.empty((3, rows), dtype=np.int64)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        idx = rng.integers(0, n, size=(stop - start, n))
+        lab = labels[idx]
+        hit = hits[idx]
+        positives[start:stop] = lab.sum(axis=1)
+        hit_counts[start:stop] = hit.sum(axis=1)
+        lab &= hit  # in place: one fewer matrix of fresh pages
+        true_pos[start:stop] = lab.sum(axis=1)
+    return positives, hit_counts, true_pos
 
 
 def load_performance_config(path: str | Path) -> ModelPerformance:

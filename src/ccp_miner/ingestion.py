@@ -1,7 +1,7 @@
 """Input file readers and commit-history ingestion.
 
-Every input file is read by ``read_text``, ``read_csv`` or ``read_config``,
-which raise the caller's error class naming the file.
+Every input file is read by ``read_text``, ``read_lines``, ``read_csv`` or
+``read_config``, which raise the caller's error class naming the file.
 
 The canonical commit export format is newline-delimited JSON, one object per
 commit with string keys ``repo``, ``hash``, ``author``, ``ts`` (ISO-8601) and
@@ -49,6 +49,23 @@ def read_text(path: str | Path, error: type[CcpMinerError] = InputError) -> str:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+def read_lines(path: str | Path, error: type[CcpMinerError] = InputError) -> Iterator[str]:
+    """Yield the lines of ``read_text(path)`` one at a time, line ends kept.
+
+    The file is never held whole, so memory follows what the caller keeps,
+    not the size of the file. CR and CRLF read as LF, and errors are those
+    of ``read_text``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        read_text(path, error)  # raises, naming the offset of the first bad byte
+        raise error(f"{path} is not UTF-8") from exc
 
 
 def read_csv(
@@ -133,9 +150,12 @@ Feed the file to `ccp-miner classify` or `ccp-miner analyze` with
 """
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommitRecord:
-    """One parsed commit: identity, author, timestamp, message, files."""
+    """One parsed commit: identity, author, timestamp, message, files.
+
+    ``year`` is the UTC calendar year of ``timestamp``, set once at construction.
+    """
 
     repo_id: str
     hash: str
@@ -144,14 +164,12 @@ class CommitRecord:
     message: str
     files: tuple[str, ...] = ()
     is_merge: bool = False
+    year: int = field(init=False)
 
     def __post_init__(self):
         if not self.hash:
             raise ValueError("commit hash must be non-empty")
-
-    @property
-    def year(self) -> int:
-        return self.timestamp.astimezone(timezone.utc).year
+        self.year = self.timestamp.astimezone(timezone.utc).year
 
 
 @dataclass

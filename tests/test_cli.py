@@ -303,6 +303,12 @@ class TestConfigResolution:
 
 
 LATIN1 = "caf\xe9".encode("latin-1")
+# Good NDJSON lines past the first 64 KiB read buffer of a streamed reader.
+DEEP = b"".join(
+    json.dumps({"repo": "r", "hash": f"h{i}", "author": "a@x",
+                "ts": "2019-01-01T00:00:00+00:00", "msg": "fix crash"}).encode() + b"\n"
+    for i in range(1000)
+)
 
 
 @pytest.mark.parametrize(
@@ -325,11 +331,13 @@ LATIN1 = "caf\xe9".encode("latin-1")
          b"\x1eaaa\x1fann@x\x1f2019-01-01T00:00:00+00:00\x1fp\x1ffix " + LATIN1 + b"\x1f\n",
          ["analyze", "{path}", "--input-format", "git"], EXIT_INPUT),
         ("garbage.ndjson", b"not json\n", ["analyze", "{path}"], EXIT_INPUT),
+        ("deep.ndjson", DEEP + b'{"msg": "' + LATIN1 + b'"}\n', ["analyze", "{path}"],
+         EXIT_INPUT),
         ("empty.log", b"", ["analyze", "{path}", "--input-format", "git"], EXIT_INPUT),
     ],
     ids=["metadata-short-row", "metadata-latin1", "corpus-latin1", "env-config-latin1",
          "perf-latin1", "model-latin1", "raw-git-log-latin1", "ndjson-no-record",
-         "raw-git-log-no-chunk"],
+         "ndjson-latin1", "raw-git-log-no-chunk"],
 )
 def test_bad_input_file_is_a_named_config_or_input_error(
     capsys, tmp_path, monkeypatch, name, content, argv, exit_code
@@ -341,6 +349,14 @@ def test_bad_input_file_is_a_named_config_or_input_error(
     code, _, err = run(capsys, *(a.format(path=path) for a in argv))
     assert code == exit_code
     assert str(path) in err
+    if LATIN1 in content:
+        assert f"byte {content.index(LATIN1) + 3} is 0xe9" in err
+
+
+def test_directory_as_input_is_a_named_input_error(capsys, tmp_path):
+    code, _, err = run(capsys, "analyze", str(tmp_path))
+    assert code == EXIT_INPUT
+    assert err.startswith(f"input error: cannot read {tmp_path}: ")
 
 
 def _subprocess_env() -> dict:

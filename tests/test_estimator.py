@@ -142,6 +142,27 @@ class TestBootstrap:
         with pytest.raises(InputError):
             bootstrap_difference_distribution([], term_model, iterations=10, seed=0)
 
+    def test_blocked_resampling_draws_the_stream_of_one_draw(self):
+        import numpy as np
+
+        from ccp_miner.estimator import RESAMPLE_BLOCK, _resample_counts
+
+        n = 1000
+        step = RESAMPLE_BLOCK // n
+        rows = 3 * step + step // 2  # three whole blocks and part of a fourth
+        labels = np.random.default_rng(1).random(n) < 0.3
+        hits = np.random.default_rng(2).random(n) < 0.4
+        one_shot = np.random.default_rng(7)
+        idx = one_shot.integers(0, n, size=(rows, n))
+        expected = (
+            labels[idx].sum(axis=1), hits[idx].sum(axis=1), (labels[idx] & hits[idx]).sum(axis=1)
+        )
+        blocked = np.random.default_rng(7)
+        for got, want in zip(_resample_counts(labels, hits, rows, blocked), expected):
+            np.testing.assert_array_equal(got, want)
+        # the generator is left where one draw leaves it
+        assert blocked.integers(0, 2**32) == one_shot.integers(0, 2**32)
+
 
 class TestSensitivity:
     def test_zero_variance_corpus(self, term_model):

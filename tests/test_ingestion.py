@@ -13,6 +13,8 @@ from ccp_miner.ingestion import (
     involved_authors,
     parse_git_log,
     parse_raw_git_log,
+    read_lines,
+    read_text,
     select_projects,
     window_by_year,
 )
@@ -109,6 +111,20 @@ class TestParseGitLog:
         result = parse_git_log(io.StringIO(json.dumps(good) + "\n" + json.dumps(bad)))
         assert [r.hash for r in result.records] == ["h1"]
         assert result.skipped == 1
+
+
+class TestReadLines:
+    # With ``at`` one, three or five bytes before a multiple of the 8 KiB read
+    # chunk, the CRLF, the two-byte character or the lone CR before a CR
+    # straddles that multiple.
+    @pytest.mark.parametrize("at", [8191, 8189, 8187, 65535, 65533, 65531])
+    def test_lines_of_read_text_across_read_buffers(self, tmp_path, at):
+        head = ("x" * 99 + "\n") * (at // 100) + "y" * (at % 100)
+        path = tmp_path / "log.ndjson"
+        path.write_bytes((head + "\r\n\u00e9\r\rz\r\nlast").encode())
+        lines = list(read_lines(path))
+        assert "".join(lines) == read_text(path)
+        assert [line.rstrip("\n") for line in lines] == read_text(path).split("\n")
 
 
 class TestParseRawGitLog:

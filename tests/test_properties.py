@@ -1,6 +1,11 @@
 """Property-based invariants over classification, estimation and analytics."""
 
+import contextlib
+import io
 import json
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +18,7 @@ from ccp_miner.estimator import (
     estimate_ccp,
     rank_on_scale,
 )
-from ccp_miner.ingestion import ProjectDescriptor, select_projects
+from ccp_miner.ingestion import ProjectDescriptor, _ndjson_record, select_projects
 from ccp_miner.stats import MetricSeries, co_change
 
 from conftest import FIXTURES
@@ -170,3 +175,70 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
         json.loads(first)  # and it is well-formed
+
+
+# NDJSON commit logs for metamorphic tests of `analyze`. Hashes come from a
+# small pool, so repeated commits occur; the first and last lines always
+# parse, so a log split in two leaves each part a record.
+_commit_line = st.fixed_dictionaries(
+    {
+        "repo": st.sampled_from(["acme/widget", "acme/gadget"]),
+        "hash": st.sampled_from([f"h{i}" for i in range(12)]),
+        "author": st.sampled_from(["Ann@x", "bob@x", "cy@x"]),
+        "ts": st.datetimes(
+            datetime(2018, 6, 1), datetime(2020, 6, 1),
+            timezones=st.sampled_from([timezone.utc, timezone(timedelta(hours=-5))]),
+        ).map(datetime.isoformat),
+        "msg": st.sampled_from(
+            ["fix crash on startup", "update dependencies", "not a bug\r\nmore", "fix typo"]
+        ),
+    },
+    optional={
+        "files": st.none() | st.lists(st.sampled_from(["a.c", "b.py", "c.h"]), max_size=3),
+        "merge": st.booleans(),
+    },
+).map(json.dumps)
+_any_line = _commit_line | st.sampled_from(["not json", "[]", '{"repo": 1}', "   ", ""])
+_logs = st.tuples(_commit_line, st.lists(_any_line, max_size=20), _commit_line).map(
+    lambda t: [t[0], *t[1], t[2]]
+)
+
+
+def _analyze(*texts: str) -> str:
+    """The `analyze` report of the logs ``texts``, each written to its own file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(texts):
+            path = Path(tmp) / f"log{i}.ndjson"
+            path.write_bytes(text.encode())
+            paths.append(str(path))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", *paths]) == 0
+    return out.getvalue()
+
+
+class TestAnalyzeMetamorphic:
+    @given(_logs, st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_line_ends_do_not_change_the_report(self, lines, trailing):
+        reports = {
+            _analyze(end.join(lines) + (end if trailing else "")) for end in ("\n", "\r\n", "\r")
+        }
+        assert len(reports) == 1
+
+    @given(_logs, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_splitting_a_log_into_two_files_keeps_the_report(self, lines, data):
+        cut = data.draw(st.integers(1, len(lines) - 1))
+        whole = _analyze("\n".join(lines))
+        assert _analyze("\n".join(lines[:cut]), "\n".join(lines[cut:])) == whole
+
+    @given(_logs, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_repeated_line_is_one_more_skipped_line(self, lines, data):
+        repeat = data.draw(st.sampled_from([l for l in lines if _ndjson_record(l) is not None]))
+        before = json.loads(_analyze("\n".join(lines)))
+        after = json.loads(_analyze("\n".join([*lines, repeat])))
+        assert after.pop("skipped_lines") == before.pop("skipped_lines") + 1
+        assert after == before
