@@ -35,7 +35,8 @@ _BACKREF_RE = re.compile(r"\\[1-9]")
 
 # Under re.IGNORECASE an ASCII character matches the code points that
 # str.lower() maps to it, and these three besides. "İ".lower() is two
-# characters, so they are translated before lower().
+# characters, so they are translated before lower(); none of them is
+# ASCII, so an ASCII message needs only lower().
 _FOLD = str.maketrans("İıſ", "iis")
 
 
@@ -306,7 +307,7 @@ def classify_message(message: str, model: TermModel) -> ClassifierVerdict:
     when its leading literal occurs in the folded message, which every
     match implies, so the counts are those of searching every pattern.
     """
-    folded = message.translate(_FOLD).lower()
+    folded = message.lower() if message.isascii() else message.translate(_FOLD).lower()
 
     def hits(patterns: tuple[tuple[str, re.Pattern], ...]) -> int:
         return sum(1 for literal, p in patterns if literal in folded and p.search(message))

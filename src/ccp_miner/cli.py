@@ -348,19 +348,21 @@ def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:
 
 def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = classifier.load_labeled_corpus(args.corpus)
-    report = {
-        "meta": config.meta(),
-        "report_type": "bootstrap",
-        "difference": _bootstrap(args, config, corpus),
-    }
-    if args.sensitivity:
-        report["sensitivity"] = estimator.estimator_sensitivity(
-            corpus,
-            config.term_model,
-            iterations=args.iterations,
-            eval_segments=_parse_segments(args.segments),
-            seed=config.seed,
-        ).as_dict()
+    # Both studies start with the same draw from the seed: make it once.
+    with estimator.shared_draws():
+        report = {
+            "meta": config.meta(),
+            "report_type": "bootstrap",
+            "difference": _bootstrap(args, config, corpus),
+        }
+        if args.sensitivity:
+            report["sensitivity"] = estimator.estimator_sensitivity(
+                corpus,
+                config.term_model,
+                iterations=args.iterations,
+                eval_segments=_parse_segments(args.segments),
+                seed=config.seed,
+            ).as_dict()
     _emit(report, config)
     return EXIT_OK
 

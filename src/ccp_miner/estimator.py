@@ -14,6 +14,8 @@ they use numpy, and they import it when called.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -140,6 +142,29 @@ def _corpus_arrays(corpus: list[LabeledCommit], model: TermModel) -> tuple[np.nd
 # Indices per block of resamples: memory stays flat whatever the row count.
 RESAMPLE_BLOCK = 1 << 19
 
+# Three counts of up to n share one int64 code, in fields of n.bit_length() bits.
+MAX_RESAMPLE_ITEMS = (1 << 21) - 1
+
+# The last draw of `_resample_counts`, kept only inside `shared_draws()`.
+_kept_draw: ContextVar[list | None] = ContextVar("kept_draw", default=None)
+
+
+@contextmanager
+def shared_draws():
+    """Make a draw that repeats the last one only once, within this scope.
+
+    Inside the scope, `_resample_counts` keeps its last draw, keyed on the
+    labels, hits, row count and generator state it started from. A call with
+    the same key returns the kept counts and moves the generator to the
+    state the draw left it in, as drawing again would. Nothing is kept once
+    the scope ends.
+    """
+    token = _kept_draw.set([])
+    try:
+        yield
+    finally:
+        _kept_draw.reset(token)
+
 
 def _resample_counts(
     labels: np.ndarray, hits: np.ndarray, rows: int, rng: np.random.Generator
@@ -148,23 +173,47 @@ def _resample_counts(
 
     The ``rows x n`` index matrix is drawn in blocks of whole rows, about
     RESAMPLE_BLOCK indices each. The generator's stream is the same as for
-    one ``rows x n`` draw, and so are the counts.
+    one ``rows x n`` draw, and so are the counts. Each drawn index gathers
+    one code holding its item's label, hit and true positive in separate
+    bit fields, so one row sum gives all three counts; this limits the
+    corpus to MAX_RESAMPLE_ITEMS items.
     """
     import numpy as np
 
     n = len(labels)
+    if n > MAX_RESAMPLE_ITEMS:
+        raise InputError(f"resampling takes at most {MAX_RESAMPLE_ITEMS:,} corpus items, got {n:,}")
+    kept = _kept_draw.get()
+    if kept is not None:
+        key = (labels.tobytes(), hits.tobytes(), rows, rng.bit_generator.state)
+        if kept and kept[0][0] == key:
+            _, counts, end_state = kept[0]
+            rng.bit_generator.state = end_state
+            return counts
+
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    codes = labels.astype(np.int64)
+    codes |= hits.astype(np.int64) << width
+    codes |= (labels & hits).astype(np.int64) << 2 * width
     step = max(1, RESAMPLE_BLOCK // n)
-    positives, hit_counts, true_pos = np.empty((3, rows), dtype=np.int64)
+    sums = np.empty(rows, dtype=np.int64)
+    # One gather buffer for all blocks: fresh pages per block cost more than
+    # the gather. The indices are in range, so mode="wrap" changes none; it
+    # only spares the copy that the default mode makes of ``out``.
+    gathered = np.empty((min(step, rows), n), dtype=np.int64)
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        idx = rng.integers(0, n, size=(stop - start, n))
-        lab = labels[idx]
-        hit = hits[idx]
-        positives[start:stop] = lab.sum(axis=1)
-        hit_counts[start:stop] = hit.sum(axis=1)
-        lab &= hit  # in place: one fewer matrix of fresh pages
-        true_pos[start:stop] = lab.sum(axis=1)
-    return positives, hit_counts, true_pos
+        block = gathered[: stop - start]
+        np.take(codes, rng.integers(0, n, size=(stop - start, n)), out=block, mode="wrap")
+        block.sum(axis=1, out=sums[start:stop])
+    counts = (sums & mask, (sums >> width) & mask, sums >> 2 * width)
+
+    if kept is not None:
+        for count in counts:
+            count.flags.writeable = False
+        kept[:] = [(key, counts, rng.bit_generator.state)]
+    return counts
 
 
 def load_performance_config(path: str | Path) -> ModelPerformance:

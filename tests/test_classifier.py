@@ -140,6 +140,14 @@ class TestLeadingLiteralPrefilter:
         )
         assert verdict.fix_hits >= 1
 
+    def test_ascii_message_and_its_long_s_twin_classify_alike(self, term_model):
+        ascii_message = "Fix mistake in the parser"
+        twin = ascii_message.replace("s", "ſ")
+        assert ascii_message.isascii() and not twin.isascii()
+        verdict = classify_message(twin, term_model)
+        assert verdict == classify_message(ascii_message, term_model)
+        assert verdict.fix_hits == _reference_counts(twin, term_model)[0] >= 2
+
     @settings(max_examples=300, deadline=None)
     @given(message=_messages)
     def test_equals_searching_every_pattern(self, message, term_model):

@@ -19,6 +19,7 @@ from ccp_miner.cli import (
     build_parser,
     main,
 )
+from ccp_miner.errors import InputError
 
 from conftest import FIXTURES
 
@@ -220,6 +221,72 @@ class TestBootstrapCommand:
         _, first, _ = run(capsys, "--seed", "3", "bootstrap", GOLD, "--iterations", "150")
         _, second, _ = run(capsys, "--seed", "3", "bootstrap", GOLD, "--iterations", "150")
         assert first == second
+
+
+@pytest.fixture
+def rows_drawn(monkeypatch):
+    """Resample rows drawn from every generator the estimator makes, per draw."""
+    import numpy as np
+
+    default_rng = np.random.default_rng
+    drawn = []
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+            self.bit_generator = self._rng.bit_generator
+
+        def integers(self, low, high, size):
+            drawn.append(size[0])
+            return self._rng.integers(low, high, size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    return drawn
+
+
+class TestSharedFirstDraw:
+    ARGS = ("--seed", "3", "bootstrap", GOLD, "--iterations", "300")
+
+    def test_report_equals_the_two_studies_run_apart(self, capsys):
+        from ccp_miner import classifier
+
+        code, out, _ = run(capsys, *self.ARGS, "--sensitivity")
+        assert code == EXIT_OK
+        _, plain, _ = run(capsys, *self.ARGS)
+        sensitivity = estimator.estimator_sensitivity(
+            classifier.load_labeled_corpus(GOLD),
+            classifier.load_default_term_model(),
+            iterations=300,
+            seed=3,
+        )
+        report = json.loads(out)
+        assert report["difference"] == json.loads(plain)["difference"]
+        assert report["sensitivity"] == json.loads(json.dumps(sensitivity.as_dict()))
+
+    def test_first_draw_is_made_once(self, capsys, rows_drawn):
+        code, out, _ = run(capsys, *self.ARGS, "--sensitivity")
+        assert code == EXIT_OK
+        redraws = json.loads(out)["sensitivity"]["redraws"]
+        assert sum(rows_drawn) == 300 + redraws + 300
+
+    def test_nothing_is_kept_after_the_command(self, capsys, rows_drawn, monkeypatch):
+        run(capsys, *self.ARGS, "--sensitivity")
+        assert estimator._kept_draw.get() is None
+        once = sum(rows_drawn)
+        run(capsys, *self.ARGS, "--sensitivity")
+        assert sum(rows_drawn) == 2 * once
+
+        def fail(*args, **kwargs):
+            raise InputError("fails after the bootstrap's draw")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "estimator_sensitivity", fail)
+            code, _, _ = run(capsys, *self.ARGS, "--sensitivity")
+        assert code == EXIT_INPUT
+        assert estimator._kept_draw.get() is None
+        rows_drawn.clear()
+        run(capsys, *self.ARGS, "--sensitivity")
+        assert sum(rows_drawn) == once
 
 
 class TestCochangeAndTwin:

@@ -1,6 +1,8 @@
 """Estimator unit tests: MLE inversion, validity domain, bootstrap, ranking."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccp_miner.errors import ConfigError, InputError
 from ccp_miner.estimator import (
@@ -162,6 +164,75 @@ class TestBootstrap:
             np.testing.assert_array_equal(got, want)
         # the generator is left where one draw leaves it
         assert blocked.integers(0, 2**32) == one_shot.integers(0, 2**32)
+
+
+def _direct_counts(labels, hits, rows, rng):
+    """Counts of _resample_counts from gathering each bool array on its own."""
+    import numpy as np
+
+    from ccp_miner.estimator import RESAMPLE_BLOCK
+
+    n = len(labels)
+    step = max(1, RESAMPLE_BLOCK // n)
+    idx = np.concatenate(
+        [rng.integers(0, n, size=(min(step, rows - start), n)) for start in range(0, rows, step)]
+    )
+    return labels[idx].sum(1), hits[idx].sum(1), (labels & hits)[idx].sum(1)
+
+
+@st.composite
+def _resample_cases(draw):
+    """Labels, hits, a row count up to two blocks and one row, and a seed."""
+    import numpy as np
+
+    from ccp_miner.estimator import RESAMPLE_BLOCK
+
+    n = draw(st.integers(1, 3000))
+    items = np.random.default_rng(draw(st.integers(0, 2**32)))
+    labels = items.random(n) < draw(st.floats(0.0, 1.0))
+    hits = items.random(n) < draw(st.floats(0.0, 1.0))
+    step = max(1, RESAMPLE_BLOCK // n)
+    rows = draw(st.integers(1, min(2 * step + 1, 20_000)))
+    return labels, hits, rows, draw(st.integers(0, 2**32))
+
+
+class TestPackedCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_resample_cases())
+    def test_equal_counting_each_array(self, case):
+        import numpy as np
+
+        from ccp_miner.estimator import _resample_counts
+
+        labels, hits, rows, seed = case
+        packed, direct = np.random.default_rng(seed), np.random.default_rng(seed)
+        for got, want in zip(
+            _resample_counts(labels, hits, rows, packed), _direct_counts(labels, hits, rows, direct)
+        ):
+            np.testing.assert_array_equal(got, want)
+        assert packed.bit_generator.state == direct.bit_generator.state
+
+    def test_every_field_full_at_the_largest_corpus(self):
+        import numpy as np
+
+        from ccp_miner.estimator import MAX_RESAMPLE_ITEMS, _resample_counts
+
+        assert MAX_RESAMPLE_ITEMS == 2_097_151
+        every = np.ones(MAX_RESAMPLE_ITEMS, dtype=bool)
+        counts = _resample_counts(every, every, 1, np.random.default_rng(0))
+        assert [c.tolist() for c in counts] == [[MAX_RESAMPLE_ITEMS]] * 3
+
+    def test_larger_corpus_is_an_input_error_before_any_draw(self):
+        import numpy as np
+
+        from ccp_miner.estimator import MAX_RESAMPLE_ITEMS, _resample_counts
+
+        every = np.ones(MAX_RESAMPLE_ITEMS + 1, dtype=bool)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(InputError, match="2,097,151.*2,097,152"):
+            _resample_counts(every, every, 1, rng)
+        assert rng.bit_generator.state == before
 
 
 class TestSensitivity:
