@@ -405,6 +405,17 @@ def cmd_export_log_recipe(args: argparse.Namespace, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+def _threshold(text: str) -> float:
+    """A ``--delta-*`` value: a number no less than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value >= 0:  # NaN too, which would make every comparison false
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccp-miner",
@@ -469,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cochange", help="co-change precision and lift of two metrics")
     p.add_argument("--series-i", required=True, help="CSV entity,year,value")
     p.add_argument("--series-j", required=True, help="CSV entity,year,value")
-    p.add_argument("--delta-i", type=float, default=0.0)
-    p.add_argument("--delta-j", type=float, default=0.0)
+    p.add_argument("--delta-i", type=_threshold, default=0.0)
+    p.add_argument("--delta-j", type=_threshold, default=0.0)
     p.add_argument("--sign-i", type=int, choices=(-1, 1), default=1)
     p.add_argument("--sign-j", type=int, choices=(-1, 1), default=1)
     p.add_argument("--comparator", choices=("auto", "strict", "inclusive"), default="auto")
@@ -479,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twin", help="same-developer cross-project comparison")
     p.add_argument("--dev-series", required=True, help="CSV developer,project,year,value")
     p.add_argument("--project-series", required=True, help="CSV entity,year,value")
-    p.add_argument("--delta-project", type=float, default=0.0)
-    p.add_argument("--delta-dev", type=float, default=0.0)
+    p.add_argument("--delta-project", type=_threshold, default=0.0)
+    p.add_argument("--delta-dev", type=_threshold, default=0.0)
     p.add_argument("--sign", type=int, choices=(-1, 1), default=1)
     p.add_argument("--comparator", choices=("auto", "strict", "inclusive"), default="auto")
     p.set_defaults(func=cmd_twin)

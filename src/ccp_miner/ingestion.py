@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -90,17 +91,25 @@ def read_csv(
             missing = [name for name in columns if name not in positions]
             if missing:
                 raise error(f"{path}: missing column(s) {', '.join(missing)}")
-            needed = [(positions[name], convert) for name, convert in columns.items()]
-            width = max(i for i, _ in needed) + 1
+            wanted = [positions[name] for name in columns]
+            width = max(wanted) + 1
+            # csv.reader hands out a fresh list per row, so converting in place
+            # is safe; a str column is already its own value.
+            typed = [(positions[name], fn) for name, fn in columns.items() if fn is not str]
+            pick = operator.itemgetter(*wanted)
+            if len(wanted) == 1:
+                pick = lambda row, one=pick: (one(row),)
             for row in rows:
-                if not row:
-                    continue
                 if len(row) < width:
+                    if not row:
+                        continue
                     raise error(f"{path}, line {rows.line_num}: {len(row)} fields, need {width}")
                 try:
-                    yield tuple(convert(row[i]) for i, convert in needed)
+                    for i, fn in typed:
+                        row[i] = fn(row[i])
                 except ValueError as exc:
                     raise error(f"{path}, line {rows.line_num}: {exc}") from exc
+                yield pick(row)
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -1,4 +1,4 @@
-"""Cross-project inference: stability, co-change precision/lift, twin analysis.
+"""Cross-project inference: co-change precision/lift and twin analysis.
 
 Metric series are per-entity year-to-value maps. Improvement direction is
 metric-specific and always passed explicitly (+1 when higher is better,
@@ -9,8 +9,9 @@ use the inclusive comparator by default.
 
 from __future__ import annotations
 
-import statistics
-from collections.abc import Iterable, Mapping
+import itertools
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .errors import InputError
 from .ingestion import read_csv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricSeries:
     """One metric tracked over years for a single entity."""
 
@@ -27,95 +28,55 @@ class MetricSeries:
 
 
 def load_series_csv(path: str | Path) -> list[MetricSeries]:
-    """Load an ``entity,year,value`` CSV into metric series."""
+    """Load an ``entity,year,value`` CSV into metric series; a repeated year is an error."""
     points: dict[str, dict[int, float]] = {}
     for entity, year, value in read_csv(path, {"entity": str, "year": int, "value": float}):
-        if year in points.get(entity, {}):
+        entity_points = points.get(entity)
+        if entity_points is None:
+            points[entity] = {year: value}
+        elif year in entity_points:
             raise InputError(f"duplicate year {year} for entity {entity!r} in {path}")
-        points.setdefault(entity, {})[year] = value
+        else:
+            entity_points[year] = value
     return [MetricSeries(entity_id=e, points=p) for e, p in points.items()]
 
 
 def load_developer_series_csv(path: str | Path) -> dict[tuple[str, str], MetricSeries]:
-    """Load a ``developer,project,year,value`` CSV into per-pair metric series."""
+    """Load a ``developer,project,year,value`` CSV into per-pair metric series.
+
+    A repeated (developer, project, year) row is an error.
+    """
     columns = {"developer": str, "project": str, "year": int, "value": float}
     series: dict[tuple[str, str], dict[int, float]] = {}
     for developer, project, year, value in read_csv(path, columns):
-        series.setdefault((developer, project), {})[year] = value
-    return {
-        key: MetricSeries(entity_id=f"{key[0]}:{key[1]}", points=points)
-        for key, points in series.items()
-    }
-
-
-def pearson(xs: list[float], ys: list[float]) -> float:
-    """Sample Pearson correlation; ValueError for unequal, short or constant series."""
-    return statistics.correlation(xs, ys)
-
-
-def _adjacent_pairs(
-    series: Iterable[MetricSeries], year_range: tuple[int, int] | None = None
-) -> list[tuple[float, float]]:
-    pairs = []
-    for s in series:
-        for year, value in s.points.items():
-            if (year + 1) not in s.points:
-                continue
-            if year_range is not None and not (year_range[0] <= year <= year_range[1] - 1):
-                continue
-            pairs.append((value, s.points[year + 1]))
-    return pairs
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    n_pairs: int
-    pearson: float
-    mean_signed_delta: float
-    mean_abs_delta: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "pearson": self.pearson,
-            "mean_signed_delta": self.mean_signed_delta,
-            "mean_abs_delta": self.mean_abs_delta,
-        }
-
-
-def stability(
-    series: list[MetricSeries], year_range: tuple[int, int] | None = None
-) -> StabilityReport:
-    """Year-over-year stability: correlation and deltas of adjacent-year pairs."""
-    pairs = _adjacent_pairs(series, year_range)
-    if len(pairs) < 2:
-        raise InputError("stability requires at least two adjacent-year pairs")
-    first = [a for a, _ in pairs]
-    second = [b for _, b in pairs]
-    deltas = [b - a for a, b in pairs]
-    return StabilityReport(
-        n_pairs=len(pairs),
-        pearson=pearson(first, second),
-        mean_signed_delta=statistics.fmean(deltas),
-        mean_abs_delta=statistics.fmean(abs(d) for d in deltas),
-    )
+        key = (developer, project)
+        points = series.get(key)
+        if points is None:
+            series[key] = {year: value}
+        elif year in points:
+            raise InputError(
+                f"duplicate year {year} for developer {developer!r} "
+                f"in project {project!r} in {path}"
+            )
+        else:
+            points[year] = value
+    return {key: MetricSeries(f"{key[0]}:{key[1]}", points) for key, points in series.items()}
 
 
 # ---------------------------------------------------------------------------
 # Co-change
 
-def _improved(delta_value: float, threshold: float, sign: int, comparator: str) -> bool:
-    change = sign * delta_value
-    if comparator == "inclusive":
-        return change >= threshold
-    return change > threshold
+# How an improvement compares with its threshold, by resolved comparator.
+_BEATS = {"strict": operator.gt, "inclusive": operator.ge}
 
 
 def _resolve_comparator(comparator: str, threshold: float) -> str:
+    if threshold < 0:
+        raise ValueError("thresholds must be non-negative")
     # Policy: strict for zero thresholds, inclusive for stated positive ones.
     if comparator == "auto":
         return "strict" if threshold == 0.0 else "inclusive"
-    if comparator not in ("strict", "inclusive"):
+    if comparator not in _BEATS:
         raise ValueError(f"unknown comparator {comparator!r}")
     return comparator
 
@@ -148,19 +109,16 @@ def co_change(
     improvement_sign_i: int = 1,
     improvement_sign_j: int = 1,
     comparator: str = "auto",
-    year_range: tuple[int, int] | None = None,
 ) -> CoChangeReport:
     """Do year-over-year improvements in metric i coincide with metric j?
 
     Pools adjacent-year pairs of entities covered by both metrics, marks
     improvement events per metric, and reports match rate, precision
     P(j improved | i improved), base rate P(j improved), and the symmetric
-    precision lift.
+    precision lift. A negative threshold raises ValueError.
     """
-    if delta_i < 0 or delta_j < 0:
-        raise ValueError("thresholds must be non-negative")
-    cmp_i = _resolve_comparator(comparator, delta_i)
-    cmp_j = _resolve_comparator(comparator, delta_j)
+    beats_i = _BEATS[_resolve_comparator(comparator, delta_i)]
+    beats_j = _BEATS[_resolve_comparator(comparator, delta_j)]
     by_entity_j = {s.entity_id: s.points for s in series_j}
     events = []
     for s in series_i:
@@ -168,14 +126,10 @@ def co_change(
             continue
         points_j = by_entity_j[s.entity_id]
         for year, value in s.points.items():
-            if year_range is not None and not (year_range[0] <= year <= year_range[1] - 1):
-                continue
             if (year + 1) not in s.points or year not in points_j or (year + 1) not in points_j:
                 continue
-            imp_i = _improved(s.points[year + 1] - value, delta_i, improvement_sign_i, cmp_i)
-            imp_j = _improved(
-                points_j[year + 1] - points_j[year], delta_j, improvement_sign_j, cmp_j
-            )
+            imp_i = beats_i(improvement_sign_i * (s.points[year + 1] - value), delta_i)
+            imp_j = beats_j(improvement_sign_j * (points_j[year + 1] - points_j[year]), delta_j)
             events.append((imp_i, imp_j))
     if not events:
         raise InputError("co_change found no overlapping adjacent-year pairs")
@@ -237,41 +191,34 @@ def twin_analysis(
     is better than the other by more than `delta_project`, check whether
     the developer's own metric is better in the better project by more than
     `delta_dev`. Precision is the success fraction over all qualifying
-    (developer, project pair, year) cases.
+    (developer, project pair, year) cases. A negative threshold raises
+    ValueError.
     """
     cmp_project = _resolve_comparator(comparator, delta_project)
-    cmp_dev = _resolve_comparator(comparator, delta_dev)
+    project_beats = _BEATS[cmp_project]
+    dev_beats = _BEATS[_resolve_comparator(comparator, delta_dev)]
     project_points = {s.entity_id: s.points for s in project_series}
-    by_developer: dict[str, dict[str, Mapping[int, float]]] = {}
+    # A project without a series of its own is never in a qualifying pair.
+    by_developer: dict[str, list[tuple[Mapping[int, float], Mapping[int, float]]]] = {}
     for (developer, project), series in dev_project_series.items():
-        by_developer.setdefault(developer, {})[project] = series.points
+        points = project_points.get(project)
+        if points is not None:
+            by_developer.setdefault(developer, []).append((series.points, points))
 
+    # The report is two counts, so neither developers, pairs nor years need an order.
     qualifying = 0
     successes = 0
-    for developer, projects in sorted(by_developer.items()):
-        names = sorted(projects)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                if a not in project_points or b not in project_points:
+    for projects in by_developer.values():
+        for (dev_a, project_a), (dev_b, project_b) in itertools.combinations(projects, 2):
+            for year in dev_a.keys() & dev_b.keys() & project_a.keys() & project_b.keys():
+                gap = improvement_sign * (project_a[year] - project_b[year])
+                if gap == 0 or not project_beats(abs(gap), delta_project):
                     continue
-                years = (
-                    set(projects[a])
-                    & set(projects[b])
-                    & set(project_points[a])
-                    & set(project_points[b])
-                )
-                for year in sorted(years):
-                    gap = improvement_sign * (project_points[a][year] - project_points[b][year])
-                    if _improved(abs(gap), delta_project, 1, cmp_project) and gap != 0:
-                        better, worse = (a, b) if gap > 0 else (b, a)
-                    else:
-                        continue
-                    qualifying += 1
-                    dev_gap = improvement_sign * (
-                        projects[better][year] - projects[worse][year]
-                    )
-                    if _improved(dev_gap, delta_dev, 1, cmp_dev):
-                        successes += 1
+                qualifying += 1
+                # b - a is exactly -(a - b), so the gap's sign orients the developer's gap.
+                dev_gap = improvement_sign * (dev_a[year] - dev_b[year])
+                if dev_beats(dev_gap if gap > 0 else -dev_gap, delta_dev):
+                    successes += 1
     if qualifying == 0:
         raise InputError("twin_analysis found no qualifying project pairs")
     return TwinReport(

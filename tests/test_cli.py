@@ -323,6 +323,41 @@ class TestCochangeAndTwin:
         assert twin["n_developer_pairs"] == 1
         assert twin["precision"] == 1.0
 
+    def test_repeated_developer_project_year_is_an_input_error(self, capsys, tmp_path):
+        dev = tmp_path / "dev.csv"
+        proj = tmp_path / "proj.csv"
+        dev.write_text(
+            "developer,project,year,value\nd1,p1,2019,0.1\nd1,p1,2019,0.9\nd1,p2,2019,0.5\n"
+        )
+        proj.write_text("entity,year,value\np1,2019,0.1\np2,2019,0.3\n")
+        code, out, err = run(
+            capsys, "twin", "--dev-series", str(dev), "--project-series", str(proj), "--sign", "-1"
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == (
+            f"input error: duplicate year 2019 for developer 'd1' in project 'p1' in {dev}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("cochange", "--delta-i", "-1"),
+            ("cochange", "--delta-j", "nan"),
+            ("twin", "--delta-project", "-1"),
+            ("twin", "--delta-dev", "-0.5"),
+        ],
+    )
+    def test_threshold_below_zero_is_a_usage_error(self, capsys, command, flag, value):
+        inputs = {
+            "cochange": ["--series-i", "i.csv", "--series-j", "j.csv"],
+            "twin": ["--dev-series", "dev.csv", "--project-series", "proj.csv"],
+        }
+        with pytest.raises(SystemExit) as caught:
+            main([command, *inputs[command], f"{flag}={value}"])
+        assert caught.value.code == EXIT_CONFIG
+        assert f"argument {flag}: must be >= 0, got '{value}'" in capsys.readouterr().err
+
 
 class TestConfigResolution:
     def test_env_config_file(self, capsys, tmp_path, monkeypatch):
@@ -432,7 +467,7 @@ def _subprocess_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
-def test_importing_the_cli_does_not_load_numpy():
+def test_importing_the_cli_does_not_load_numpy(tmp_path):
     env = _subprocess_env()
     probe = (
         "import sys, ccp_miner.cli as cli;"
@@ -444,6 +479,24 @@ def test_importing_the_cli_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+    # The stats commands need no numpy either, so they must not pay for importing it.
+    series = tmp_path / "series.csv"
+    series.write_text("entity,year,value\ngood,2018,0.5\ngood,2019,0.1\nbad,2019,0.5\n")
+    dev = tmp_path / "dev.csv"
+    dev.write_text("developer,project,year,value\nann,good,2019,0.1\nann,bad,2019,0.4\n")
+    cochange = ["cochange", "--series-i", str(series), "--series-j", str(series)]
+    twin = ["twin", "--dev-series", str(dev), "--project-series", str(series)]
+    stats_probe = (
+        "import sys, ccp_miner.cli as cli;"
+        f"codes = [cli.main({cochange!r}), cli.main({twin!r})];"
+        "print(*codes, 'numpy' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", stats_probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == f"{EXIT_OK} {EXIT_OK} False"
 
 
 def test_offset_less_raw_timestamp_is_utc_in_every_time_zone(tmp_path):

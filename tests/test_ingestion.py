@@ -1,10 +1,15 @@
 """Ingestion unit tests: parsing, windowing, selection, involvement."""
 
+import csv
 import io
 import json
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ccp_miner.errors import InputError
 from ccp_miner.ingestion import (
@@ -13,6 +18,7 @@ from ccp_miner.ingestion import (
     involved_authors,
     parse_git_log,
     parse_raw_git_log,
+    read_csv,
     read_lines,
     read_text,
     select_projects,
@@ -125,6 +131,90 @@ class TestReadLines:
         lines = list(read_lines(path))
         assert "".join(lines) == read_text(path)
         assert [line.rstrip("\n") for line in lines] == read_text(path).split("\n")
+
+
+# Field text with the characters that force quoting: commas, quotes, newlines.
+FIELD_TEXT = st.text(alphabet='ab ,"\n\u00e9', max_size=6)
+FIELD_VALUES = {
+    str: FIELD_TEXT,
+    int: st.integers(-(10**12), 10**12).map(str),
+    float: st.floats(allow_nan=False).map(repr),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """A header naming the wanted columns among extra ones, its rows and how it is written."""
+    kinds = draw(st.lists(st.sampled_from([str, int, float]), min_size=1, max_size=4))
+    wanted = {f"col{n}": kind for n, kind in enumerate(kinds)}
+    extras = [f"extra{n}" for n in range(draw(st.integers(0, 3)))]
+    header = draw(st.permutations([*wanted, *extras]))
+    columns = {name: wanted[name] for name in draw(st.permutations(list(wanted)))}
+    fields = st.tuples(*(FIELD_VALUES[wanted.get(name, str)] for name in header))
+    rows = draw(st.lists(fields, max_size=6))
+    blanks = draw(st.lists(st.integers(0, 2), min_size=len(rows) + 1, max_size=len(rows) + 1))
+    return header, columns, rows, blanks, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+def write_table(directory, header, rows, blanks, terminator) -> tuple[Path, list[int]]:
+    """Write the table, ``blanks[k]`` blank lines before row k and ``blanks[-1]`` after the last.
+
+    Returns the path and the line on which each row ends.
+    """
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator=terminator)
+    writer.writerow(header)
+    last_lines = []
+    for row, blank in zip(rows, blanks):
+        text.write(terminator * blank)
+        writer.writerow(row)
+        last_lines.append(text.getvalue().count("\n"))
+    text.write(terminator * blanks[-1])
+    path = Path(directory) / "table.csv"
+    path.write_bytes(text.getvalue().encode())
+    return path, last_lines
+
+
+class TestReadCsvProperties:
+    @given(csv_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_dict_reader(self, table):
+        header, columns, rows, blanks, terminator = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path, _ = write_table(tmp, header, rows, blanks, terminator)
+            with open(path, newline="", encoding="utf-8") as fh:
+                expected = [
+                    tuple(convert(row[name]) for name, convert in columns.items())
+                    for row in csv.DictReader(fh)
+                ]
+            assert list(read_csv(path, columns)) == expected
+        assert len(expected) == len(rows)
+
+    @given(csv_tables(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_short_row_and_bad_value_name_their_line(self, table, data):
+        header, columns, rows, blanks, terminator = table
+        assume(rows)
+        width = max(header.index(name) for name in columns) + 1
+        typed = [name for name, convert in columns.items() if convert is not str]
+        assume(width > 1 or typed)
+        bad = data.draw(st.integers(0, len(rows) - 1))
+        row = list(rows[bad])
+        if typed and (width == 1 or data.draw(st.booleans())):
+            name = data.draw(st.sampled_from(typed))
+            row[header.index(name)] = "x1"
+            with pytest.raises(ValueError) as rejected:
+                columns[name]("x1")
+            detail = str(rejected.value)
+        else:
+            row = row[: data.draw(st.integers(1, width - 1))]
+            detail = f"{len(row)} fields, need {width}"
+        rows = [*rows[:bad], row, *rows[bad + 1 :]]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, last_lines = write_table(tmp, header, rows, blanks, terminator)
+            with pytest.raises(InputError) as caught:
+                list(read_csv(path, columns))
+        assert str(caught.value) == f"{path}, line {last_lines[bad]}: {detail}"
 
 
 class TestParseRawGitLog:

@@ -1,4 +1,4 @@
-"""Cross-project inference tests: stability, co-change, twin analysis."""
+"""Cross-project inference tests: co-change, twin analysis, series loaders."""
 
 import pytest
 
@@ -6,68 +6,14 @@ from ccp_miner.errors import InputError
 from ccp_miner.stats import (
     MetricSeries,
     co_change,
+    load_developer_series_csv,
     load_series_csv,
-    pearson,
-    stability,
     twin_analysis,
 )
 
 
 def series(entity, **year_values):
     return MetricSeries(entity_id=entity, points={int(y[1:]): v for y, v in year_values.items()})
-
-
-class TestPearson:
-    def test_perfect_positive(self):
-        assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-
-    def test_perfect_negative(self):
-        assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
-
-    def test_hand_computed(self):
-        # cov = 2.5, sd_x = sd_y' -> r for [1,2,3,4] vs [1,3,2,4] is 0.8
-        assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
-
-    def test_constant_series_rejected(self):
-        with pytest.raises(ValueError):
-            pearson([1, 1, 1], [1, 2, 3])
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            pearson([1], [1])
-
-
-class TestStability:
-    def test_identical_adjacent_years(self):
-        data = [
-            series("a", y2018=0.2, y2019=0.2),
-            series("b", y2018=0.4, y2019=0.4),
-        ]
-        report = stability(data)
-        assert report.n_pairs == 2
-        assert report.pearson == pytest.approx(1.0)
-        assert report.mean_signed_delta == 0.0
-        assert report.mean_abs_delta == 0.0
-
-    def test_signed_vs_absolute_delta(self):
-        data = [
-            series("a", y2018=0.2, y2019=0.3),
-            series("b", y2018=0.5, y2019=0.4),
-        ]
-        report = stability(data)
-        assert report.mean_signed_delta == pytest.approx(0.0)
-        assert report.mean_abs_delta == pytest.approx(0.1)
-
-    def test_year_range_filter(self):
-        data = [series("a", y2015=9.0, y2016=9.0, y2018=0.1, y2019=0.2, y2020=0.3)]
-        with pytest.raises(InputError):
-            stability(data, year_range=(2010, 2011))
-        report = stability(data, year_range=(2018, 2020))
-        assert report.n_pairs == 2
-
-    def test_gap_years_skipped(self):
-        data = [series("a", y2016=0.1, y2018=0.9, y2019=0.8), series("b", y2018=0.5, y2019=0.4)]
-        assert stability(data).n_pairs == 2
 
 
 class TestCoChange:
@@ -200,6 +146,15 @@ class TestTwinAnalysis:
         with pytest.raises(InputError):
             twin_analysis(devs, self.project_pair(), improvement_sign=-1)
 
+    @pytest.mark.parametrize("thresholds", [{"delta_project": -0.1}, {"delta_dev": -0.1}])
+    def test_negative_threshold_rejected(self, thresholds):
+        devs = {
+            ("ann", "good"): series("ann:good", y2019=0.1),
+            ("ann", "bad"): series("ann:bad", y2019=0.4),
+        }
+        with pytest.raises(ValueError, match="non-negative"):
+            twin_analysis(devs, self.project_pair(), improvement_sign=-1, **thresholds)
+
 
 class TestLoadSeriesCsv:
     def test_round_values(self, tmp_path):
@@ -219,3 +174,25 @@ class TestLoadSeriesCsv:
         path.write_text("entity,value\na,0.5\n")
         with pytest.raises(InputError):
             load_series_csv(path)
+
+
+class TestLoadDeveloperSeriesCsv:
+    def test_round_values(self, tmp_path):
+        path = tmp_path / "dev.csv"
+        path.write_text("developer,project,year,value\nd1,p1,2019,0.1\nd1,p2,2019,0.5\n")
+        loaded = load_developer_series_csv(path)
+        assert {key: (s.entity_id, s.points) for key, s in loaded.items()} == {
+            ("d1", "p1"): ("d1:p1", {2019: 0.1}),
+            ("d1", "p2"): ("d1:p2", {2019: 0.5}),
+        }
+
+    def test_duplicate_year_rejected(self, tmp_path):
+        path = tmp_path / "dev.csv"
+        path.write_text(
+            "developer,project,year,value\nd1,p1,2019,0.1\nd1,p1,2019,0.9\nd1,p2,2019,0.5\n"
+        )
+        with pytest.raises(InputError) as caught:
+            load_developer_series_csv(path)
+        message = str(caught.value)
+        assert str(path) in message
+        assert "'d1'" in message and "'p1'" in message and "2019" in message
