@@ -1,7 +1,9 @@
-"""Per-project-per-year metrics: CCP, coupling, speed, retention, onboarding.
+"""Per-project-per-year metrics: coupling, speed, retention, onboarding.
 
-All distributions are capped (one-sided winsorizing at a corpus quantile)
-before averaging, so a handful of outliers cannot dominate a project mean.
+The caller classifies the commits and estimates the CCP; this module takes
+the verdicts and the estimate as given. All distributions are capped
+(one-sided winsorizing at a corpus quantile) before averaging, so a handful
+of outliers cannot dominate a project mean.
 Improvement-direction conventions: lower CCP is better, higher speed,
 retention and onboarding are better.
 """
@@ -9,15 +11,13 @@ retention and onboarding are better.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
-from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
 from statistics import fmean
 
-from .classifier import ClassifierVerdict, TermModel, classify_message
+from .classifier import ClassifierVerdict
 from .errors import InputError
-from .estimator import CcpEstimate, ModelPerformance, estimate_ccp
+from .estimator import CcpEstimate
 from .ingestion import CommitRecord
 
 # The paper's fixed thresholds.
@@ -52,16 +52,6 @@ def winsorize(values: list[float], quantile: float = CAP_QUANTILE) -> list[float
     rank = max(1, math.ceil(quantile * len(values)))
     threshold = sorted(values)[rank - 1]
     return [min(v, threshold) for v in values]
-
-
-def project_ccp(
-    commits: list[CommitRecord], model: TermModel, perf: ModelPerformance
-) -> CcpEstimate:
-    """Classify a project's commits and estimate its CCP."""
-    if not commits:
-        raise InputError("project_ccp requires at least one commit")
-    k = sum(1 for c in commits if classify_message(c.message, model).corrective)
-    return estimate_ccp(k=k, n=len(commits), perf=perf)
 
 
 def _capped_sizes(
@@ -160,67 +150,7 @@ def dominant_language(head_listing: list[tuple[str, int]]) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Quality-term correlation
-
-@dataclass(frozen=True)
-class TermGroupResult:
-    group_id: str
-    has_term: bool
-    ccp_raw: float
-    n_commits: int
-    occurrences: int
-
-
-def quality_term_analysis(
-    groups: Mapping[str, list[CommitRecord]],
-    model: TermModel,
-    perf: ModelPerformance,
-    terms: list[str],
-    level: str = "file",
-    file_min_commits: int = 10,
-    file_rate: float = 0.1,
-    project_min_occurrences: int = 10,
-) -> list[TermGroupResult]:
-    """Flag groups (files or projects) mentioning quality terms; pair with CCP.
-
-    File level: groups under `file_min_commits` commits are dropped and a
-    group is flagged when its term hit rate is at least `file_rate`.
-    Project level: flagged when total occurrences reach
-    `project_min_occurrences`.
-    """
-    if level not in ("file", "project"):
-        raise ValueError(f"level must be 'file' or 'project', got {level!r}")
-    if not groups:
-        raise InputError("quality_term_analysis requires a non-empty grouping")
-    compiled = [re.compile(t, re.IGNORECASE) for t in terms]
-    results = []
-    for group_id, commits in groups.items():
-        if not commits:
-            continue
-        occurrences = sum(
-            1 for c in commits if any(p.search(c.message) for p in compiled)
-        )
-        if level == "file":
-            if len(commits) < file_min_commits:
-                continue
-            flagged = occurrences / len(commits) >= file_rate
-        else:
-            flagged = occurrences >= project_min_occurrences
-        estimate = project_ccp(commits, model, perf)
-        results.append(
-            TermGroupResult(
-                group_id=group_id,
-                has_term=flagged,
-                ccp_raw=estimate.ccp_raw,
-                n_commits=len(commits),
-                occurrences=occurrences,
-            )
-        )
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Per-project-year stats bundle and grouping
+# Per-project-year stats bundle
 
 @dataclass
 class ProjectYearStats:
@@ -272,102 +202,3 @@ class ProjectYearStats:
             }
         )
         return out
-
-
-@dataclass(frozen=True)
-class GroupComparison:
-    n: int
-    mean_ccp: float | None
-    lift: float | None
-
-    def as_dict(self) -> dict:
-        return {"n": self.n, "mean_ccp": self.mean_ccp, "lift": self.lift}
-
-
-def compare_groups(values_by_label: Mapping[str, list[float]]) -> dict[str, GroupComparison]:
-    """Per-group mean and lift versus the complement of all other groups."""
-    out = {}
-    for label, values in values_by_label.items():
-        complement = [
-            v for other, vals in values_by_label.items() if other != label for v in vals
-        ]
-        mean = fmean(values) if values else None
-        lift = None
-        if values and complement:
-            comp_mean = fmean(complement)
-            if comp_mean != 0.0:
-                lift = mean / comp_mean - 1.0
-        out[label] = GroupComparison(n=len(values), mean_ccp=mean, lift=lift)
-    return out
-
-
-def group_compare(
-    stats: Iterable[ProjectYearStats], labels: Mapping[str, str]
-) -> dict[str, GroupComparison]:
-    """Group project-year stats by label and compare mean CCP with lift.
-
-    `labels` maps repo_id to its group; every project must be labeled.
-    """
-    values: dict[str, list[float]] = {}
-    for stat in stats:
-        if stat.repo_id not in labels:
-            raise ValueError(f"project {stat.repo_id} missing from the grouping")
-        values.setdefault(labels[stat.repo_id], []).append(stat.ccp.ccp_raw)
-    return compare_groups(values)
-
-
-@dataclass(frozen=True)
-class ProjectProfile:
-    """Grouping inputs not derivable from a single project-year."""
-
-    repo_id: str
-    first_commit_year: int
-    n_developers: int
-    dominant_language: str | None = None
-
-
-@dataclass
-class ControlPartitions:
-    age: dict[str, list[str]]
-    developers: dict[str, list[str]]
-    language: dict[str, list[str]]
-    developer_cutoffs: tuple[int, int]
-
-
-def control_groups(profiles: list[ProjectProfile]) -> ControlPartitions:
-    """Partition projects by age, developer count, and dominant language.
-
-    Age groups: young (started 2018+), medium (2016-17), old (2008-15);
-    earlier starts are excluded from the age partition. Developer cutoffs
-    are this corpus's own p25/p75, boundary inclusive.
-    """
-    if not profiles:
-        raise InputError("control_groups requires at least one profile")
-    age: dict[str, list[str]] = {"young": [], "medium": [], "old": []}
-    for p in profiles:
-        if p.first_commit_year >= 2018:
-            age["young"].append(p.repo_id)
-        elif p.first_commit_year >= 2016:
-            age["medium"].append(p.repo_id)
-        elif p.first_commit_year >= 2008:
-            age["old"].append(p.repo_id)
-
-    counts = sorted(p.n_developers for p in profiles)
-    last = len(counts) - 1
-    p25, p75 = counts[25 * last // 100], counts[75 * last // 100]
-    developers: dict[str, list[str]] = {"few": [], "intermediate": [], "numerous": []}
-    for p in profiles:
-        if p.n_developers <= p25:
-            developers["few"].append(p.repo_id)
-        elif p.n_developers <= p75:
-            developers["intermediate"].append(p.repo_id)
-        else:
-            developers["numerous"].append(p.repo_id)
-
-    language: dict[str, list[str]] = {}
-    for p in profiles:
-        language.setdefault(p.dominant_language or "none", []).append(p.repo_id)
-
-    return ControlPartitions(
-        age=age, developers=developers, language=language, developer_cutoffs=(p25, p75)
-    )

@@ -8,16 +8,15 @@ a positive score means corrective. Each pattern counts at most once per
 message, so a single repeated word cannot dominate the score.
 
 Also provides a small English-detection model, confusion-matrix evaluation
-against labeled corpora, Cohen's kappa for annotator agreement, and message
-length profiling (used to diagnose estimates that fall outside the valid
-domain).
+against labeled corpora, and message length profiling (used to diagnose
+estimates that fall outside the valid domain).
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -319,17 +318,6 @@ def classify_message(message: str, model: TermModel) -> ClassifierVerdict:
     )
 
 
-def classify_commits(commits: Iterable, model: TermModel) -> Iterator[tuple[object, ClassifierVerdict]]:
-    """Order-preserving map of classify_message over a commit stream.
-
-    Items may be CommitRecords (classified by their ``message``) or bare
-    strings.
-    """
-    for commit in commits:
-        message = commit if isinstance(commit, str) else commit.message
-        yield commit, classify_message(message, model)
-
-
 _TOKEN_RE = re.compile(r"[a-z']+")
 
 
@@ -361,22 +349,6 @@ def evaluate_model(corpus: list[LabeledCommit], model: TermModel) -> ConfusionMa
         else:
             tn += 1
     return ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
-
-
-def annotator_agreement(labels_a: list[bool], labels_b: list[bool]) -> float:
-    """Cohen's kappa between two boolean label vectors."""
-    if len(labels_a) != len(labels_b):
-        raise ValueError("label vectors must have equal length")
-    if not labels_a:
-        raise ValueError("label vectors must be non-empty")
-    n = len(labels_a)
-    p_o = sum(a == b for a, b in zip(labels_a, labels_b)) / n
-    pa = sum(labels_a) / n
-    pb = sum(labels_b) / n
-    p_e = pa * pb + (1 - pa) * (1 - pb)
-    if p_e == 1.0:
-        raise ValueError("chance agreement is 1; kappa is undefined")
-    return (p_o - p_e) / (1 - p_e)
 
 
 def terse_message_profile(messages: list[str]) -> tuple[int, int]:

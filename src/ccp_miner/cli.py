@@ -58,7 +58,7 @@ class RunConfig:
                 return default
             try:
                 return convert(env[name])
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"{env_path}: bad value for {name}: {env[name]!r}") from exc
 
         model_path = pick("model")
@@ -86,7 +86,7 @@ class RunConfig:
             else estimator.load_default_distribution_table()
         )
         self.year = pick("year", int)
-        self.seed = pick("seed", int, 0)
+        self.seed = pick("seed", _seed, 0)
         self.output_format = pick("format", default="json")
         self.enforce_selection = bool(
             getattr(args, "enforce_selection", False)
@@ -160,7 +160,8 @@ def _emit(report: dict, config: RunConfig) -> None:
 
 def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     parsed = _read_commits(args)
-    for record, verdict in classifier.classify_commits(parsed.records, config.term_model):
+    for record in parsed.records:
+        verdict = classifier.classify_message(record.message, config.term_model)
         line = {
             "hash": record.hash,
             "corrective": verdict.corrective,
@@ -335,17 +336,6 @@ def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:
-    try:
-        segments = tuple(
-            (float(low), float(high))
-            for low, _, high in (part.partition(":") for part in text.split(","))
-        )
-    except ValueError as exc:
-        raise ConfigError(f"malformed segments {text!r}; expected 'low:high,...'") from exc
-    return segments
-
-
 def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = classifier.load_labeled_corpus(args.corpus)
     # Both studies start with the same draw from the seed: make it once.
@@ -360,7 +350,7 @@ def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
                 corpus,
                 config.term_model,
                 iterations=args.iterations,
-                eval_segments=_parse_segments(args.segments),
+                eval_segments=args.segments,
                 seed=config.seed,
             ).as_dict()
     _emit(report, config)
@@ -405,15 +395,45 @@ def cmd_export_log_recipe(args: argparse.Namespace, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _threshold(text: str) -> float:
-    """A ``--delta-*`` value: a number no less than 0."""
+def _bounded(kind: type, accept, rule: str):
+    """A flag's converter: ``kind`` of the text, which ``accept`` must pass."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not accept(value):  # NaN fails every bound
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return convert
+
+
+_threshold = _bounded(float, lambda v: v >= 0, ">= 0")  # the --delta-* flags
+_probability = _bounded(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_coverage = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
+_iterations = _bounded(int, lambda v: v >= 1, ">= 1")
+_seed = _bounded(int, lambda v: v >= 0, ">= 0")  # also the config file's seed
+
+
+def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:
+    """A ``--segments`` value: ``low:high,...`` with 0 <= low <= high <= 1 each."""
     try:
-        value = float(text)
+        segments = tuple(
+            (float(low), float(high))
+            for low, _, high in (part.partition(":") for part in text.split(","))
+        )
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value >= 0:  # NaN too, which would make every comparison false
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"malformed segments {text!r}; expected 'low:high,...'"
+        ) from None
+    for low, high in segments:
+        if not 0 <= low <= high <= 1:
+            raise argparse.ArgumentTypeError(
+                f"segment {low}:{high} must have 0 <= low <= high <= 1"
+            )
+    return segments
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--perf", help="performance config file (recall=, fpr=)")
     parser.add_argument("--table", help="CCP distribution table CSV")
     parser.add_argument("--year", type=int, help="analysis calendar year (UTC)")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
+    parser.add_argument("--seed", type=_seed, help="random seed (default 0)")
     parser.add_argument("--format", choices=("json", "csv"), help="output format")
     parser.add_argument(
         "--enforce-selection",
@@ -440,8 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     corpus_args = argparse.ArgumentParser(add_help=False)
     corpus_args.add_argument("corpus", help="labeled corpus file (label<TAB>message)")
-    corpus_args.add_argument("--iterations", type=int, default=estimator.DEFAULT_ITERATIONS)
-    corpus_args.add_argument("--coverage", type=float, default=estimator.DEFAULT_COVERAGE)
+    corpus_args.add_argument(
+        "--iterations", type=_iterations, default=estimator.DEFAULT_ITERATIONS
+    )
+    corpus_args.add_argument("--coverage", type=_coverage, default=estimator.DEFAULT_COVERAGE)
     corpus_args.add_argument("--perf-source", choices=("corpus", "config"), default="corpus")
 
     p = sub.add_parser("classify", help="per-commit verdict stream (NDJSON)")
@@ -459,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("rank", help="band a CCP value on the quality scale")
-    p.add_argument("--ccp", type=float, required=True)
+    p.add_argument("--ccp", type=_probability, required=True)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser(
@@ -472,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sensitivity", action="store_true", help="add sensitivity analysis")
     p.add_argument(
-        "--segments",
-        default=",".join(f"{low}:{high}" for low, high in estimator.DEFAULT_SENSITIVITY_SEGMENTS),
+        "--segments", type=_parse_segments, default=estimator.DEFAULT_SENSITIVITY_SEGMENTS
     )
     p.set_defaults(func=cmd_bootstrap)
 

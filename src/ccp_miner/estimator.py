@@ -81,13 +81,6 @@ class CcpEstimate:
         }
 
 
-def expected_hit_rate(pr: float, perf: ModelPerformance) -> float:
-    """Hit rate a classifier with the given performance produces at true rate pr."""
-    if not 0.0 <= pr <= 1.0:
-        raise ValueError(f"pr must be a probability, got {pr}")
-    return (perf.recall - perf.fpr) * pr + perf.fpr
-
-
 def ccp_from_hit_rate(hr: float, perf: ModelPerformance) -> tuple[float, EstimateStatus]:
     """Invert the hit rate into the most likely CCP, with validity status.
 

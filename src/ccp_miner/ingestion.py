@@ -7,7 +7,8 @@ The canonical commit export format is newline-delimited JSON, one object per
 commit with string keys ``repo``, ``hash``, ``author``, ``ts`` (ISO-8601) and
 ``msg``, and optional ``files`` (a list of strings or null) and ``merge`` (a
 boolean). A raw ``git log`` format (record/unit separator based, documented
-by the ``export-log-recipe`` subcommand) is also parsed.
+by the ``export-log-recipe`` subcommand) is also parsed. In both formats the
+CRLF and CR line ends inside a message read as LF.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ def read_text(path: str | Path, error: type[CcpMinerError] = InputError) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8: byte {exc.start} is {data[exc.start]:#04x}") from exc
+    return _lf(text)
+
+
+def _lf(text: str) -> str:
+    """``text`` with CRLF and CR line ends read as LF."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -215,7 +221,7 @@ def _ndjson_record(line: str) -> CommitRecord | None:
             hash=obj["hash"],
             author_id=obj["author"].strip().lower(),
             timestamp=_timestamp(obj["ts"]),
-            message=obj["msg"],
+            message=_lf(obj["msg"]),  # line ends as read_text gives them in a raw log
             files=tuple(files or ()),
             is_merge=merge,
         )

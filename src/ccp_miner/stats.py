@@ -10,6 +10,7 @@ use the inclusive comparator by default.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -27,10 +28,21 @@ class MetricSeries:
     points: Mapping[int, float]
 
 
+def _finite(text: str) -> float:
+    """A metric value: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"metric value {text!r} is not finite")
+    return value
+
+
 def load_series_csv(path: str | Path) -> list[MetricSeries]:
-    """Load an ``entity,year,value`` CSV into metric series; a repeated year is an error."""
+    """Load an ``entity,year,value`` CSV into metric series.
+
+    A repeated year or a value that is not finite is an error.
+    """
     points: dict[str, dict[int, float]] = {}
-    for entity, year, value in read_csv(path, {"entity": str, "year": int, "value": float}):
+    for entity, year, value in read_csv(path, {"entity": str, "year": int, "value": _finite}):
         entity_points = points.get(entity)
         if entity_points is None:
             points[entity] = {year: value}
@@ -44,9 +56,10 @@ def load_series_csv(path: str | Path) -> list[MetricSeries]:
 def load_developer_series_csv(path: str | Path) -> dict[tuple[str, str], MetricSeries]:
     """Load a ``developer,project,year,value`` CSV into per-pair metric series.
 
-    A repeated (developer, project, year) row is an error.
+    A repeated (developer, project, year) row or a value that is not finite
+    is an error.
     """
-    columns = {"developer": str, "project": str, "year": int, "value": float}
+    columns = {"developer": str, "project": str, "year": int, "value": _finite}
     series: dict[tuple[str, str], dict[int, float]] = {}
     for developer, project, year, value in read_csv(path, columns):
         key = (developer, project)
@@ -120,7 +133,7 @@ def co_change(
     beats_i = _BEATS[_resolve_comparator(comparator, delta_i)]
     beats_j = _BEATS[_resolve_comparator(comparator, delta_j)]
     by_entity_j = {s.entity_id: s.points for s in series_j}
-    events = []
+    n = n_i = n_j = n_ij = matches = 0
     for s in series_i:
         if s.entity_id not in by_entity_j:
             continue
@@ -130,14 +143,14 @@ def co_change(
                 continue
             imp_i = beats_i(improvement_sign_i * (s.points[year + 1] - value), delta_i)
             imp_j = beats_j(improvement_sign_j * (points_j[year + 1] - points_j[year]), delta_j)
-            events.append((imp_i, imp_j))
-    if not events:
+            n += 1
+            n_i += imp_i
+            n_j += imp_j
+            n_ij += imp_i and imp_j
+            matches += imp_i == imp_j
+    if not n:
         raise InputError("co_change found no overlapping adjacent-year pairs")
-    n = len(events)
-    n_i = sum(1 for i, _ in events if i)
-    n_j = sum(1 for _, j in events if j)
-    n_ij = sum(1 for i, j in events if i and j)
-    match_rate = sum(1 for i, j in events if i == j) / n
+    match_rate = matches / n
     base_rate = n_j / n
     precision = n_ij / n_i if n_i else None
     # lift computed from the joint form, exactly symmetric in i and j

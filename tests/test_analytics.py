@@ -1,26 +1,21 @@
-"""Analytics unit tests: capping, coupling, speed, retention, grouping."""
+"""Analytics unit tests: capping, coupling, speed, retention, the stats bundle."""
 
 import pytest
 
 from ccp_miner.analytics import (
-    ProjectProfile,
     ProjectYearStats,
-    compare_groups,
-    control_groups,
     coupling,
     coupling_by_file,
     developer_speed,
     dominant_language,
     file_length_stats,
-    group_compare,
     onboarding,
-    project_ccp,
-    quality_term_analysis,
     retention,
     winsorize,
 )
 from ccp_miner.classifier import classify_message
 from ccp_miner.errors import InputError
+from ccp_miner.estimator import estimate_ccp
 
 from conftest import HIT_CORRECTIVE, MISS_OTHER
 from test_ingestion import make_commit
@@ -58,20 +53,6 @@ class TestWinsorize:
     def test_bad_quantile(self):
         with pytest.raises(ValueError):
             winsorize([1.0], quantile=1.0)
-
-
-class TestProjectCcp:
-    def test_forced_rate(self, term_model, default_perf):
-        commits = [make_commit(hash=f"h{i}", msg=HIT_CORRECTIVE) for i in range(20)]
-        commits += [make_commit(hash=f"g{i}", msg=MISS_OTHER) for i in range(80)]
-        estimate = project_ccp(commits, term_model, default_perf)
-        assert estimate.k == 20
-        assert estimate.hit_rate == 0.2
-        assert estimate.ccp_raw == pytest.approx((0.2 - 0.042) / (0.84 - 0.042))
-
-    def test_empty_rejected(self, term_model, default_perf):
-        with pytest.raises(InputError):
-            project_ccp([], term_model, default_perf)
 
 
 def verdicts_for(commits, model):
@@ -201,98 +182,15 @@ class TestDominantLanguage:
         assert dominant_language(listing) == "py"
 
 
-class TestQualityTermAnalysis:
-    def test_project_level_flagging(self, term_model, default_perf):
-        groups = {
-            "with": [make_commit(hash=f"a{i}", msg="refactor the quality checks") for i in range(10)]
-            + [make_commit(hash=f"b{i}", msg=MISS_OTHER) for i in range(10)],
-            "without": [make_commit(hash=f"c{i}", msg=MISS_OTHER) for i in range(20)],
-        }
-        results = quality_term_analysis(
-            groups, term_model, default_perf, terms=[r"\bquality\b"], level="project"
-        )
-        flags = {r.group_id: r.has_term for r in results}
-        assert flags == {"with": True, "without": False}
-
-    def test_file_level_drops_small_groups(self, term_model, default_perf):
-        groups = {
-            "small": [make_commit(hash=f"s{i}", msg=MISS_OTHER) for i in range(5)],
-            "big": [make_commit(hash=f"g{i}", msg="quality pass") for i in range(12)],
-        }
-        results = quality_term_analysis(
-            groups, term_model, default_perf, terms=[r"\bquality\b"], level="file"
-        )
-        assert [r.group_id for r in results] == ["big"]
-        assert results[0].has_term
-
-    def test_rejects_unknown_level(self, term_model, default_perf):
-        with pytest.raises(ValueError):
-            quality_term_analysis({}, term_model, default_perf, terms=[], level="repo")
-
-
 class TestGrouping:
-    def test_compare_groups_lift(self):
-        out = compare_groups({"a": [0.2, 0.2], "b": [0.1, 0.1]})
-        assert out["a"].mean_ccp == pytest.approx(0.2)
-        assert out["a"].lift == pytest.approx(1.0)
-        assert out["b"].lift == pytest.approx(-0.5)
-
-    def test_group_compare_requires_full_labeling(self, term_model, default_perf):
-        commits = [make_commit(hash=f"h{i}", msg=HIT_CORRECTIVE) for i in range(5)]
-        stat = ProjectYearStats(
-            repo_id="o/p",
-            year=2019,
-            n_commits=5,
-            k_hits=5,
-            ccp=project_ccp(commits, term_model, default_perf),
-        )
-        with pytest.raises(ValueError):
-            group_compare([stat], labels={})
-
-    def test_flat_dict_round_numbers(self, term_model, default_perf):
-        commits = [make_commit(hash=f"h{i}", msg=MISS_OTHER) for i in range(10)]
+    def test_flat_dict_round_numbers(self, default_perf):
         stat = ProjectYearStats(
             repo_id="o/p",
             year=2019,
             n_commits=10,
             k_hits=0,
-            ccp=project_ccp(commits, term_model, default_perf),
+            ccp=estimate_ccp(0, 10, default_perf),
         )
         flat = stat.as_flat_dict()
         assert flat["hit_rate"] == 0.0
         assert flat["ccp_status"] == "BelowZero"
-
-
-class TestControlGroups:
-    def make_profiles(self):
-        return [
-            ProjectProfile("o/young", 2019, 2, "py"),
-            ProjectProfile("o/medium", 2016, 10, "py"),
-            ProjectProfile("o/old", 2010, 50, "js"),
-            ProjectProfile("o/ancient", 2001, 400, None),
-        ]
-
-    def test_age_partition(self):
-        parts = control_groups(self.make_profiles())
-        assert parts.age == {
-            "young": ["o/young"],
-            "medium": ["o/medium"],
-            "old": ["o/old"],
-        }
-
-    def test_developer_partition_uses_corpus_quartiles(self):
-        parts = control_groups(self.make_profiles())
-        # nearest-rank(lower) p25/p75 of [2, 10, 50, 400] are 2 and 50
-        assert parts.developer_cutoffs == (2, 50)
-        assert parts.developers["few"] == ["o/young"]
-        assert set(parts.developers["intermediate"]) == {"o/medium", "o/old"}
-        assert parts.developers["numerous"] == ["o/ancient"]
-
-    def test_language_partition(self):
-        parts = control_groups(self.make_profiles())
-        assert set(parts.language["py"]) == {"o/young", "o/medium"}
-        assert parts.language["none"] == ["o/ancient"]
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            control_groups([])

@@ -1,8 +1,7 @@
-"""Classifier unit tests: scoring, english detection, evaluation, agreement."""
+"""Classifier unit tests: scoring, english detection, evaluation."""
 
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +12,6 @@ from ccp_miner.classifier import (
     EnglishModel,
     LabeledCommit,
     UndefinedRateError,
-    annotator_agreement,
-    classify_commits,
     classify_message,
     english_hit_rate,
     evaluate_model,
@@ -22,8 +19,6 @@ from ccp_miner.classifier import (
     terse_message_profile,
 )
 from ccp_miner.errors import InputError, ModelLoadError
-
-from conftest import HIT_CORRECTIVE, MISS_OTHER
 
 
 class TestClassifyMessage:
@@ -157,23 +152,6 @@ class TestLeadingLiteralPrefilter:
         )
 
 
-class TestClassifyCommits:
-    def test_empty_stream(self, term_model):
-        assert list(classify_commits([], term_model)) == []
-
-    def test_order_preserved(self, term_model):
-        messages = ["fix crash", "add feature", "fix leak"]
-        out = list(classify_commits(messages, term_model))
-        assert [m for m, _ in out] == messages
-        assert [v.corrective for _, v in out] == [True, False, True]
-
-    def test_forced_hit_count_on_synthetic_stream(self, term_model):
-        # 10,000 messages, 20% corrective by construction.
-        messages = [HIT_CORRECTIVE] * 2000 + [MISS_OTHER] * 8000
-        hits = sum(v.corrective for _, v in classify_commits(messages, term_model))
-        assert hits == 2000
-
-
 class TestModelLoading:
     def test_default_model_lists_non_empty(self, term_model):
         assert term_model.fix_patterns
@@ -293,30 +271,6 @@ class TestConfusionMatrix:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             ConfusionMatrix(tp=0, fn=0, fp=0, tn=0)
-
-
-class TestAnnotatorAgreement:
-    def test_identical_vectors(self):
-        assert annotator_agreement([True, False, True], [True, False, True]) == 1.0
-
-    def test_exact_complements_balanced(self):
-        a = [True, False, True, False]
-        b = [False, True, False, True]
-        assert annotator_agreement(a, b) == -1.0
-
-    def test_independent_random_vectors_near_zero(self):
-        rng = np.random.default_rng(7)
-        a = list(rng.random(20_000) < 0.5)
-        b = list(rng.random(20_000) < 0.5)
-        assert abs(annotator_agreement(a, b)) < 0.05
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            annotator_agreement([True], [True, False])
-
-    def test_degenerate_chance_agreement(self):
-        with pytest.raises(ValueError):
-            annotator_agreement([True, True], [True, True])
 
 
 class TestTerseMessageProfile:

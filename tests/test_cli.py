@@ -41,6 +41,9 @@ class TestClassifyCommand:
         lines = [json.loads(l) for l in out.strip().splitlines()]
         assert len(lines) == 5
         assert {"hash", "corrective", "score", "fix_hits"} <= set(lines[0])
+        # one line per commit, in input order
+        assert [l["hash"] for l in lines] == ["a1", "a2", "a3", "a4", "a5"]
+        assert [l["corrective"] for l in lines] == [True, False, False, True, False]
 
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run(capsys, "classify", "/nonexistent.ndjson")
@@ -173,10 +176,6 @@ class TestRankCommand:
         band = json.loads(out)["band"]
         assert (band["lower_percentile"], band["upper_percentile"]) == (50, 60)
 
-    def test_out_of_range_is_internal_error(self, capsys):
-        code, _, err = run(capsys, "rank", "--ccp", "1.5")
-        assert code != EXIT_OK
-
 
 class TestValidateModelCommand:
     def test_gold_corpus_report(self, capsys):
@@ -209,13 +208,14 @@ class TestBootstrapCommand:
         args = build_parser().parse_args(["bootstrap", GOLD])
         assert args.iterations == estimator.DEFAULT_ITERATIONS
         assert args.coverage == estimator.DEFAULT_COVERAGE
-        assert _parse_segments(args.segments) == estimator.DEFAULT_SENSITIVITY_SEGMENTS
+        assert args.segments == estimator.DEFAULT_SENSITIVITY_SEGMENTS
+        assert _parse_segments("0.0:1.0,0.042:0.84,0.06:0.39") == args.segments
 
     def test_malformed_segments(self, capsys):
-        code, _, _ = run(
-            capsys, "bootstrap", GOLD, "--sensitivity", "--segments", "nope"
-        )
-        assert code == EXIT_CONFIG
+        with pytest.raises(SystemExit) as caught:
+            main(["bootstrap", GOLD, "--sensitivity", "--segments", "nope"])
+        assert caught.value.code == EXIT_CONFIG
+        assert "argument --segments: malformed segments 'nope'" in capsys.readouterr().err
 
     def test_deterministic_across_processes(self, capsys):
         _, first, _ = run(capsys, "--seed", "3", "bootstrap", GOLD, "--iterations", "150")
@@ -394,7 +394,9 @@ class TestConfigResolution:
         code, _, _ = run(capsys, "--perf", str(perf), "rank", "--ccp", "0.2")
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("line,key", [("min_commits=10", "min_commits"), ("year=soon", "year")])
+    @pytest.mark.parametrize(
+        "line,key", [("min_commits=10", "min_commits"), ("year=soon", "year"), ("seed=-1", "seed")]
+    )
     def test_env_config_key_not_read_or_bad_value(self, capsys, tmp_path, monkeypatch, line, key):
         cfg = tmp_path / "miner.cfg"
         cfg.write_text(line + "\n")
@@ -402,6 +404,67 @@ class TestConfigResolution:
         code, _, err = run(capsys, "rank", "--ccp", "0.2")
         assert code == EXIT_CONFIG
         assert str(cfg) in err and key in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["rank", "--ccp", "1.5"], "--ccp"),
+        (["rank", "--ccp", "nan"], "--ccp"),
+        (["bootstrap", GOLD, "--iterations", "0"], "--iterations"),
+        (["bootstrap", GOLD, "--iterations", "-5"], "--iterations"),
+        (["bootstrap", GOLD, "--coverage", "1.5"], "--coverage"),
+        (["validate-model", GOLD, "--coverage", "0"], "--coverage"),
+        (["bootstrap", GOLD, "--sensitivity", "--segments", "0.5:0.2"], "--segments"),
+        (["bootstrap", GOLD, "--sensitivity", "--segments", "0:2"], "--segments"),
+        (["--seed", "-1", "bootstrap", GOLD, "--iterations", "10"], "--seed"),
+    ],
+    ids=["ccp-above-one", "ccp-nan", "iterations-zero", "iterations-negative",
+         "coverage-above-one", "coverage-zero", "segment-reversed", "segment-above-one",
+         "seed-negative"],
+)
+def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == EXIT_CONFIG
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
+# Good inputs of `cochange` and `twin`; each case below replaces one of them.
+SERIES_FILES = {
+    "i.csv": "entity,year,value\np,2018,0.5\np,2019,0.3\n",
+    "j.csv": "entity,year,value\np,2018,1.0\np,2019,2.0\n",
+    "dev.csv": "developer,project,year,value\nann,good,2019,0.1\nann,bad,2019,0.4\n",
+    "proj.csv": "entity,year,value\ngood,2019,0.1\nbad,2019,0.5\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command, name, text, value",  # the bad value is on line 3
+    [
+        ("cochange", "i.csv", "entity,year,value\np,2018,0.5\np,2019,nan\n", "nan"),
+        ("cochange", "j.csv", "entity,year,value\np,2018,1.0\np,2019,-inf\n", "-inf"),
+        ("twin", "dev.csv", "developer,project,year,value\nann,good,2019,0.1\nann,bad,2019,inf\n",
+         "inf"),
+    ],
+    ids=["series-nan", "series-minus-inf", "developer-series-inf"],
+)
+def test_non_finite_metric_value_is_a_named_input_error(
+    capsys, tmp_path, command, name, text, value
+):
+    for file, good in SERIES_FILES.items():
+        (tmp_path / file).write_text(text if file == name else good)
+    inputs = {
+        "cochange": ["--series-i", "i.csv", "--series-j", "j.csv"],
+        "twin": ["--dev-series", "dev.csv", "--project-series", "proj.csv"],
+    }[command]
+    argv = [str(tmp_path / a) if a in SERIES_FILES else a for a in inputs]
+    code, out, err = run(capsys, command, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == (
+        f"input error: {tmp_path / name}, line 3: metric value {value!r} is not finite\n"
+    )
 
 
 LATIN1 = "caf\xe9".encode("latin-1")

@@ -13,7 +13,6 @@ from ccp_miner.estimator import (
     ccp_from_hit_rate,
     estimate_ccp,
     estimator_sensitivity,
-    expected_hit_rate,
     fit_performance,
     load_distribution_table,
     load_performance_config,
@@ -31,21 +30,6 @@ class TestModelPerformance:
     def test_invalid(self, recall, fpr):
         with pytest.raises(ConfigError):
             ModelPerformance(recall=recall, fpr=fpr)
-
-
-class TestExpectedHitRate:
-    def test_zero_rate_gives_fpr(self, default_perf):
-        assert expected_hit_rate(0.0, default_perf) == default_perf.fpr
-
-    def test_full_rate_gives_recall(self, default_perf):
-        assert expected_hit_rate(1.0, default_perf) == default_perf.recall
-
-    def test_published_rates_consistent(self, default_perf):
-        assert expected_hit_rate(0.246, default_perf) == pytest.approx(0.238, abs=5e-4)
-
-    def test_rejects_non_probability(self, default_perf):
-        with pytest.raises(ValueError):
-            expected_hit_rate(1.5, default_perf)
 
 
 class TestEstimateCcp:
@@ -93,7 +77,7 @@ class TestEstimateCcp:
     def test_round_trip_within_quantization(self, default_perf):
         n = 500
         for pr in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
-            k = round(expected_hit_rate(pr, default_perf) * n)
+            k = round(((default_perf.recall - default_perf.fpr) * pr + default_perf.fpr) * n)
             estimate = estimate_ccp(k, n, default_perf)
             # hit-count quantization bounds the round-trip error
             assert abs(estimate.ccp_raw - pr) <= 1 / (2 * n) / (default_perf.recall - default_perf.fpr)

@@ -104,6 +104,18 @@ class TestParseGitLog:
         assert (again.records, again.skipped) == ([], 2)
         assert seen == {("r", "h1"), ("r", "h2"), ("r", "h3")}
 
+    def test_line_ends_in_a_message_read_as_lf_as_in_a_raw_log(self):
+        line = json.dumps({"repo": "r", "hash": "h1", "author": "a@b.com",
+                           "ts": "2019-01-02T03:04:05+00:00", "msg": "fix\r\nbody\rend"})
+        raw = "\x1eh1\x1fa@b.com\x1f2019-01-02T03:04:05+00:00\x1fp\x1ffix\r\nbody\rend\x1f\n"
+        [record] = parse_git_log(io.StringIO(line)).records
+        assert record.message == "fix\nbody\nend"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.gitlog"
+            path.write_bytes(raw.encode())
+            [raw_record] = parse_raw_git_log(read_text(path), repo_id="r").records
+        assert raw_record.message == record.message
+
     @pytest.mark.parametrize(
         "field,value",
         [("repo", None), ("hash", 123), ("author", ["ann@x"]), ("msg", {"text": "fix"}),

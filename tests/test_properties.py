@@ -180,7 +180,7 @@ class TestDeterminism:
 # NDJSON commit logs for metamorphic tests of `analyze`. Hashes come from a
 # small pool, so repeated commits occur; the first and last lines always
 # parse, so a log split in two leaves each part a record.
-_commit_line = st.fixed_dictionaries(
+_commit = st.fixed_dictionaries(
     {
         "repo": st.sampled_from(["acme/widget", "acme/gadget"]),
         "hash": st.sampled_from([f"h{i}" for i in range(12)]),
@@ -197,15 +197,30 @@ _commit_line = st.fixed_dictionaries(
         "files": st.none() | st.lists(st.sampled_from(["a.c", "b.py", "c.h"]), max_size=3),
         "merge": st.booleans(),
     },
-).map(json.dumps)
-_any_line = _commit_line | st.sampled_from(["not json", "[]", '{"repo": 1}', "   ", ""])
+)
+_commit_line = _commit.map(json.dumps)
+_junk_line = st.sampled_from(["not json", "[]", '{"repo": 1}', "   ", ""])
+_any_line = _commit_line | _junk_line
 _logs = st.tuples(_commit_line, st.lists(_any_line, max_size=20), _commit_line).map(
     lambda t: [t[0], *t[1], t[2]]
 )
 
 
-def _analyze(*texts: str) -> str:
-    """The `analyze` report of the logs ``texts``, each written to its own file."""
+def _raw_chunk(commit: dict) -> str:
+    """``commit`` as GIT_LOG_RECIPE's `git log` prints it."""
+    parents = "p1 p2" if commit.get("merge") else "p1"
+    files = "".join(f"{f}\n" for f in commit.get("files") or ())
+    return (
+        f"\x1e{commit['hash']}\x1f{commit['author']}\x1f{commit['ts']}\x1f{parents}"
+        f"\x1f{commit['msg']}\n\x1f\n{files}\n"
+    )
+
+
+def _analyze(*texts: str, before: tuple = (), after: tuple = ()) -> str:
+    """The `analyze` report of the logs ``texts``, each written to its own file.
+
+    ``before`` and ``after`` are arguments put before and after ``analyze PATH...``.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, text in enumerate(texts):
@@ -214,7 +229,7 @@ def _analyze(*texts: str) -> str:
             paths.append(str(path))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert main(["analyze", *paths]) == 0
+            assert main([*before, "analyze", *paths, *after]) == 0
     return out.getvalue()
 
 
@@ -242,3 +257,33 @@ class TestAnalyzeMetamorphic:
         after = json.loads(_analyze("\n".join([*lines, repeat])))
         assert after.pop("skipped_lines") == before.pop("skipped_lines") + 1
         assert after == before
+
+    @given(
+        st.lists(_commit, min_size=1, max_size=12, unique_by=lambda c: c["hash"]),
+        st.lists(_junk_line, max_size=5),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_permuting_a_log_with_unique_hashes_keeps_the_report(self, commits, junk, data):
+        lines = [json.dumps(c) for c in commits] + junk
+        shuffled = data.draw(st.permutations(lines))
+        # Under selection every project is excluded, so `exclusions` is not empty.
+        for before in ((), ("--year", "2019", "--enforce-selection")):
+            first = json.loads(_analyze("\n".join(lines), before=before))
+            second = json.loads(_analyze("\n".join(shuffled), before=before))
+            for key in ("projects", "rows", "skipped_lines"):
+                assert second[key] == first[key]
+            # The order of `exclusions` follows the input by design.
+            assert {tuple(e.values()) for e in second["exclusions"]} == {
+                tuple(e.values()) for e in first["exclusions"]
+            }
+
+    @given(st.lists(_commit.map(lambda c: {**c, "repo": "acme/widget"}), min_size=1, max_size=12))
+    @settings(max_examples=30, deadline=None)
+    def test_ndjson_and_raw_git_encodings_give_the_same_projects(self, commits):
+        ndjson = _analyze("\n".join(json.dumps(c) for c in commits))
+        raw = _analyze(
+            "".join(_raw_chunk(c) for c in commits),
+            after=("--input-format", "git", "--repo", "acme/widget"),
+        )
+        assert json.loads(raw)["projects"] == json.loads(ndjson)["projects"]
