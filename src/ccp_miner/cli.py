@@ -110,7 +110,7 @@ class RunConfig:
             "table": self.table.rows,
         }
         digest = hashlib.sha256(
-            json.dumps(fingerprint, sort_keys=True, default=str).encode()
+            json.dumps(fingerprint, sort_keys=True).encode()
         ).hexdigest()
         self.config_hash = digest[:16]
 
@@ -152,7 +152,7 @@ def _emit(report: dict, config: RunConfig) -> None:
         writer.writeheader()
         writer.writerows(report["rows"])
         return
-    print(json.dumps(report, sort_keys=True, indent=2, default=str))
+    print(json.dumps(report, sort_keys=True, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +238,13 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
         metadata = (
             ingestion.load_project_metadata(args.projects) if args.projects else {}
         )
-        descriptors = []
-        for repo_id, commits in by_repo.items():
-            meta = metadata.get(repo_id, {})
-            descriptors.append(
-                ingestion.ProjectDescriptor.from_commits(
-                    commits,
-                    owner=meta.get("owner", ""),
-                    name=meta.get("name", ""),
-                    is_fork=meta.get("is_fork", False),
-                )
+        descriptors = [
+            ingestion.ProjectDescriptor.from_commits(
+                commits, config.year, *metadata.get(repo_id, ())
             )
-        selection = ingestion.select_projects(descriptors, year=config.year)
+            for repo_id, commits in by_repo.items()
+        ]
+        selection = ingestion.select_projects(descriptors)
         accepted_ids = {p.repo_id for p in selection.accepted}
         exclusions = [{"repo_id": r, "rule": rule} for r, rule in selection.exclusions]
         by_repo = {r: commits for r, commits in by_repo.items() if r in accepted_ids}

@@ -45,9 +45,6 @@ class ModelPerformance:
             )
 
 
-DEFAULT_PERFORMANCE = ModelPerformance(recall=0.84, fpr=0.042)
-
-
 class EstimateStatus(str, Enum):
     VALID = "Valid"
     BELOW_ZERO = "BelowZero"
@@ -96,7 +93,7 @@ def ccp_from_hit_rate(hr: float, perf: ModelPerformance) -> tuple[float, Estimat
     return ccp, status
 
 
-def estimate_ccp(k: int, n: int, perf: ModelPerformance = DEFAULT_PERFORMANCE) -> CcpEstimate:
+def estimate_ccp(k: int, n: int, perf: ModelPerformance) -> CcpEstimate:
     """Maximum-likelihood CCP estimate from k classifier hits out of n commits."""
     if n <= 0:
         raise InputError("estimate_ccp requires n > 0")

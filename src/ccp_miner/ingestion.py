@@ -18,7 +18,7 @@ import json
 import operator
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -167,24 +167,19 @@ Feed the file to `ccp-miner classify` or `ccp-miner analyze` with
 
 @dataclass(slots=True)
 class CommitRecord:
-    """One parsed commit: identity, author, timestamp, message, files.
-
-    ``year`` is the UTC calendar year of ``timestamp``, set once at construction.
-    """
+    """One parsed commit: identity, author, UTC calendar year, message, files."""
 
     repo_id: str
     hash: str
     author_id: str
-    timestamp: datetime
+    year: int
     message: str
     files: tuple[str, ...] = ()
     is_merge: bool = False
-    year: int = field(init=False)
 
     def __post_init__(self):
         if not self.hash:
             raise ValueError("commit hash must be non-empty")
-        self.year = self.timestamp.astimezone(timezone.utc).year
 
 
 @dataclass
@@ -193,10 +188,10 @@ class ParseResult:
     skipped: int
 
 
-def _timestamp(text: str) -> datetime:
-    """An ISO-8601 timestamp; one without an offset is taken as UTC, whatever the host's zone."""
+def _utc_year(text: str) -> int:
+    """The UTC year of an ISO-8601 timestamp, taken as UTC without an offset, whatever the TZ."""
     ts = datetime.fromisoformat(text)
-    return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc).year if ts.tzinfo is not None else ts.year
 
 
 def _ndjson_record(line: str) -> CommitRecord | None:
@@ -220,12 +215,12 @@ def _ndjson_record(line: str) -> CommitRecord | None:
             repo_id=obj["repo"],
             hash=obj["hash"],
             author_id=obj["author"].strip().lower(),
-            timestamp=_timestamp(obj["ts"]),
+            year=_utc_year(obj["ts"]),
             message=_lf(obj["msg"]),  # line ends as read_text gives them in a raw log
             files=tuple(files or ()),
             is_merge=merge,
         )
-    except ValueError:  # json.JSONDecodeError, a bad timestamp or an empty hash
+    except (ValueError, OverflowError):  # JSON, timestamp or UTC year bad, or no hash
         return None
 
 
@@ -237,12 +232,12 @@ def _raw_record(chunk: str, repo_id: str) -> CommitRecord | None:
             repo_id=repo_id,
             hash=commit_hash.strip(),
             author_id=author.strip().lower(),
-            timestamp=_timestamp(ts_text.strip()),
+            year=_utc_year(ts_text.strip()),
             message=message.rstrip("\n"),
             files=tuple(f.strip() for f in file_block.splitlines() if f.strip()),
             is_merge=len(parents.split()) > 1,
         )
-    except ValueError:  # a wrong field count, a bad timestamp or an empty hash
+    except (ValueError, OverflowError):  # field count, timestamp or UTC year bad, or no hash
         return None
 
 
@@ -311,28 +306,28 @@ def involved_authors(commits: Iterable[CommitRecord]) -> set[str]:
 
 @dataclass
 class ProjectDescriptor:
-    """Per-project commit inventory used by the selection pipeline."""
+    """What selection reads of a project: its hashes in the analysis year and its size."""
 
     repo_id: str
     owner: str
     name: str
     is_fork: bool
-    commit_hashes_by_year: dict[int, frozenset[str]] = field(default_factory=dict)
-
-    def total_commits(self) -> int:
-        return sum(len(h) for h in self.commit_hashes_by_year.values())
+    hashes: frozenset[str]  # of the analysis year's commits
+    total_commits: int  # in all years
 
     @classmethod
     def from_commits(
-        cls, commits: Iterable[CommitRecord], owner: str = "", name: str = "", is_fork: bool = False
+        cls,
+        commits: list[CommitRecord],
+        year: int,
+        owner: str = "",
+        name: str = "",
+        is_fork: bool = False,
     ) -> "ProjectDescriptor":
-        by_year: dict[int, set[str]] = defaultdict(set)
-        repo_id = ""
-        for commit in commits:
-            repo_id = commit.repo_id
-            by_year[commit.year].add(commit.hash)
-        if not repo_id:
+        """The descriptor of one project's distinct commits for analysis year ``year``."""
+        if not commits:
             raise InputError("cannot build a project descriptor from zero commits")
+        repo_id = commits[0].repo_id
         if not owner and "/" in repo_id:
             owner, _, name = repo_id.partition("/")
         return cls(
@@ -340,7 +335,8 @@ class ProjectDescriptor:
             owner=owner or repo_id,
             name=name or repo_id,
             is_fork=is_fork,
-            commit_hashes_by_year={y: frozenset(h) for y, h in by_year.items()},
+            hashes=frozenset(c.hash for c in commits if c.year == year),
+            total_commits=len(commits),
         )
 
 
@@ -350,18 +346,14 @@ class SelectionResult:
     exclusions: list[tuple[str, str]]  # (repo_id, rule)
 
 
-def _size_key(project: ProjectDescriptor, year: int) -> tuple[int, int, str]:
+def _size_key(project: ProjectDescriptor) -> tuple[int, int, str]:
     # "Larger" = more commits in the analysis year; ties by total commits,
     # then repo_id, giving a total order.
-    return (
-        len(project.commit_hashes_by_year.get(year, frozenset())),
-        project.total_commits(),
-        project.repo_id,
-    )
+    return (len(project.hashes), project.total_commits, project.repo_id)
 
 
-def select_projects(projects: list[ProjectDescriptor], year: int) -> SelectionResult:
-    """Apply the selection pipeline for one analysis year.
+def select_projects(projects: list[ProjectDescriptor]) -> SelectionResult:
+    """Apply the selection pipeline to projects described for one analysis year.
 
     In order: drop projects under MIN_COMMITS commits in the year, drop
     forks, drop projects dominated by a strictly larger surviving project
@@ -373,7 +365,7 @@ def select_projects(projects: list[ProjectDescriptor], year: int) -> SelectionRe
 
     survivors = []
     for project in projects:
-        if len(project.commit_hashes_by_year.get(year, frozenset())) < MIN_COMMITS:
+        if len(project.hashes) < MIN_COMMITS:
             exclusions.append((project.repo_id, "min_commits"))
         else:
             survivors.append(project)
@@ -388,14 +380,12 @@ def select_projects(projects: list[ProjectDescriptor], year: int) -> SelectionRe
 
     # Dominance: walk largest-first so the largest project of any
     # shared-commit cluster is always retained.
-    ordered = sorted(survivors, key=lambda p: _size_key(p, year), reverse=True)
+    ordered = sorted(survivors, key=_size_key, reverse=True)
     retained: list[ProjectDescriptor] = []
     dominated: set[str] = set()
     for project in ordered:
-        hashes = project.commit_hashes_by_year.get(year, frozenset())
         for larger in retained:
-            larger_hashes = larger.commit_hashes_by_year.get(year, frozenset())
-            if len(hashes & larger_hashes) > SHARED_HASHES:
+            if len(project.hashes & larger.hashes) > SHARED_HASHES:
                 dominated.add(project.repo_id)
                 exclusions.append((project.repo_id, "dominated"))
                 break
@@ -421,15 +411,12 @@ def select_projects(projects: list[ProjectDescriptor], year: int) -> SelectionRe
     return SelectionResult(accepted=accepted, exclusions=exclusions)
 
 
-def load_project_metadata(path: str | Path) -> dict[str, dict]:
-    """Load the ``repo_id,owner,name,is_fork`` project metadata CSV."""
+def load_project_metadata(path: str | Path) -> dict[str, tuple[str, str, bool]]:
+    """Load the ``repo_id,owner,name,is_fork`` project metadata CSV as repo_id -> the rest."""
     columns = {
         "repo_id": str,
         "owner": str,
         "name": str,
         "is_fork": lambda v: v.strip().lower() in ("1", "true", "yes"),
     }
-    return {
-        repo_id: {"owner": owner, "name": name, "is_fork": is_fork}
-        for repo_id, owner, name, is_fork in read_csv(path, columns)
-    }
+    return {row[0]: row[1:] for row in read_csv(path, columns)}

@@ -38,7 +38,7 @@ def english_model() -> classifier.EnglishModel:
 
 @pytest.fixture(scope="session")
 def default_perf() -> estimator.ModelPerformance:
-    return estimator.DEFAULT_PERFORMANCE
+    return estimator.load_default_performance()
 
 
 @pytest.fixture(scope="session")

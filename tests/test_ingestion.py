@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import tempfile
-from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ from ccp_miner.errors import InputError
 from ccp_miner.ingestion import (
     CommitRecord,
     ProjectDescriptor,
+    _utc_year,
     involved_authors,
     parse_git_log,
     parse_raw_git_log,
@@ -35,7 +35,7 @@ def make_commit(repo="acme/widget", hash="c1", author="ann@example.com",
         repo_id=repo,
         hash=hash,
         author_id=author,
-        timestamp=datetime.fromisoformat(ts),
+        year=_utc_year(ts),
         message=msg,
         files=tuple(files),
         is_merge=merge,
@@ -63,7 +63,8 @@ class TestParseGitLog:
         assert not record.is_merge
 
     def test_malformed_lines_skipped_and_counted(self):
-        result = parse_git_log(open(FIXTURES / "log_malformed.ndjson", encoding="utf-8"))
+        with open(FIXTURES / "log_malformed.ndjson", encoding="utf-8") as fh:
+            result = parse_git_log(fh)
         assert len(result.records) == 4
         assert result.skipped == 1
 
@@ -72,7 +73,7 @@ class TestParseGitLog:
             first = parse_git_log(fh)
         lines = [
             json.dumps({"repo": r.repo_id, "hash": r.hash, "author": r.author_id,
-                        "ts": r.timestamp.isoformat(), "msg": r.message,
+                        "ts": f"{r.year}-07-01T00:00:00+00:00", "msg": r.message,
                         "files": list(r.files), "merge": r.is_merge})
             for r in first.records
         ]
@@ -252,7 +253,6 @@ class TestParseRawGitLog:
     def test_timestamp_without_offset_is_utc(self):
         text = "\x1eabc\x1fann@x\x1f2019-12-31T23:30:00\x1fp\x1ffix crash\x1f\n"
         [record] = parse_raw_git_log(text, repo_id="r").records
-        assert record.timestamp == datetime(2019, 12, 31, 23, 30, tzinfo=timezone.utc)
         assert record.year == 2019
 
 
@@ -292,56 +292,57 @@ class TestInvolvedAuthors:
         assert involved_authors([]) == set()
 
 
-def make_project(repo_id, year_hashes, owner=None, name=None, is_fork=False):
+def make_project(repo_id, hashes, owner=None, name=None, is_fork=False):
     return ProjectDescriptor(
         repo_id=repo_id,
         owner=owner or repo_id.split("/")[0],
         name=name or repo_id.split("/")[-1],
         is_fork=is_fork,
-        commit_hashes_by_year={y: frozenset(h) for y, h in year_hashes.items()},
+        hashes=frozenset(hashes),
+        total_commits=len(hashes),
     )
 
 
 class TestSelectProjects:
     def test_min_commits_rule(self):
-        small = make_project("o/small", {2019: {f"h{i}" for i in range(199)}})
-        big = make_project("o/big", {2019: {f"g{i}" for i in range(200)}})
-        result = select_projects([small, big], year=2019)
+        small = make_project("o/small", {f"h{i}" for i in range(199)})
+        big = make_project("o/big", {f"g{i}" for i in range(200)})
+        result = select_projects([small, big])
         assert [p.repo_id for p in result.accepted] == ["o/big"]
         assert ("o/small", "min_commits") in result.exclusions
 
     def test_fork_rule(self):
-        fork = make_project("o/fork", {2019: {f"h{i}" for i in range(300)}}, is_fork=True)
-        result = select_projects([fork], year=2019)
+        fork = make_project("o/fork", {f"h{i}" for i in range(300)}, is_fork=True)
+        result = select_projects([fork])
         assert result.accepted == []
         assert result.exclusions == [("o/fork", "fork")]
 
     def test_dominated_rule(self):
         shared = {f"s{i}" for i in range(51)}
-        large = make_project("o/large", {2019: shared | {f"l{i}" for i in range(300)}})
-        small = make_project("o/small", {2019: shared | {f"m{i}" for i in range(200)}})
-        result = select_projects([large, small], year=2019)
+        large = make_project("o/large", shared | {f"l{i}" for i in range(300)})
+        small = make_project("o/small", shared | {f"m{i}" for i in range(200)})
+        result = select_projects([large, small])
         assert [p.repo_id for p in result.accepted] == ["o/large"]
         assert ("o/small", "dominated") in result.exclusions
 
     def test_sharing_at_threshold_not_dominated(self):
         shared = {f"s{i}" for i in range(50)}  # exactly 50: not "more than 50"
-        large = make_project("o/large", {2019: shared | {f"l{i}" for i in range(300)}})
-        small = make_project("o/small", {2019: shared | {f"m{i}" for i in range(200)}})
-        result = select_projects([large, small], year=2019)
+        large = make_project("o/large", shared | {f"l{i}" for i in range(300)})
+        small = make_project("o/small", shared | {f"m{i}" for i in range(200)})
+        result = select_projects([large, small])
         assert len(result.accepted) == 2
 
     def test_duplicate_name_prefers_bigger_owner(self):
-        hashes_a = {2019: {f"a{i}" for i in range(250)}}
-        hashes_b = {2019: {f"b{i}" for i in range(250)}}
+        hashes_a = {f"a{i}" for i in range(250)}
+        hashes_b = {f"b{i}" for i in range(250)}
         spark_big_owner = make_project("apache/spark", hashes_a, owner="apache", name="spark")
         spark_small_owner = make_project("solo/spark", hashes_b, owner="solo", name="spark")
         # apache owns 12 projects in the input, solo owns 1
         extras = [
-            make_project(f"apache/p{i}", {2019: {f"x{i}-{j}" for j in range(5)}})
+            make_project(f"apache/p{i}", {f"x{i}-{j}" for j in range(5)})
             for i in range(11)
         ]
-        result = select_projects([spark_big_owner, spark_small_owner] + extras, year=2019)
+        result = select_projects([spark_big_owner, spark_small_owner] + extras)
         accepted = {p.repo_id for p in result.accepted}
         assert "apache/spark" in accepted
         assert ("solo/spark", "duplicate_name") in result.exclusions
@@ -349,28 +350,28 @@ class TestSelectProjects:
     def test_idempotent(self):
         shared = {f"s{i}" for i in range(60)}
         projects = [
-            make_project("o/large", {2019: shared | {f"l{i}" for i in range(300)}}),
-            make_project("o/mid", {2019: shared | {f"m{i}" for i in range(250)}}),
-            make_project("p/other", {2019: {f"o{i}" for i in range(220)}}),
-            make_project("q/tiny", {2019: {f"t{i}" for i in range(10)}}),
+            make_project("o/large", shared | {f"l{i}" for i in range(300)}),
+            make_project("o/mid", shared | {f"m{i}" for i in range(250)}),
+            make_project("p/other", {f"o{i}" for i in range(220)}),
+            make_project("q/tiny", {f"t{i}" for i in range(10)}),
         ]
-        first = select_projects(projects, year=2019)
-        second = select_projects(first.accepted, year=2019)
+        first = select_projects(projects)
+        second = select_projects(first.accepted)
         assert [p.repo_id for p in second.accepted] == [p.repo_id for p in first.accepted]
         assert second.exclusions == []
 
     def test_largest_of_cluster_survives(self):
         shared = {f"s{i}" for i in range(100)}
         cluster = [
-            make_project(f"o/p{i}", {2019: shared | {f"p{i}-{j}" for j in range(200 + i)}})
+            make_project(f"o/p{i}", shared | {f"p{i}-{j}" for j in range(200 + i)})
             for i in range(4)
         ]
-        result = select_projects(cluster, year=2019)
+        result = select_projects(cluster)
         assert [p.repo_id for p in result.accepted] == ["o/p3"]
 
     def test_each_exclusion_reported_once(self):
-        small = make_project("o/small", {2019: set()}, is_fork=True)
-        result = select_projects([small], year=2019)
+        small = make_project("o/small", set(), is_fork=True)
+        result = select_projects([small])
         # removed by the first matching rule only
         assert result.exclusions == [("o/small", "min_commits")]
 
@@ -382,11 +383,9 @@ class TestProjectDescriptor:
             make_commit(hash="h2", ts="2019-06-01T00:00:00+00:00"),
             make_commit(hash="h3", ts="2019-07-01T00:00:00+00:00"),
         ]
-        project = ProjectDescriptor.from_commits(commits)
+        project = ProjectDescriptor.from_commits(commits, 2019)
         assert project.owner == "acme"
         assert project.name == "widget"
-        assert project.commit_hashes_by_year == {
-            2018: frozenset({"h1"}),
-            2019: frozenset({"h2", "h3"}),
-        }
-        assert project.total_commits() == 3
+        assert project.hashes == frozenset({"h2", "h3"})
+        assert ProjectDescriptor.from_commits(commits, 2018).hashes == frozenset({"h1"})
+        assert project.total_commits == 3

@@ -4,10 +4,12 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ccp_miner.analytics import winsorize
@@ -18,7 +20,7 @@ from ccp_miner.estimator import (
     estimate_ccp,
     rank_on_scale,
 )
-from ccp_miner.ingestion import ProjectDescriptor, _ndjson_record, select_projects
+from ccp_miner.ingestion import ProjectDescriptor, _ndjson_record, _raw_record, select_projects
 from ccp_miner.stats import MetricSeries, co_change
 
 from conftest import FIXTURES
@@ -131,11 +133,12 @@ class TestSelectionProperties:
                     owner=f"o{i}",
                     name=data.draw(st.sampled_from(["alpha", "beta"])),
                     is_fork=data.draw(st.booleans()),
-                    commit_hashes_by_year={2019: hashes},
+                    hashes=hashes,
+                    total_commits=len(hashes),
                 )
             )
-        first = select_projects(projects, year=2019)
-        second = select_projects(first.accepted, year=2019)
+        first = select_projects(projects)
+        second = select_projects(first.accepted)
         assert [p.repo_id for p in second.accepted] == [p.repo_id for p in first.accepted]
         assert second.exclusions == []
 
@@ -287,3 +290,45 @@ class TestAnalyzeMetamorphic:
             after=("--input-format", "git", "--repo", "acme/widget"),
         )
         assert json.loads(raw)["projects"] == json.loads(ndjson)["projects"]
+
+
+@pytest.fixture(params=["UTC0", "EST5", "JST-9"])
+def host_time_zone(request, monkeypatch):
+    """The process's local time zone, as a POSIX TZ string that needs no zone database."""
+    monkeypatch.setenv("TZ", request.param)
+    time.tzset()
+    yield request.param
+    monkeypatch.undo()
+    time.tzset()
+
+
+class TestTimeZoneRelation:
+    # Any ISO timestamp of years 1-9999, with a whole-minute UTC offset or none.
+    _ts = st.datetimes(
+        timezones=st.none() | st.integers(-1439, 1439).map(
+            lambda m: timezone(timedelta(minutes=m))
+        )
+    )
+
+    @given(ts=_ts)
+    @example(ts=datetime(2019, 12, 31, 23, 30))
+    @example(ts=datetime(2020, 1, 1, 1, 0, tzinfo=timezone(timedelta(hours=2))))
+    @example(ts=datetime(1, 1, 1, 0, 30, tzinfo=timezone(timedelta(hours=1))))
+    @example(ts=datetime(9999, 12, 31, 23, 30, tzinfo=timezone(timedelta(hours=-1))))
+    @settings(
+        max_examples=200,
+        deadline=None,
+        # The zone is set once per test; every example runs under it.
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_both_encodings_give_the_utc_year(self, host_time_zone, ts):
+        commit = {"repo": "acme/widget", "hash": "h1", "author": "ann@x",
+                  "ts": ts.isoformat(), "msg": "fix crash"}
+        ndjson = _ndjson_record(json.dumps(commit))
+        raw = _raw_record(_raw_chunk(commit).lstrip("\x1e"), "acme/widget")
+        try:
+            # An offset-less timestamp is UTC, whatever the host's zone.
+            expected = ts.replace(tzinfo=ts.tzinfo or timezone.utc).astimezone(timezone.utc).year
+        except OverflowError:  # the UTC instant is outside years 1-9999: skipped as bad
+            expected = None
+        assert [r.year if r else None for r in (ndjson, raw)] == [expected, expected]
