@@ -127,16 +127,16 @@ class RunConfig:
 
 def _read_commits(args: argparse.Namespace) -> ingestion.ParseResult:
     """Parse every input file; a commit read from an earlier file is a repeat, as within one."""
-    merged = ingestion.ParseResult(records=[], skipped=0)
-    seen: set[tuple[str, str]] = set()
+    merged = ingestion.ParseResult(records=[], skipped=0, by_repo={})
     for path in args.input:
         try:
             if getattr(args, "input_format", "ndjson") == "git":
                 text = ingestion.read_text(path, InputError)
                 repo = getattr(args, "repo", None) or Path(path).stem
-                result = ingestion.parse_raw_git_log(text, repo_id=repo, seen=seen)
+                result = ingestion.parse_raw_git_log(text, repo_id=repo, by_repo=merged.by_repo)
             else:
-                result = ingestion.parse_git_log(ingestion.read_lines(path, InputError), seen=seen)
+                lines = ingestion.read_lines(path, InputError)
+                result = ingestion.parse_git_log(lines, by_repo=merged.by_repo)
         except InputError as exc:
             if isinstance(exc.__cause__, (OSError, UnicodeDecodeError)):
                 raise  # the reader's error, which names the file already
@@ -160,10 +160,10 @@ def _emit(report: dict, config: RunConfig) -> None:
 
 def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     parsed = _read_commits(args)
-    for record in parsed.records:
-        verdict = classifier.classify_message(record.message, config.term_model)
+    for commit_hash, _, _, message, _, _ in parsed.records:
+        verdict = classifier.classify_message(message, config.term_model)
         line = {
-            "hash": record.hash,
+            "hash": commit_hash,
             "corrective": verdict.corrective,
             "score": verdict.score,
             "fix_hits": verdict.fix_hits,
@@ -217,10 +217,9 @@ def _project_year_stats(
 
 
 def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
+    if config.enforce_selection and config.year is None:
+        raise ConfigError("--enforce-selection requires --year")
     parsed = _read_commits(args)
-    by_repo: dict[str, list[ingestion.CommitRecord]] = {}
-    for record in parsed.records:
-        by_repo.setdefault(record.repo_id, []).append(record)
 
     language = avg_kb = None
     if args.head_listing:
@@ -231,28 +230,31 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
             language = analytics.dominant_language(head_listing)
             avg_kb = analytics.file_length_stats(head_listing)
 
+    # Without selection every project counts as accepted.
+    accepted = list(parsed.by_repo)
     exclusions: list[dict] = []
     if config.enforce_selection:
-        if config.year is None:
-            raise ConfigError("--enforce-selection requires --year")
         metadata = (
             ingestion.load_project_metadata(args.projects) if args.projects else {}
         )
         descriptors = [
             ingestion.ProjectDescriptor.from_commits(
-                commits, config.year, *metadata.get(repo_id, ())
+                repo_id, commits, config.year, *metadata.get(repo_id, ())
             )
-            for repo_id, commits in by_repo.items()
+            for repo_id, commits in parsed.by_repo.items()
         ]
         selection = ingestion.select_projects(descriptors)
-        accepted_ids = {p.repo_id for p in selection.accepted}
+        accepted = [p.repo_id for p in selection.accepted]
         exclusions = [{"repo_id": r, "rule": rule} for r, rule in selection.exclusions]
-        by_repo = {r: commits for r, commits in by_repo.items() if r in accepted_ids}
 
     rows = []
     reports = []
-    for repo_id in sorted(by_repo):
-        by_year = ingestion.window_by_year(by_repo[repo_id])
+    for repo_id in sorted(accepted):
+        # Full records only for the projects analysed.
+        by_year = ingestion.window_by_year(
+            ingestion.CommitRecord(repo_id, *commit)
+            for commit in parsed.by_repo[repo_id].values()
+        )
         years = [config.year] if config.year is not None else sorted(by_year)
         for year in years:
             commits = by_year.get(year)

@@ -177,15 +177,23 @@ class CommitRecord:
     files: tuple[str, ...] = ()
     is_merge: bool = False
 
-    def __post_init__(self):
-        if not self.hash:
-            raise ValueError("commit hash must be non-empty")
+
+# A parsed commit as the parsers keep it: CommitRecord's fields after
+# ``repo_id``, so ``CommitRecord(repo_id, *commit)`` builds the record. It holds
+# only str, int, bool and a tuple of str, so the cyclic GC stops tracking it
+# once it has survived a collection (one with files, once its files tuple has),
+# and later collections do not walk the commits kept.
+Commit = tuple[str, str, int, str, tuple[str, ...], bool]
+
+# Every kept commit, by repo_id and then hash, each repo's in input order.
+CommitTable = dict[str, dict[str, Commit]]
 
 
 @dataclass
 class ParseResult:
-    records: list[CommitRecord]
+    records: list[Commit]  # the commits this parse kept, in input order
     skipped: int
+    by_repo: CommitTable  # every commit kept, by earlier parses into the same table too
 
 
 def _utc_year(text: str) -> int:
@@ -194,97 +202,109 @@ def _utc_year(text: str) -> int:
     return ts.astimezone(timezone.utc).year if ts.tzinfo is not None else ts.year
 
 
-def _ndjson_record(line: str) -> CommitRecord | None:
-    """One NDJSON commit, or None when the line is not the object the module describes."""
+# The whitespace that json.loads allows around a document.
+_JSON_SPACE = " \t\n\r"
+_decode_json = json.JSONDecoder().raw_decode
+
+
+def _ndjson_record(line: str) -> tuple[str, Commit] | None:
+    """One NDJSON commit and its repo, or None when the line is not the object the module describes."""
     try:
-        obj = json.loads(line)
-        if not isinstance(obj, dict):
+        # json.loads(line), without its two whitespace scans.
+        text = line.strip(_JSON_SPACE)
+        obj, end = _decode_json(text)
+        if end != len(text):
             return None
+        repo, commit_hash, author, ts, msg = (
+            obj["repo"], obj["hash"], obj["author"], obj["ts"], obj["msg"]
+        )
         files = obj.get("files")
         merge = obj.get("merge", False)
         if not (
-            isinstance(obj.get("repo"), str) and isinstance(obj.get("hash"), str)
-            and isinstance(obj.get("author"), str) and isinstance(obj.get("ts"), str)
-            and isinstance(obj.get("msg"), str)
-            and isinstance(files, (list, type(None)))
-            and all(isinstance(f, str) for f in files or ())
-            and isinstance(merge, bool)
+            type(repo) is str and type(commit_hash) is str and type(author) is str
+            and type(ts) is str and type(msg) is str and type(merge) is bool and commit_hash
         ):
             return None
-        return CommitRecord(
-            repo_id=obj["repo"],
-            hash=obj["hash"],
-            author_id=obj["author"].strip().lower(),
-            year=_utc_year(obj["ts"]),
-            message=_lf(obj["msg"]),  # line ends as read_text gives them in a raw log
-            files=tuple(files or ()),
-            is_merge=merge,
-        )
-    except (ValueError, OverflowError):  # JSON, timestamp or UTC year bad, or no hash
+        if files is None:
+            files = ()
+        elif type(files) is list:
+            files = tuple(files)
+            "".join(files)  # TypeError unless every file is a str
+        else:
+            return None
+        # Line ends in the message as read_text gives them in a raw log.
+        return repo, (commit_hash, author.strip().lower(), _utc_year(ts), _lf(msg), files, merge)
+    # Not JSON, not an object or a field missing; or a bad timestamp or UTC year.
+    except (ValueError, KeyError, TypeError, OverflowError):
         return None
 
 
-def _raw_record(chunk: str, repo_id: str) -> CommitRecord | None:
-    """One ``git log`` chunk of GIT_LOG_RECIPE, or None when it does not parse."""
+def _raw_record(chunk: str, repo_id: str) -> tuple[str, Commit] | None:
+    """One ``git log`` chunk of GIT_LOG_RECIPE and ``repo_id``, or None when it does not parse."""
     try:
         commit_hash, author, ts_text, parents, message, file_block = chunk.split("\x1f")
-        return CommitRecord(
-            repo_id=repo_id,
-            hash=commit_hash.strip(),
-            author_id=author.strip().lower(),
-            year=_utc_year(ts_text.strip()),
-            message=message.rstrip("\n"),
-            files=tuple(f.strip() for f in file_block.splitlines() if f.strip()),
-            is_merge=len(parents.split()) > 1,
+        commit_hash = commit_hash.strip()
+        if not commit_hash:
+            return None
+        return repo_id, (
+            commit_hash,
+            author.strip().lower(),
+            _utc_year(ts_text.strip()),
+            message.rstrip("\n"),
+            tuple(f.strip() for f in file_block.splitlines() if f.strip()),
+            len(parents.split()) > 1,
         )
-    except (ValueError, OverflowError):  # field count, timestamp or UTC year bad, or no hash
+    except (ValueError, OverflowError):  # field count, timestamp or UTC year bad
         return None
 
 
 def _accept(
-    records: Iterable[CommitRecord | None], unit: str, seen: set[tuple[str, str]] | None
+    parsed: Iterable[tuple[str, Commit] | None], unit: str, by_repo: CommitTable | None
 ) -> ParseResult:
-    """Keep each record whose (repo_id, hash) is not in ``seen`` yet, count the rest.
+    """Keep each (repo, commit) whose hash ``by_repo[repo]`` lacks yet, count the rest.
 
-    Kept records join ``seen``. InputError if no record parses.
+    Kept commits join ``by_repo``. InputError if no commit parses.
     """
-    kept: list[CommitRecord] = []
+    kept: list[Commit] = []
     unparsed = repeated = 0
-    if seen is None:
-        seen = set()
-    for record in records:
-        if record is None:
+    if by_repo is None:
+        by_repo = {}
+    for item in parsed:
+        if item is None:
             unparsed += 1
-        elif (record.repo_id, record.hash) in seen:
+            continue
+        repo, commit = item
+        commits = by_repo.get(repo)
+        if commits is None:
+            commits = by_repo[repo] = {}
+        if commit[0] in commits:
             repeated += 1
         else:
-            seen.add((record.repo_id, record.hash))
-            kept.append(record)
+            commits[commit[0]] = commit
+            kept.append(commit)
     if not kept and not repeated:
         raise InputError(f"no parseable commit records (skipped {unparsed} {unit})")
-    return ParseResult(records=kept, skipped=unparsed + repeated)
+    return ParseResult(records=kept, skipped=unparsed + repeated, by_repo=by_repo)
 
 
-def parse_git_log(stream: Iterable[str], seen: set[tuple[str, str]] | None = None) -> ParseResult:
+def parse_git_log(stream: Iterable[str], by_repo: CommitTable | None = None) -> ParseResult:
     """Parse newline-delimited JSON commit objects.
 
     Malformed lines, lines with a field of the wrong type and repeated
     commits are skipped and counted; an input with zero parseable records
-    raises InputError. ``seen`` holds the (repo, hash) pairs of input read
-    before, whose commits count as repeats here; the commits kept join it.
+    raises InputError. ``by_repo`` holds the commits of input read before,
+    which count as repeats here; the commits kept join it.
     """
-    return _accept((_ndjson_record(line) for line in stream if line.strip()), "lines", seen)
+    return _accept((_ndjson_record(line) for line in stream if line.strip()), "lines", by_repo)
 
 
-def parse_raw_git_log(
-    text: str, repo_id: str, seen: set[tuple[str, str]] | None = None
-) -> ParseResult:
+def parse_raw_git_log(text: str, repo_id: str, by_repo: CommitTable | None = None) -> ParseResult:
     """Parse the `git log` export of GIT_LOG_RECIPE; bad chunks and repeated hashes are skipped.
 
-    ``seen`` works as in parse_git_log.
+    ``by_repo`` works as in parse_git_log.
     """
     chunks = (chunk for chunk in text.split("\x1e") if chunk.strip())
-    return _accept((_raw_record(chunk, repo_id) for chunk in chunks), "chunks", seen)
+    return _accept((_raw_record(chunk, repo_id) for chunk in chunks), "chunks", by_repo)
 
 
 def window_by_year(commits: Iterable[CommitRecord]) -> dict[int, list[CommitRecord]]:
@@ -318,16 +338,16 @@ class ProjectDescriptor:
     @classmethod
     def from_commits(
         cls,
-        commits: list[CommitRecord],
+        repo_id: str,
+        commits: Mapping[str, Commit],
         year: int,
         owner: str = "",
         name: str = "",
         is_fork: bool = False,
     ) -> "ProjectDescriptor":
-        """The descriptor of one project's distinct commits for analysis year ``year``."""
+        """The descriptor of project ``repo_id`` for analysis year ``year``, from its commits by hash."""
         if not commits:
             raise InputError("cannot build a project descriptor from zero commits")
-        repo_id = commits[0].repo_id
         if not owner and "/" in repo_id:
             owner, _, name = repo_id.partition("/")
         return cls(
@@ -335,7 +355,7 @@ class ProjectDescriptor:
             owner=owner or repo_id,
             name=name or repo_id,
             is_fork=is_fork,
-            hashes=frozenset(c.hash for c in commits if c.year == year),
+            hashes=frozenset(h for h, commit in commits.items() if commit[2] == year),
             total_commits=len(commits),
         )
 
@@ -411,12 +431,29 @@ def select_projects(projects: list[ProjectDescriptor]) -> SelectionResult:
     return SelectionResult(accepted=accepted, exclusions=exclusions)
 
 
+_FORK_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _is_fork(text: str) -> bool:
+    try:
+        return _FORK_VALUES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"is_fork {text!r} is not one of 1/0/true/false/yes/no") from None
+
+
 def load_project_metadata(path: str | Path) -> dict[str, tuple[str, str, bool]]:
-    """Load the ``repo_id,owner,name,is_fork`` project metadata CSV as repo_id -> the rest."""
-    columns = {
-        "repo_id": str,
-        "owner": str,
-        "name": str,
-        "is_fork": lambda v: v.strip().lower() in ("1", "true", "yes"),
-    }
+    """Load the ``repo_id,owner,name,is_fork`` project metadata CSV as repo_id -> the rest.
+
+    A repeated repo_id or an ``is_fork`` other than 1/0/true/false/yes/no (any
+    case) raises InputError naming the file and line.
+    """
+    seen: set[str] = set()
+
+    def unique(repo_id: str) -> str:
+        if repo_id in seen:
+            raise ValueError(f"repo_id {repo_id!r} is listed twice")
+        seen.add(repo_id)
+        return repo_id
+
+    columns = {"repo_id": unique, "owner": str, "name": str, "is_fork": _is_fork}
     return {row[0]: row[1:] for row in read_csv(path, columns)}

@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ccp_miner import estimator
+from ccp_miner import estimator, ingestion
 from ccp_miner.cli import (
     CONFIG_ENV_VAR,
     EXIT_CONFIG,
@@ -148,6 +149,66 @@ class TestAnalyzeCommand:
         code, _, err = run(capsys, "--enforce-selection", "analyze", LOG)
         assert code == EXIT_CONFIG
         assert "configuration error" in err
+
+    def test_enforce_selection_without_year_is_checked_before_any_input(self, capsys, tmp_path):
+        missing = tmp_path / "missing.ndjson"
+        code, _, err = run(capsys, "--enforce-selection", "analyze", str(missing))
+        assert code == EXIT_CONFIG
+        assert err == "configuration error: --enforce-selection requires --year\n"
+
+    def test_config_file_enforce_selection_without_year_is_checked_before_any_input(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        config = tmp_path / "miner.cfg"
+        config.write_text("enforce_selection=true\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
+        code, _, err = run(capsys, "analyze", str(tmp_path / "missing.ndjson"))
+        assert code == EXIT_CONFIG
+        assert err == "configuration error: --enforce-selection requires --year\n"
+
+    def test_records_are_built_only_for_the_accepted_project(self, capsys, tmp_path, monkeypatch):
+        sizes = {"o/small": 30, "o/big": 210, "p/old": 250}
+        lines = [
+            json.dumps({"repo": repo, "hash": f"{repo}-{i}", "author": "a@x",
+                        "ts": f"{2018 if repo == 'p/old' else 2019}-05-01T00:00:00+00:00",
+                        "msg": "fix crash"})
+            for repo, n in sizes.items()
+            for i in range(n)
+        ]
+        log = tmp_path / "three.ndjson"
+        log.write_text("\n".join(lines) + "\n")
+        built = Counter()
+        record = ingestion.CommitRecord
+
+        def counting(repo_id, *fields):
+            built[repo_id] += 1
+            return record(repo_id, *fields)
+
+        monkeypatch.setattr(ingestion, "CommitRecord", counting)
+        code, out, _ = run(capsys, "--year", "2019", "--enforce-selection", "analyze", str(log))
+        assert code == EXIT_OK
+        assert [p["repo_id"] for p in json.loads(out)["projects"]] == ["o/big"]
+        assert built == {"o/big": 210}
+
+    @pytest.mark.parametrize(
+        "rows,detail",
+        [
+            ("acme/widget,acme,widget,true\nacme/widget,acme,widget,false\n",
+             "line 3: repo_id 'acme/widget' is listed twice"),
+            ("acme/widget,acme,widget,ture\n",
+             "line 2: is_fork 'ture' is not one of 1/0/true/false/yes/no"),
+        ],
+        ids=["repeated-repo-id", "is-fork-typo"],
+    )
+    def test_bad_metadata_row_is_a_named_input_error(self, capsys, tmp_path, rows, detail):
+        projects = tmp_path / "projects.csv"
+        projects.write_text("repo_id,owner,name,is_fork\n" + rows)
+        code, _, err = run(
+            capsys, "--year", "2019", "--enforce-selection", "analyze", LOG,
+            "--projects", str(projects),
+        )
+        assert code == EXIT_INPUT
+        assert err == f"input error: {projects}, {detail}\n"
 
     def test_enforce_selection_excludes_small_project(self, capsys):
         code, out, _ = run(

@@ -1,9 +1,11 @@
 """Ingestion unit tests: parsing, windowing, selection, involvement."""
 
 import csv
+import gc
 import io
 import json
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from ccp_miner.ingestion import (
     ProjectDescriptor,
     _utc_year,
     involved_authors,
+    load_project_metadata,
     parse_git_log,
     parse_raw_git_log,
     read_csv,
@@ -55,12 +58,12 @@ class TestParseGitLog:
         )
         result = parse_git_log(io.StringIO(line))
         assert result.skipped == 0
-        [record] = result.records
-        assert record.hash == "h1"
-        assert record.author_id == "a@b.com"  # emails normalized to lowercase
-        assert record.year == 2019
-        assert record.files == ("x.py",)
-        assert not record.is_merge
+        [(commit_hash, author_id, year, _, files, is_merge)] = result.records
+        assert commit_hash == "h1"
+        assert author_id == "a@b.com"  # emails normalized to lowercase
+        assert year == 2019
+        assert files == ("x.py",)
+        assert not is_merge
 
     def test_malformed_lines_skipped_and_counted(self):
         with open(FIXTURES / "log_malformed.ndjson", encoding="utf-8") as fh:
@@ -72,10 +75,11 @@ class TestParseGitLog:
         with open(FIXTURES / "log_small.ndjson", encoding="utf-8") as fh:
             first = parse_git_log(fh)
         lines = [
-            json.dumps({"repo": r.repo_id, "hash": r.hash, "author": r.author_id,
-                        "ts": f"{r.year}-07-01T00:00:00+00:00", "msg": r.message,
-                        "files": list(r.files), "merge": r.is_merge})
-            for r in first.records
+            json.dumps({"repo": repo, "hash": commit_hash, "author": author_id,
+                        "ts": f"{year}-07-01T00:00:00+00:00", "msg": message,
+                        "files": list(files), "merge": is_merge})
+            for repo, commits in first.by_repo.items()
+            for commit_hash, author_id, year, message, files, is_merge in commits.values()
         ]
         second = parse_git_log(io.StringIO("\n".join(lines)))
         assert second.records == first.records
@@ -96,31 +100,34 @@ class TestParseGitLog:
                         "ts": "2019-01-02T03:04:05+00:00", "msg": "m"})
             for h in ("h1", "h2", "h3")
         ]
-        seen = set()
-        first = parse_git_log(lines[:2], seen=seen)
-        second = parse_git_log(lines[1:], seen=seen)
-        again = parse_git_log(lines[:2], seen=seen)  # only repeats: not an error
-        assert ([r.hash for r in first.records], first.skipped) == (["h1", "h2"], 0)
-        assert ([r.hash for r in second.records], second.skipped) == (["h3"], 1)
+        by_repo = {}
+        first = parse_git_log(lines[:2], by_repo=by_repo)
+        second = parse_git_log(lines[1:], by_repo=by_repo)
+        again = parse_git_log(lines[:2], by_repo=by_repo)  # only repeats: not an error
+        assert ([r[0] for r in first.records], first.skipped) == (["h1", "h2"], 0)
+        assert ([r[0] for r in second.records], second.skipped) == (["h3"], 1)
         assert (again.records, again.skipped) == ([], 2)
-        assert seen == {("r", "h1"), ("r", "h2"), ("r", "h3")}
+        assert {repo: list(commits) for repo, commits in by_repo.items()} == {
+            "r": ["h1", "h2", "h3"]
+        }
 
     def test_line_ends_in_a_message_read_as_lf_as_in_a_raw_log(self):
         line = json.dumps({"repo": "r", "hash": "h1", "author": "a@b.com",
                            "ts": "2019-01-02T03:04:05+00:00", "msg": "fix\r\nbody\rend"})
         raw = "\x1eh1\x1fa@b.com\x1f2019-01-02T03:04:05+00:00\x1fp\x1ffix\r\nbody\rend\x1f\n"
-        [record] = parse_git_log(io.StringIO(line)).records
-        assert record.message == "fix\nbody\nend"
+        [(_, _, _, message, _, _)] = parse_git_log(io.StringIO(line)).records
+        assert message == "fix\nbody\nend"
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "r.gitlog"
             path.write_bytes(raw.encode())
-            [raw_record] = parse_raw_git_log(read_text(path), repo_id="r").records
-        assert raw_record.message == record.message
+            [(_, _, _, raw_message, _, _)] = parse_raw_git_log(read_text(path), repo_id="r").records
+        assert raw_message == message
 
     @pytest.mark.parametrize(
         "field,value",
         [("repo", None), ("hash", 123), ("author", ["ann@x"]), ("msg", {"text": "fix"}),
          ("files", "abc"), ("files", {"x": 1}), ("files", ["a.c", 2]),
+         ("files", 0), ("files", ""), ("files", False), ("files", {}),
          ("merge", "false"), ("merge", 0), ("merge", None)],
     )
     def test_field_of_the_wrong_type_is_skipped(self, field, value):
@@ -128,8 +135,37 @@ class TestParseGitLog:
                 "ts": "2019-01-02T03:04:05+00:00", "msg": "m", "files": ["a.c"], "merge": False}
         bad = {**good, "hash": "h2", field: value}
         result = parse_git_log(io.StringIO(json.dumps(good) + "\n" + json.dumps(bad)))
-        assert [r.hash for r in result.records] == ["h1"]
+        assert [r[0] for r in result.records] == ["h1"]
         assert result.skipped == 1
+
+
+class TestParsedCommits:
+    def test_kept_commits_are_not_tracked_by_the_gc(self):
+        with open(FIXTURES / "log_small.ndjson", encoding="utf-8") as fh:
+            ndjson = parse_git_log(fh)
+        raw = parse_raw_git_log(
+            "\x1eabc\x1fann@x\x1f2019-05-01T10:00:00+00:00\x1fp1\x1ffix crash\x1f\nsrc/a.c\n"
+            "\x1edef\x1fbob@x\x1f2019-05-02T10:00:00+00:00\x1fp1 p2\x1fmerge\x1f\n",
+            repo_id="r",
+        )
+        commits = [*ndjson.records, *raw.records]
+        assert any(files for _, _, _, _, files, _ in commits)
+        # A collection may look at a commit before its tuple of files, which it
+        # then untracks; the next collection untracks the commit.
+        gc.collect()
+        gc.collect()
+        assert [c for c in commits if gc.is_tracked(c)] == []
+
+
+class TestLoadProjectMetadata:
+    def test_is_fork_values_in_any_case(self, tmp_path):
+        path = tmp_path / "projects.csv"
+        values = [" YES", "No ", "1", "0", "True", "false"]
+        rows = "".join(f"o/p{i},o,p{i},{v}\n" for i, v in enumerate(values))
+        path.write_text("repo_id,owner,name,is_fork\n" + rows)
+        assert [fork for _, _, fork in load_project_metadata(path).values()] == [
+            True, False, True, False, True, False
+        ]
 
 
 class TestReadLines:
@@ -240,11 +276,11 @@ class TestParseRawGitLog:
         )
         result = parse_raw_git_log(text, repo_id="acme/widget")
         assert len(result.records) == 2
-        first, second = result.records
-        assert first.author_id == "ann@example.com"
-        assert first.files == ("src/a.c", "src/b.c")
-        assert not first.is_merge
-        assert second.is_merge
+        (_, author_id, _, _, files, first_is_merge), (*_, second_is_merge) = result.records
+        assert author_id == "ann@example.com"
+        assert files == ("src/a.c", "src/b.c")
+        assert not first_is_merge
+        assert second_is_merge
 
     def test_no_records_is_an_error(self):
         with pytest.raises(InputError):
@@ -252,8 +288,8 @@ class TestParseRawGitLog:
 
     def test_timestamp_without_offset_is_utc(self):
         text = "\x1eabc\x1fann@x\x1f2019-12-31T23:30:00\x1fp\x1ffix crash\x1f\n"
-        [record] = parse_raw_git_log(text, repo_id="r").records
-        assert record.year == 2019
+        [(_, _, year, _, _, _)] = parse_raw_git_log(text, repo_id="r").records
+        assert year == 2019
 
 
 class TestWindowByYear:
@@ -383,9 +419,12 @@ class TestProjectDescriptor:
             make_commit(hash="h2", ts="2019-06-01T00:00:00+00:00"),
             make_commit(hash="h3", ts="2019-07-01T00:00:00+00:00"),
         ]
-        project = ProjectDescriptor.from_commits(commits, 2019)
+        by_hash = {c.hash: astuple(c)[1:] for c in commits}
+        project = ProjectDescriptor.from_commits("acme/widget", by_hash, 2019)
         assert project.owner == "acme"
         assert project.name == "widget"
         assert project.hashes == frozenset({"h2", "h3"})
-        assert ProjectDescriptor.from_commits(commits, 2018).hashes == frozenset({"h1"})
+        assert ProjectDescriptor.from_commits("acme/widget", by_hash, 2018).hashes == frozenset(
+            {"h1"}
+        )
         assert project.total_commits == 3

@@ -331,4 +331,5 @@ class TestTimeZoneRelation:
             expected = ts.replace(tzinfo=ts.tzinfo or timezone.utc).astimezone(timezone.utc).year
         except OverflowError:  # the UTC instant is outside years 1-9999: skipped as bad
             expected = None
-        assert [r.year if r else None for r in (ndjson, raw)] == [expected, expected]
+        # Each is (repo, (hash, author, year, ...)), or None when skipped.
+        assert [r[1][2] if r else None for r in (ndjson, raw)] == [expected, expected]

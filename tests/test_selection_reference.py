@@ -9,7 +9,7 @@ up as different ``accepted`` ids or ``exclusions``.
 
 from collections import Counter, defaultdict
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,7 +203,12 @@ class TestAgainstReference:
             [ReferenceProjectDescriptor.from_commits(c, *meta) for c, meta in corpus], year
         )
         selection = select_projects(
-            [ProjectDescriptor.from_commits(c, year, *meta) for c, meta in corpus]
+            [
+                ProjectDescriptor.from_commits(
+                    c[0].repo_id, {r.hash: astuple(r)[1:] for r in c}, year, *meta
+                )
+                for c, meta in corpus
+            ]
         )
         assert [p.repo_id for p in selection.accepted] == [p.repo_id for p in reference.accepted]
         assert selection.exclusions == reference.exclusions
