@@ -58,21 +58,29 @@ def _leading_literal(pattern: str) -> str:
 
 
 def _compile_patterns(
-    patterns: Iterable[str], list_name: str
-) -> tuple[tuple[str, re.Pattern], ...]:
-    compiled = []
-    for pat in patterns:
-        if _BACKREF_RE.search(pat):
-            raise ModelLoadError(
-                f"pattern {pat!r} in [{list_name}] uses a backreference, "
-                "which is outside the supported dialect"
-            )
-        try:
-            regex = re.compile(pat, re.IGNORECASE)
-        except re.error as exc:
-            raise ModelLoadError(f"pattern {pat!r} in [{list_name}] does not compile: {exc}") from exc
-        compiled.append((_leading_literal(pat), regex))
-    return tuple(compiled)
+    lists: Iterable[tuple[str, Iterable[str]]],
+) -> tuple[tuple[str, tuple[tuple[int, re.Pattern], ...]], ...]:
+    """Group the compiled patterns of ``lists`` by leading literal.
+
+    Each entry is (literal, ((list slot, pattern), ...)), literals in order
+    of first appearance; the slot is the position of the pattern's list.
+    """
+    groups: dict[str, list[tuple[int, re.Pattern]]] = {}
+    for slot, (list_name, patterns) in enumerate(lists):
+        for pat in patterns:
+            if _BACKREF_RE.search(pat):
+                raise ModelLoadError(
+                    f"pattern {pat!r} in [{list_name}] uses a backreference, "
+                    "which is outside the supported dialect"
+                )
+            try:
+                regex = re.compile(pat, re.IGNORECASE)
+            except re.error as exc:
+                raise ModelLoadError(
+                    f"pattern {pat!r} in [{list_name}] does not compile: {exc}"
+                ) from exc
+            groups.setdefault(_leading_literal(pat), []).append((slot, regex))
+    return tuple((literal, tuple(group)) for literal, group in groups.items())
 
 
 @dataclass(frozen=True)
@@ -83,17 +91,23 @@ class TermModel:
     fix_patterns: tuple[str, ...]
     other_fix_patterns: tuple[str, ...]
     negation_patterns: tuple[str, ...]
-    # (leading literal, compiled pattern) per pattern; see classify_message.
-    _fix: tuple[tuple[str, re.Pattern], ...] = field(init=False, repr=False, compare=False)
-    _other: tuple[tuple[str, re.Pattern], ...] = field(init=False, repr=False, compare=False)
-    _negation: tuple[tuple[str, re.Pattern], ...] = field(init=False, repr=False, compare=False)
+    # (leading literal, ((list slot, compiled pattern), ...)) per distinct
+    # literal, slots 0/1/2 for fix/other_fix/negation; see classify_message.
+    _table: tuple[tuple[str, tuple[tuple[int, re.Pattern], ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.model_id:
             raise ModelLoadError("term model requires a non-empty model_id")
-        object.__setattr__(self, "_fix", _compile_patterns(self.fix_patterns, "fix"))
-        object.__setattr__(self, "_other", _compile_patterns(self.other_fix_patterns, "other_fix"))
-        object.__setattr__(self, "_negation", _compile_patterns(self.negation_patterns, "negation"))
+        table = _compile_patterns(
+            (
+                ("fix", self.fix_patterns),
+                ("other_fix", self.other_fix_patterns),
+                ("negation", self.negation_patterns),
+            )
+        )
+        object.__setattr__(self, "_table", table)
 
 
 @dataclass(frozen=True)
@@ -302,20 +316,35 @@ def classify_message(message: str, model: TermModel) -> ClassifierVerdict:
 
     Counts distinct pattern matches per list (each pattern at most once) and
     derives score and the corrective decision. Pure and total over unicode
-    text; an empty message yields zero counts. A pattern is searched only
-    when its leading literal occurs in the folded message, which every
-    match implies, so the counts are those of searching every pattern.
+    text; an empty message yields zero counts.
+
+    Every match of a pattern starts with its leading literal, and every code
+    point folds to exactly one character, so a match can start only at an
+    index where the literal occurs in the folded message. The pattern is
+    matched at those indices alone; ``match`` at an index still reads the
+    text before it for ``\\b``, ``^`` and lookbehinds. The counts are those
+    of searching every pattern. A pattern with no leading literal is searched.
     """
     folded = message.lower() if message.isascii() else message.translate(_FOLD).lower()
-
-    def hits(patterns: tuple[tuple[str, re.Pattern], ...]) -> int:
-        return sum(1 for literal, p in patterns if literal in folded and p.search(message))
-
-    return ClassifierVerdict(
-        fix_hits=hits(model._fix),
-        other_fix_hits=hits(model._other),
-        negation_hits=hits(model._negation),
-    )
+    counts = [0, 0, 0]
+    for literal, patterns in model._table:
+        # `in` first: most literals are absent, and it is cheaper than find.
+        if literal not in folded:
+            continue
+        if not literal:
+            for slot, pattern in patterns:
+                if pattern.search(message):
+                    counts[slot] += 1
+            continue
+        first = folded.find(literal)
+        for slot, pattern in patterns:
+            i = first
+            while i >= 0:
+                if pattern.match(message, i):
+                    counts[slot] += 1
+                    break
+                i = folded.find(literal, i + 1)
+    return ClassifierVerdict(*counts)
 
 
 _TOKEN_RE = re.compile(r"[a-z']+")

@@ -177,12 +177,15 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
 def _project_year_stats(
     repo_id: str,
     year: int,
-    commits: list[ingestion.CommitRecord],
     by_year: dict[int, list[ingestion.CommitRecord]],
+    authors_by_year: dict[int, set[str]],
+    prior_authors: set[str],
     config: RunConfig,
     language: str | None,
     avg_kb: float | None,
 ) -> analytics.ProjectYearStats:
+    """Stats of one project-year; ``prior_authors`` holds every author up to ``year``."""
+    commits = by_year[year]
     verdicts = [classifier.classify_message(c.message, config.term_model) for c in commits]
     k = sum(1 for v in verdicts if v.corrective)
     ccp = estimator.estimate_ccp(k=k, n=len(commits), perf=config.performance)
@@ -192,11 +195,8 @@ def _project_year_stats(
     retention = onboarding = None
     next_commits = by_year.get(year + 1)
     if next_commits is not None:
-        next_authors = {c.author_id for c in next_commits}
+        next_authors = authors_by_year[year + 1]
         retention = analytics.retention(involved, next_authors)
-        prior_authors = {
-            c.author_id for y, cs in by_year.items() if y <= year for c in cs
-        }
         next_involved = ingestion.involved_authors(next_commits)
         onboarding = analytics.onboarding(prior_authors, next_authors, next_involved)
 
@@ -255,17 +255,20 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
             ingestion.CommitRecord(repo_id, *commit)
             for commit in parsed.by_repo[repo_id].values()
         )
-        years = [config.year] if config.year is not None else sorted(by_year)
-        for year in years:
-            commits = by_year.get(year)
-            if not commits:
+        authors_by_year = {y: {c.author_id for c in cs} for y, cs in by_year.items()}
+        prior_authors: set[str] = set()
+        for year in sorted(by_year):
+            prior_authors |= authors_by_year[year]
+            if config.year not in (None, year):
                 continue
-            stat = _project_year_stats(repo_id, year, commits, by_year, config, language, avg_kb)
+            stat = _project_year_stats(
+                repo_id, year, by_year, authors_by_year, prior_authors, config, language, avg_kb
+            )
             entry = stat.as_dict()
             if stat.ccp.valid:
                 entry["band"] = estimator.rank_on_scale(stat.ccp.ccp_raw, config.table).as_dict()
             else:
-                messages = [c.message for c in commits]
+                messages = [c.message for c in by_year[year]]
                 median, p90 = classifier.terse_message_profile(messages)
                 entry["diagnostics"] = {
                     "english_hit_rate": classifier.english_hit_rate(

@@ -1,6 +1,10 @@
 """Analytics unit tests: capping, coupling, speed, retention, the stats bundle."""
 
+from statistics import fmean
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccp_miner.analytics import (
     ProjectYearStats,
@@ -112,6 +116,32 @@ class TestCouplingByFile:
     def test_none_when_no_usable_commits(self, term_model):
         commits = [make_commit(hash="h1", msg=MISS_OTHER, files=())]
         assert coupling_by_file(commits, verdicts_for(commits, term_model)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.sampled_from("abcdefghij"), max_size=7, unique=True),
+            ),
+            max_size=60,
+        )
+    )
+    def test_equals_the_mean_of_per_file_fmeans(self, specs, term_model):
+        commits = [
+            make_commit(hash=f"h{i}", msg=HIT_CORRECTIVE if fix else MISS_OTHER, files=files)
+            for i, (fix, files) in enumerate(specs)
+        ]
+        kept = [c for (fix, _), c in zip(specs, commits) if not fix and c.files]
+        sizes_by_file = {}
+        if kept:
+            for commit, size in zip(kept, winsorize([float(len(c.files)) for c in kept])):
+                for path in commit.files:
+                    sizes_by_file.setdefault(path, []).append(size)
+        expected = (
+            fmean(fmean(sizes) for sizes in sizes_by_file.values()) if sizes_by_file else None
+        )
+        assert coupling_by_file(commits, verdicts_for(commits, term_model)) == expected
 
 
 class TestFileLengthStats:

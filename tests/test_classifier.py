@@ -11,6 +11,7 @@ from ccp_miner.classifier import (
     ConfusionMatrix,
     EnglishModel,
     LabeledCommit,
+    TermModel,
     UndefinedRateError,
     classify_message,
     english_hit_rate,
@@ -149,6 +150,74 @@ class TestLeadingLiteralPrefilter:
         verdict = classify_message(message, term_model)
         assert (verdict.fix_hits, verdict.other_fix_hits, verdict.negation_hits) == (
             _reference_counts(message, term_model)
+        )
+
+
+# Patterns whose matches are judged by the text before their start: anchors,
+# \B and lookbehinds; one with no leading literal; "fix" leads patterns of
+# two lists.
+ANCHORED_MODEL = TermModel(
+    model_id="anchored",
+    fix_patterns=(
+        r"^fix\b",
+        r"(?m)^bug",
+        r"\Bfix",
+        r"fix(?<!prefix)\b",
+        r"leak(?<!kleak)",
+        r"\bstop\b",
+        r"(bug|defect)s?\b",
+    ),
+    other_fix_patterns=(r"\bfix(es)? typos?\b", r"\bmiss(ed)?\b"),
+    negation_patterns=(r"\bnot a bug\b", r"\bisn'?t\b"),
+)
+# Literals inside words, then at word boundaries, and repeated.
+ANCHORED_WORDS = (
+    "fix", "prefix", "suffix", "fixes typo", "bug", "debug", "not a bug", "isn't", "isnt",
+    "leak", "kleak", "stop", "miss", "missed", "defects", "typos", "re",
+)
+
+_anchored_messages = st.lists(
+    st.one_of(
+        st.sampled_from(ANCHORED_WORDS).flatmap(_any_case),
+        st.sampled_from(" \n-'İıſK"),
+    ),
+    max_size=16,
+).map("".join)
+
+
+class TestAnchoredMatch:
+    def test_every_code_point_folds_to_one_character(self):
+        assert [
+            hex(code)
+            for code in range(0x110000)
+            if len(chr(code).translate(classifier._FOLD).lower()) != 1
+        ] == []
+        # Context-dependent rules (final sigma) keep the length too.
+        every_code_point = "".join(map(chr, range(0x110000)))
+        assert len(every_code_point.translate(classifier._FOLD).lower()) == 0x110000
+
+    def test_literal_shared_by_two_lists_is_one_table_entry(self):
+        literals = [literal for literal, _ in ANCHORED_MODEL._table]
+        assert len(literals) == len(set(literals))
+        [fix_group] = [group for literal, group in ANCHORED_MODEL._table if literal == "fix"]
+        assert sorted(slot for slot, _ in fix_group) == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize(
+        "message",
+        ["prefix fix", "prefix\nbug", "fix\nprefix", "preFIX typo, fix typo", "kleak lea\u212a"],
+    )
+    def test_later_occurrence_matches(self, message):
+        verdict = classify_message(message, ANCHORED_MODEL)
+        assert (verdict.fix_hits, verdict.other_fix_hits, verdict.negation_hits) == (
+            _reference_counts(message, ANCHORED_MODEL)
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(message=_anchored_messages)
+    def test_equals_searching_every_pattern(self, message):
+        verdict = classify_message(message, ANCHORED_MODEL)
+        assert (verdict.fix_hits, verdict.other_fix_hits, verdict.negation_hits) == (
+            _reference_counts(message, ANCHORED_MODEL)
         )
 
 

@@ -190,6 +190,39 @@ class TestAnalyzeCommand:
         assert [p["repo_id"] for p in json.loads(out)["projects"]] == ["o/big"]
         assert built == {"o/big": 210}
 
+    def test_onboarding_counts_authors_of_every_earlier_year(self, capsys, tmp_path):
+        # author -> commits per year; 12 non-merge commits make an author
+        # involved. The 2016 authors a6..a11 return in 2018 and are not new
+        # there, so 2017 onboards m0..m4 of ten new authors.
+        def authors(prefix, count, involved=0, start=0):
+            return {f"{prefix}{i}": 12 if i < involved else 1 for i in range(start, count)}
+
+        commits = {
+            2016: authors("a", 12),
+            2017: authors("a", 6) | authors("n", 12, involved=3),
+            2018: authors("a", 12, start=6) | authors("m", 10, involved=5),
+            2019: {"m0": 1} | authors("p", 11, involved=1),
+        }
+        lines = [
+            json.dumps({"repo": "o/r", "hash": f"{year}-{author}-{j}", "author": author,
+                        "ts": f"{year}-05-01T00:00:00+00:00", "msg": "update docs"})
+            for year, per_author in commits.items()
+            for author, n in per_author.items()
+            for j in range(n)
+        ]
+        log = tmp_path / "years.ndjson"
+        log.write_text("\n".join(lines) + "\n")
+        expected = {2016: 3 / 12, 2017: 5 / 10, 2018: 1 / 11, 2019: None}
+
+        code, out, _ = run(capsys, "analyze", str(log))
+        assert code == EXIT_OK
+        assert {p["year"]: p["onboarding"] for p in json.loads(out)["projects"]} == expected
+        for year, onboarding in expected.items():
+            code, out, _ = run(capsys, "--year", str(year), "analyze", str(log))
+            assert code == EXIT_OK
+            [project] = json.loads(out)["projects"]
+            assert (project["year"], project["onboarding"]) == (year, onboarding)
+
     @pytest.mark.parametrize(
         "rows,detail",
         [
