@@ -1,9 +1,10 @@
 """Per-project-per-year metrics: coupling, speed, retention, onboarding.
 
 The caller classifies the commits and estimates the CCP; this module takes
-the verdicts and the estimate as given. All distributions are capped
-(one-sided winsorizing at a corpus quantile) before averaging, so a handful
-of outliers cannot dominate a project mean.
+a corrective flag per commit, the involved authors' commit counts and the
+estimate as given. All distributions are capped (one-sided winsorizing at a
+corpus quantile) before averaging, so a handful of outliers cannot dominate
+a project mean.
 Improvement-direction conventions: lower CCP is better, higher speed,
 retention and onboarding are better.
 """
@@ -12,10 +13,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, fields
 from statistics import fmean
 
-from .classifier import ClassifierVerdict
 from .errors import InputError
 from .estimator import CcpEstimate
 from .ingestion import CommitRecord
@@ -54,38 +55,35 @@ def winsorize(values: list[float], quantile: float = CAP_QUANTILE) -> list[float
     return [min(v, threshold) for v in values]
 
 
-def _capped_sizes(
-    commits: list[CommitRecord], verdicts: list[ClassifierVerdict]
-) -> list[tuple[CommitRecord, float]]:
-    """Non-corrective commits that carry files, each with its capped file count."""
-    if len(commits) != len(verdicts):
-        raise ValueError("commits and verdicts must be aligned")
-    kept = [c for c, v in zip(commits, verdicts) if not v.corrective and c.files]
+def capped_sizes(
+    commits: list[CommitRecord], corrective: list[bool]
+) -> list[tuple[tuple[str, ...], float]]:
+    """The files of each non-corrective commit that has some, with its file count capped.
+
+    ``corrective`` flags the commits in order. Corrective commits are left
+    out because bug fixes touch systematically fewer files and would
+    distort the comparison. Both coupling measures read this list.
+    """
+    if len(commits) != len(corrective):
+        raise ValueError("commits and corrective flags must be aligned")
+    kept = [c.files for c, fix in zip(commits, corrective) if not fix and c.files]
     if not kept:
         return []
-    return list(zip(kept, winsorize([float(len(c.files)) for c in kept])))
+    return list(zip(kept, winsorize([float(len(files)) for files in kept])))
 
 
-def coupling(commits: list[CommitRecord], verdicts: list[ClassifierVerdict]) -> float | None:
-    """Mean files per non-corrective commit, winsorized at CAP_QUANTILE.
-
-    Corrective commits are excluded because bug fixes touch systematically
-    fewer files and would distort the comparison. None when no
-    non-corrective commit carries files.
-    """
-    capped = _capped_sizes(commits, verdicts)
+def coupling(capped: list[tuple[tuple[str, ...], float]]) -> float | None:
+    """Mean capped files per commit of ``capped_sizes``; None when it is empty."""
     if not capped:
         return None
     return fmean(size for _, size in capped)
 
 
-def coupling_by_file(
-    commits: list[CommitRecord], verdicts: list[ClassifierVerdict]
-) -> float | None:
-    """Per-file variant: mean over files of the mean size of their commits."""
+def coupling_by_file(capped: list[tuple[tuple[str, ...], float]]) -> float | None:
+    """Per-file variant: mean over files of the mean capped size of their commits."""
     sizes_by_file: dict[str, list[float]] = {}
-    for commit, size in _capped_sizes(commits, verdicts):
-        for path in commit.files:
+    for files, size in capped:
+        for path in files:
             sizes_by_file.setdefault(path, []).append(size)
     if not sizes_by_file:
         return None
@@ -100,18 +98,18 @@ def file_length_stats(head_listing: list[tuple[str, int]]) -> float:
     return fmean(winsorize([float(size) for _, size in head_listing])) / 1024.0
 
 
-def developer_speed(commits: list[CommitRecord], involved: set[str]) -> float | None:
-    """Mean non-merge commits per involved author, capped at SPEED_CAP; None when none involved."""
+def developer_speed(involved: Mapping[str, int]) -> float | None:
+    """Mean non-merge commits per involved author, capped at SPEED_CAP; None when none involved.
+
+    ``involved`` maps each involved author to their non-merge commits in the
+    year, as ``ingestion.involved_authors`` gives it.
+    """
     if not involved:
         return None
-    counts = Counter(c.author_id for c in commits if not c.is_merge)
-    missing = involved - set(counts)
-    if missing:
-        raise ValueError(f"involved authors absent from commits: {sorted(missing)[:3]}")
-    return fmean(min(counts[a], SPEED_CAP) for a in involved)
+    return fmean(min(n, SPEED_CAP) for n in involved.values())
 
 
-def retention(year_t_involved: set[str], year_t1_authors: set[str]) -> float | None:
+def retention(year_t_involved: Set[str], year_t1_authors: set[str]) -> float | None:
     """Fraction of involved developers active again the next year."""
     if not year_t_involved:
         return None
@@ -121,7 +119,7 @@ def retention(year_t_involved: set[str], year_t1_authors: set[str]) -> float | N
 def onboarding(
     prior_authors: set[str],
     year_t1_authors: set[str],
-    year_t1_involved: set[str],
+    year_t1_involved: Set[str],
 ) -> float | None:
     """Fraction of newly arrived developers that become involved.
 

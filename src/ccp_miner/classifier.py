@@ -285,18 +285,22 @@ def load_labeled_corpus(path: str | Path) -> list[LabeledCommit]:
     """Load a labeled corpus: tab-separated ``label<TAB>message`` lines.
 
     ``label`` is 0 or 1; an optional third column holds comma-separated
-    annotator votes (e.g. ``1,0,1``).
+    annotator votes (e.g. ``1,0,1``), each 0 or 1. A line with more columns
+    or another label or vote raises InputError naming the file and line.
     """
     corpus = []
     for lineno, raw in enumerate(read_text(path, InputError).splitlines(), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
-        if len(parts) < 2 or parts[0] not in ("0", "1"):
+        votes = parts[2].strip().split(",") if len(parts) == 3 and parts[2].strip() else []
+        if (
+            len(parts) not in (2, 3)
+            or parts[0] not in ("0", "1")
+            or any(v not in ("0", "1") for v in votes)
+        ):
             raise InputError(f"{path}, line {lineno}: malformed corpus line {raw!r}")
-        votes = None
-        if len(parts) >= 3 and parts[2].strip():
-            votes = tuple(v == "1" for v in parts[2].strip().split(","))
+        votes = tuple(v == "1" for v in votes) or None
         try:
             corpus.append(
                 LabeledCommit(message=parts[1], label=parts[0] == "1", annotator_labels=votes)

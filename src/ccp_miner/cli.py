@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import __version__
@@ -88,10 +90,7 @@ class RunConfig:
         self.year = pick("year", int)
         self.seed = pick("seed", _seed, 0)
         self.output_format = pick("format", default="json")
-        self.enforce_selection = bool(
-            getattr(args, "enforce_selection", False)
-            or env.get("enforce_selection", "").lower() in ("1", "true")
-        )
+        self.enforce_selection = pick("enforce_selection", ingestion.read_flag, False)
 
         fingerprint = {
             "tool_version": __version__,
@@ -125,25 +124,27 @@ class RunConfig:
         }
 
 
-def _read_commits(args: argparse.Namespace) -> ingestion.ParseResult:
-    """Parse every input file; a commit read from an earlier file is a repeat, as within one."""
-    merged = ingestion.ParseResult(records=[], skipped=0, by_repo={})
+def _read_commits(
+    args: argparse.Namespace, by_repo: ingestion.CommitTable
+) -> Iterator[ingestion.ParseResult]:
+    """Parse each input file into ``by_repo`` and yield its result, one file at a time.
+
+    A commit read from an earlier file is a repeat, as within one.
+    """
     for path in args.input:
         try:
             if getattr(args, "input_format", "ndjson") == "git":
                 text = ingestion.read_text(path, InputError)
                 repo = getattr(args, "repo", None) or Path(path).stem
-                result = ingestion.parse_raw_git_log(text, repo_id=repo, by_repo=merged.by_repo)
+                result = ingestion.parse_raw_git_log(text, repo_id=repo, by_repo=by_repo)
             else:
                 lines = ingestion.read_lines(path, InputError)
-                result = ingestion.parse_git_log(lines, by_repo=merged.by_repo)
+                result = ingestion.parse_git_log(lines, by_repo=by_repo)
         except InputError as exc:
             if isinstance(exc.__cause__, (OSError, UnicodeDecodeError)):
                 raise  # the reader's error, which names the file already
             raise InputError(f"{path}: {exc}") from exc
-        merged.records.extend(result.records)
-        merged.skipped += result.skipped
-    return merged
+        yield result
 
 
 def _emit(report: dict, config: RunConfig) -> None:
@@ -159,8 +160,9 @@ def _emit(report: dict, config: RunConfig) -> None:
 # Subcommands
 
 def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
-    parsed = _read_commits(args)
-    for commit_hash, _, _, message, _, _ in parsed.records:
+    # Every file is parsed before the first line is printed.
+    records = [commit for parsed in _read_commits(args, {}) for commit in parsed.records]
+    for commit_hash, _, _, message, _, _ in records:
         verdict = classifier.classify_message(message, config.term_model)
         line = {
             "hash": commit_hash,
@@ -179,6 +181,7 @@ def _project_year_stats(
     year: int,
     by_year: dict[int, list[ingestion.CommitRecord]],
     authors_by_year: dict[int, set[str]],
+    involved_by_year: dict[int, dict[str, int]],
     prior_authors: set[str],
     config: RunConfig,
     language: str | None,
@@ -186,18 +189,19 @@ def _project_year_stats(
 ) -> analytics.ProjectYearStats:
     """Stats of one project-year; ``prior_authors`` holds every author up to ``year``."""
     commits = by_year[year]
-    verdicts = [classifier.classify_message(c.message, config.term_model) for c in commits]
-    k = sum(1 for v in verdicts if v.corrective)
+    corrective = [
+        classifier.classify_message(c.message, config.term_model).corrective for c in commits
+    ]
+    k = sum(corrective)
     ccp = estimator.estimate_ccp(k=k, n=len(commits), perf=config.performance)
-    involved = ingestion.involved_authors(commits)
-    speed = analytics.developer_speed(commits, involved)
+    involved = involved_by_year[year]
+    capped = analytics.capped_sizes(commits, corrective)
 
     retention = onboarding = None
-    next_commits = by_year.get(year + 1)
-    if next_commits is not None:
+    if year + 1 in by_year:
         next_authors = authors_by_year[year + 1]
-        retention = analytics.retention(involved, next_authors)
-        next_involved = ingestion.involved_authors(next_commits)
+        retention = analytics.retention(involved.keys(), next_authors)
+        next_involved = involved_by_year[year + 1].keys()
         onboarding = analytics.onboarding(prior_authors, next_authors, next_involved)
 
     return analytics.ProjectYearStats(
@@ -206,9 +210,9 @@ def _project_year_stats(
         n_commits=len(commits),
         k_hits=k,
         ccp=ccp,
-        coupling=analytics.coupling(commits, verdicts),
-        coupling_by_file=analytics.coupling_by_file(commits, verdicts),
-        speed=speed,
+        coupling=analytics.coupling(capped),
+        coupling_by_file=analytics.coupling_by_file(capped),
+        speed=analytics.developer_speed(involved),
         retention=retention,
         onboarding=onboarding,
         dominant_language=language,
@@ -219,7 +223,8 @@ def _project_year_stats(
 def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     if config.enforce_selection and config.year is None:
         raise ConfigError("--enforce-selection requires --year")
-    parsed = _read_commits(args)
+    by_repo: ingestion.CommitTable = {}
+    skipped = sum(parsed.skipped for parsed in _read_commits(args, by_repo))
 
     language = avg_kb = None
     if args.head_listing:
@@ -231,7 +236,7 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
             avg_kb = analytics.file_length_stats(head_listing)
 
     # Without selection every project counts as accepted.
-    accepted = list(parsed.by_repo)
+    accepted = list(by_repo)
     exclusions: list[dict] = []
     if config.enforce_selection:
         metadata = (
@@ -241,7 +246,7 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
             ingestion.ProjectDescriptor.from_commits(
                 repo_id, commits, config.year, *metadata.get(repo_id, ())
             )
-            for repo_id, commits in parsed.by_repo.items()
+            for repo_id, commits in by_repo.items()
         ]
         selection = ingestion.select_projects(descriptors)
         accepted = [p.repo_id for p in selection.accepted]
@@ -253,16 +258,23 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
         # Full records only for the projects analysed.
         by_year = ingestion.window_by_year(
             ingestion.CommitRecord(repo_id, *commit)
-            for commit in parsed.by_repo[repo_id].values()
+            for commit in by_repo[repo_id].values()
         )
         authors_by_year = {y: {c.author_id for c in cs} for y, cs in by_year.items()}
+        # Only the years analysed and the years after them need their involved authors.
+        involved_by_year = {
+            y: ingestion.involved_authors(cs)
+            for y, cs in by_year.items()
+            if config.year in (None, y, y - 1)
+        }
         prior_authors: set[str] = set()
         for year in sorted(by_year):
             prior_authors |= authors_by_year[year]
             if config.year not in (None, year):
                 continue
             stat = _project_year_stats(
-                repo_id, year, by_year, authors_by_year, prior_authors, config, language, avg_kb
+                repo_id, year, by_year, authors_by_year, involved_by_year, prior_authors,
+                config, language, avg_kb,
             )
             entry = stat.as_dict()
             if stat.ccp.valid:
@@ -284,7 +296,7 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     report = {
         "meta": config.meta(),
         "report_type": "analyze",
-        "skipped_lines": parsed.skipped,
+        "skipped_lines": skipped,
         "exclusions": exclusions,
         "projects": reports,
         "rows": rows,
@@ -311,14 +323,15 @@ def _bootstrap(
     args: argparse.Namespace, config: RunConfig, corpus: list[classifier.LabeledCommit]
 ) -> dict:
     """The bootstrap difference report of ``validate-model`` and ``bootstrap``."""
-    return estimator.bootstrap_difference_distribution(
+    report = estimator.bootstrap_difference_distribution(
         corpus,
         config.term_model,
         perf=None if args.perf_source == "corpus" else config.performance,
         iterations=args.iterations,
         coverage=args.coverage,
         seed=config.seed,
-    ).as_dict()
+    )
+    return dataclasses.asdict(report)
 
 
 def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
@@ -368,7 +381,7 @@ def cmd_cochange(args: argparse.Namespace, config: RunConfig) -> int:
         comparator=args.comparator,
     )
     _emit(
-        {"meta": config.meta(), "report_type": "cochange", "cochange": report.as_dict()},
+        {"meta": config.meta(), "report_type": "cochange", "cochange": dataclasses.asdict(report)},
         config,
     )
     return EXIT_OK
@@ -383,7 +396,9 @@ def cmd_twin(args: argparse.Namespace, config: RunConfig) -> int:
         improvement_sign=args.sign,
         comparator=args.comparator,
     )
-    _emit({"meta": config.meta(), "report_type": "twin", "twin": report.as_dict()}, config)
+    _emit(
+        {"meta": config.meta(), "report_type": "twin", "twin": dataclasses.asdict(report)}, config
+    )
     return EXIT_OK
 
 

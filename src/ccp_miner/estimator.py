@@ -236,16 +236,6 @@ class BootstrapReport:
         if not self.interval_low <= self.mean_difference <= self.interval_high:
             raise ValueError("bootstrap interval must bracket the mean difference")
 
-    def as_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "coverage": self.coverage,
-            "mean_difference": self.mean_difference,
-            "interval_low": self.interval_low,
-            "interval_high": self.interval_high,
-        }
-
 
 # Defaults of the bootstrap and sensitivity studies, and of the CLI flags.
 DEFAULT_ITERATIONS = 10_000

@@ -130,8 +130,8 @@ def read_config(
 ) -> dict[str, str]:
     """Read a ``key=value`` file: ``#`` comments, blank lines, one pair a line.
 
-    Dashes in keys read as underscores. A line without ``=`` or a key not
-    in ``keys`` raises ``error`` naming the file and line.
+    Dashes in keys read as underscores. A line without ``=``, a key not in
+    ``keys`` or a key given twice raises ``error`` naming the file and line.
     """
     known = set(keys)
     values = {}
@@ -145,6 +145,8 @@ def read_config(
         key = key.strip().replace("-", "_")
         if key not in known:
             raise error(f"{path}, line {lineno}: unknown key {key!r}; known: {sorted(known)}")
+        if key in values:
+            raise error(f"{path}, line {lineno}: key {key!r} is given twice")
         values[key] = value.strip()
     return values
 
@@ -315,10 +317,10 @@ def window_by_year(commits: Iterable[CommitRecord]) -> dict[int, list[CommitReco
     return dict(windows)
 
 
-def involved_authors(commits: Iterable[CommitRecord]) -> set[str]:
-    """Authors with at least INVOLVED_COMMITS non-merge commits in the given set."""
+def involved_authors(commits: Iterable[CommitRecord]) -> dict[str, int]:
+    """Each author with at least INVOLVED_COMMITS non-merge commits here, with that count."""
     counts = Counter(c.author_id for c in commits if not c.is_merge)
-    return {author for author, n in counts.items() if n >= INVOLVED_COMMITS}
+    return {author: n for author, n in counts.items() if n >= INVOLVED_COMMITS}
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +380,8 @@ def select_projects(projects: list[ProjectDescriptor]) -> SelectionResult:
     In order: drop projects under MIN_COMMITS commits in the year, drop
     forks, drop projects dominated by a strictly larger surviving project
     (more than SHARED_HASHES shared hashes in the year), and dedup
-    same-name projects keeping the owner with more projects in the input.
-    Every excluded project appears exactly once in the report.
+    same-name projects keeping the owner with more projects that pass the
+    first two rules. Every excluded project appears exactly once in the report.
     """
     exclusions: list[tuple[str, str]] = []
 
@@ -397,6 +399,8 @@ def select_projects(projects: list[ProjectDescriptor]) -> SelectionResult:
         else:
             kept.append(project)
     survivors = kept
+    # Counted here, so adding a small project or a fork changes no other outcome.
+    owner_projects = Counter(p.owner for p in survivors)
 
     # Dominance: walk largest-first so the largest project of any
     # shared-commit cluster is always retained.
@@ -413,7 +417,6 @@ def select_projects(projects: list[ProjectDescriptor]) -> SelectionResult:
             retained.append(project)
     survivors = [p for p in survivors if p.repo_id not in dominated]
 
-    owner_projects = Counter(p.owner for p in projects)
     by_name: dict[str, list[ProjectDescriptor]] = defaultdict(list)
     for project in survivors:
         by_name[project.name].append(project)
@@ -431,14 +434,18 @@ def select_projects(projects: list[ProjectDescriptor]) -> SelectionResult:
     return SelectionResult(accepted=accepted, exclusions=exclusions)
 
 
-_FORK_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_FLAG_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _is_fork(text: str) -> bool:
+def read_flag(text: str, name: str = "flag") -> bool:
+    """A yes/no value: ``1``, ``0``, ``true``, ``false``, ``yes`` or ``no``, in any case.
+
+    Spaces around it are ignored; any other text raises ValueError naming ``name``.
+    """
     try:
-        return _FORK_VALUES[text.strip().lower()]
+        return _FLAG_VALUES[text.strip().lower()]
     except KeyError:
-        raise ValueError(f"is_fork {text!r} is not one of 1/0/true/false/yes/no") from None
+        raise ValueError(f"{name} {text!r} is not one of 1/0/true/false/yes/no") from None
 
 
 def load_project_metadata(path: str | Path) -> dict[str, tuple[str, str, bool]]:
@@ -455,5 +462,7 @@ def load_project_metadata(path: str | Path) -> dict[str, tuple[str, str, bool]]:
         seen.add(repo_id)
         return repo_id
 
-    columns = {"repo_id": unique, "owner": str, "name": str, "is_fork": _is_fork}
+    columns = {
+        "repo_id": unique, "owner": str, "name": str, "is_fork": lambda t: read_flag(t, "is_fork")
+    }
     return {row[0]: row[1:] for row in read_csv(path, columns)}

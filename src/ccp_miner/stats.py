@@ -1,6 +1,7 @@
 """Cross-project inference: co-change precision/lift and twin analysis.
 
-Metric series are per-entity year-to-value maps. Improvement direction is
+A metric series is a year-to-value map, and a set of them is keyed by
+entity (a project, or a (developer, project) pair). Improvement direction is
 metric-specific and always passed explicitly (+1 when higher is better,
 -1 when lower is better, as for CCP). Ties at a threshold count as
 non-improvement under the strict comparator; stated positive thresholds
@@ -20,14 +21,6 @@ from .errors import InputError
 from .ingestion import read_csv
 
 
-@dataclass(frozen=True, slots=True)
-class MetricSeries:
-    """One metric tracked over years for a single entity."""
-
-    entity_id: str
-    points: Mapping[int, float]
-
-
 def _finite(text: str) -> float:
     """A metric value: a float that is neither NaN nor infinite."""
     value = float(text)
@@ -36,8 +29,8 @@ def _finite(text: str) -> float:
     return value
 
 
-def load_series_csv(path: str | Path) -> list[MetricSeries]:
-    """Load an ``entity,year,value`` CSV into metric series.
+def load_series_csv(path: str | Path) -> dict[str, dict[int, float]]:
+    """Load an ``entity,year,value`` CSV as entity -> year -> value.
 
     A repeated year or a value that is not finite is an error.
     """
@@ -50,11 +43,11 @@ def load_series_csv(path: str | Path) -> list[MetricSeries]:
             raise InputError(f"duplicate year {year} for entity {entity!r} in {path}")
         else:
             entity_points[year] = value
-    return [MetricSeries(entity_id=e, points=p) for e, p in points.items()]
+    return points
 
 
-def load_developer_series_csv(path: str | Path) -> dict[tuple[str, str], MetricSeries]:
-    """Load a ``developer,project,year,value`` CSV into per-pair metric series.
+def load_developer_series_csv(path: str | Path) -> dict[tuple[str, str], dict[int, float]]:
+    """Load a ``developer,project,year,value`` CSV as (developer, project) -> year -> value.
 
     A repeated (developer, project, year) row or a value that is not finite
     is an error.
@@ -73,7 +66,7 @@ def load_developer_series_csv(path: str | Path) -> dict[tuple[str, str], MetricS
             )
         else:
             points[year] = value
-    return {key: MetricSeries(f"{key[0]}:{key[1]}", points) for key, points in series.items()}
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -103,20 +96,10 @@ class CoChangeReport:
     lift: float | None
     thresholds: tuple[float, float]
 
-    def as_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "match_rate": self.match_rate,
-            "precision": self.precision,
-            "base_rate": self.base_rate,
-            "lift": self.lift,
-            "thresholds": list(self.thresholds),
-        }
-
 
 def co_change(
-    series_i: list[MetricSeries],
-    series_j: list[MetricSeries],
+    series_i: Mapping[str, Mapping[int, float]],
+    series_j: Mapping[str, Mapping[int, float]],
     delta_i: float = 0.0,
     delta_j: float = 0.0,
     improvement_sign_i: int = 1,
@@ -132,16 +115,15 @@ def co_change(
     """
     beats_i = _BEATS[_resolve_comparator(comparator, delta_i)]
     beats_j = _BEATS[_resolve_comparator(comparator, delta_j)]
-    by_entity_j = {s.entity_id: s.points for s in series_j}
     n = n_i = n_j = n_ij = matches = 0
-    for s in series_i:
-        if s.entity_id not in by_entity_j:
+    for entity, points_i in series_i.items():
+        points_j = series_j.get(entity)
+        if points_j is None:
             continue
-        points_j = by_entity_j[s.entity_id]
-        for year, value in s.points.items():
-            if (year + 1) not in s.points or year not in points_j or (year + 1) not in points_j:
+        for year, value in points_i.items():
+            if (year + 1) not in points_i or year not in points_j or (year + 1) not in points_j:
                 continue
-            imp_i = beats_i(improvement_sign_i * (s.points[year + 1] - value), delta_i)
+            imp_i = beats_i(improvement_sign_i * (points_i[year + 1] - value), delta_i)
             imp_j = beats_j(improvement_sign_j * (points_j[year + 1] - points_j[year]), delta_j)
             n += 1
             n_i += imp_i
@@ -180,19 +162,10 @@ class TwinReport:
         if not 0.0 <= self.precision <= 1.0:
             raise ValueError("precision must be a probability")
 
-    def as_dict(self) -> dict:
-        return {
-            "n_developer_pairs": self.n_developer_pairs,
-            "precision": self.precision,
-            "delta_project": self.delta_project,
-            "delta_dev": self.delta_dev,
-            "comparator": self.comparator,
-        }
-
 
 def twin_analysis(
-    dev_project_series: Mapping[tuple[str, str], MetricSeries],
-    project_series: list[MetricSeries],
+    dev_project_series: Mapping[tuple[str, str], Mapping[int, float]],
+    project_series: Mapping[str, Mapping[int, float]],
     delta_project: float = 0.0,
     delta_dev: float = 0.0,
     improvement_sign: int = 1,
@@ -210,13 +183,12 @@ def twin_analysis(
     cmp_project = _resolve_comparator(comparator, delta_project)
     project_beats = _BEATS[cmp_project]
     dev_beats = _BEATS[_resolve_comparator(comparator, delta_dev)]
-    project_points = {s.entity_id: s.points for s in project_series}
     # A project without a series of its own is never in a qualifying pair.
     by_developer: dict[str, list[tuple[Mapping[int, float], Mapping[int, float]]]] = {}
-    for (developer, project), series in dev_project_series.items():
-        points = project_points.get(project)
+    for (developer, project), dev_points in dev_project_series.items():
+        points = project_series.get(project)
         if points is not None:
-            by_developer.setdefault(developer, []).append((series.points, points))
+            by_developer.setdefault(developer, []).append((dev_points, points))
 
     # The report is two counts, so neither developers, pairs nor years need an order.
     qualifying = 0

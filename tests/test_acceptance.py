@@ -155,7 +155,7 @@ class TestAcceptance:
         # The invariants themselves live in test_properties.py; re-assert
         # the cheap exact forms here so this gate is self-contained.
         from ccp_miner.analytics import winsorize
-        from ccp_miner.stats import MetricSeries, co_change
+        from ccp_miner.stats import co_change
 
         xs = [1.0, 50.0, 2.0, 1000.0, 3.0]
         w = winsorize(xs, 0.8)
@@ -167,8 +167,8 @@ class TestAcceptance:
             for k in range(200)
         )
 
-        i = [MetricSeries(f"e{n}", {2018: 0.0, 2019: d}) for n, d in enumerate((-1, 1, -1))]
-        j = [MetricSeries(f"e{n}", {2018: 0.0, 2019: d}) for n, d in enumerate((-1, -1, 1))]
+        i = {f"e{n}": {2018: 0.0, 2019: d} for n, d in enumerate((-1, 1, -1))}
+        j = {f"e{n}": {2018: 0.0, 2019: d} for n, d in enumerate((-1, -1, 1))}
         lift_ok = abs(co_change(i, j).lift - co_change(j, i).lift) <= 1e-9
 
         ok = winsor_ok and mono_ok and lift_ok

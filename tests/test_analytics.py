@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ccp_miner.analytics import (
     ProjectYearStats,
+    capped_sizes,
     coupling,
     coupling_by_file,
     developer_speed,
@@ -20,6 +21,7 @@ from ccp_miner.analytics import (
 from ccp_miner.classifier import classify_message
 from ccp_miner.errors import InputError
 from ccp_miner.estimator import estimate_ccp
+from ccp_miner.ingestion import involved_authors
 
 from conftest import HIT_CORRECTIVE, MISS_OTHER
 from test_ingestion import make_commit
@@ -59,8 +61,9 @@ class TestWinsorize:
             winsorize([1.0], quantile=1.0)
 
 
-def verdicts_for(commits, model):
-    return [classify_message(c.message, model) for c in commits]
+def capped_for(commits, model):
+    """``capped_sizes`` of the commits, flagged as the model classifies them."""
+    return capped_sizes(commits, [classify_message(c.message, model).corrective for c in commits])
 
 
 class TestCoupling:
@@ -70,7 +73,7 @@ class TestCoupling:
             make_commit(hash="h2", msg=MISS_OTHER, files=("a", "b", "c", "d")),
             make_commit(hash="h3", msg=HIT_CORRECTIVE, files=tuple(f"f{i}" for i in range(30))),
         ]
-        value = coupling(commits, verdicts_for(commits, term_model))
+        value = coupling(capped_for(commits, term_model))
         assert value == 3.0  # the corrective commit is excluded
 
     def test_commits_without_files_ignored(self, term_model):
@@ -78,11 +81,11 @@ class TestCoupling:
             make_commit(hash="h1", msg=MISS_OTHER, files=("a", "b")),
             make_commit(hash="h2", msg=MISS_OTHER, files=()),
         ]
-        assert coupling(commits, verdicts_for(commits, term_model)) == 2.0
+        assert coupling(capped_for(commits, term_model)) == 2.0
 
     def test_none_when_no_usable_commits(self, term_model):
         commits = [make_commit(hash="h1", msg=HIT_CORRECTIVE, files=("a",))]
-        assert coupling(commits, verdicts_for(commits, term_model)) is None
+        assert coupling(capped_for(commits, term_model)) is None
 
     def test_invariant_to_corrective_file_lists(self, term_model):
         base = [
@@ -93,14 +96,14 @@ class TestCoupling:
             base[0],
             make_commit(hash="h2", msg=HIT_CORRECTIVE, files=tuple(f"y{i}" for i in range(50))),
         ]
-        assert coupling(base, verdicts_for(base, term_model)) == coupling(
-            perturbed, verdicts_for(perturbed, term_model)
+        assert coupling(capped_for(base, term_model)) == coupling(
+            capped_for(perturbed, term_model)
         )
 
     def test_misaligned_inputs(self, term_model):
         commits = [make_commit(hash="h1", msg=MISS_OTHER)]
         with pytest.raises(ValueError):
-            coupling(commits, [])
+            capped_sizes(commits, [])
 
 
 class TestCouplingByFile:
@@ -110,12 +113,12 @@ class TestCouplingByFile:
             make_commit(hash="h2", msg=MISS_OTHER, files=("a",)),
         ]
         # file a sees sizes [2, 1] -> 1.5; file b sees [2] -> 2; mean 1.75
-        value = coupling_by_file(commits, verdicts_for(commits, term_model))
+        value = coupling_by_file(capped_for(commits, term_model))
         assert value == pytest.approx(1.75)
 
     def test_none_when_no_usable_commits(self, term_model):
         commits = [make_commit(hash="h1", msg=MISS_OTHER, files=())]
-        assert coupling_by_file(commits, verdicts_for(commits, term_model)) is None
+        assert coupling_by_file(capped_for(commits, term_model)) is None
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -141,7 +144,7 @@ class TestCouplingByFile:
         expected = (
             fmean(fmean(sizes) for sizes in sizes_by_file.values()) if sizes_by_file else None
         )
-        assert coupling_by_file(commits, verdicts_for(commits, term_model)) == expected
+        assert coupling_by_file(capped_for(commits, term_model)) == expected
 
 
 class TestFileLengthStats:
@@ -158,23 +161,18 @@ class TestDeveloperSpeed:
     def test_mean_over_involved_only(self):
         commits = [make_commit(hash=f"a{i}", author="ann@x") for i in range(15)]
         commits += [make_commit(hash=f"b{i}", author="bob@x") for i in range(3)]
-        assert developer_speed(commits, involved={"ann@x"}) == 15.0
+        assert developer_speed(involved_authors(commits)) == 15.0
 
     def test_cap_applies(self):
-        commits = [make_commit(hash=f"a{i}", author="ann@x") for i in range(600)]
-        assert developer_speed(commits, involved={"ann@x"}) == 500.0
+        assert developer_speed({"ann@x": 600, "bob@x": 100}) == 300.0
 
     def test_merges_not_counted(self):
         commits = [make_commit(hash=f"a{i}", author="ann@x") for i in range(12)]
         commits += [make_commit(hash=f"m{i}", author="ann@x", merge=True) for i in range(5)]
-        assert developer_speed(commits, involved={"ann@x"}) == 12.0
+        assert developer_speed(involved_authors(commits)) == 12.0
 
     def test_none_without_involved(self):
-        assert developer_speed([make_commit()], involved=set()) is None
-
-    def test_unknown_involved_author(self):
-        with pytest.raises(ValueError):
-            developer_speed([make_commit(author="ann@x")], involved={"ghost@x"})
+        assert developer_speed({}) is None
 
 
 class TestRetentionOnboarding:

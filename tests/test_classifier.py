@@ -376,3 +376,22 @@ class TestLabeledCorpus:
         bad.write_text("2\tnot a valid label\n")
         with pytest.raises(InputError):
             classifier.load_labeled_corpus(bad)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["0\tfix\tthe crash", "1\tfix bug\t1,1,yes", "1\tfix bug\t1,,1", "1\tfix bug\t1, 1",
+         "1\tfix bug\t1,1,1\textra", "0\tfix\t\t"],
+        ids=["message-in-votes-column", "word-vote", "empty-vote", "spaced-vote",
+             "fourth-column", "empty-fourth-column"],
+    )
+    def test_bad_votes_or_extra_column_is_a_named_input_error(self, tmp_path, line):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(f"1\tfix the crash\n{line}\n")
+        with pytest.raises(InputError, match=f"{re.escape(str(corpus))}, line 2: "):
+            classifier.load_labeled_corpus(corpus)
+
+    def test_empty_votes_column_means_no_votes(self, tmp_path):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("1\tfix the crash\t\n0\tadd docs\t0,0,1\n")
+        loaded = classifier.load_labeled_corpus(corpus)
+        assert [c.annotator_labels for c in loaded] == [None, (False, False, True)]

@@ -489,7 +489,14 @@ class TestConfigResolution:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "line,key", [("min_commits=10", "min_commits"), ("year=soon", "year"), ("seed=-1", "seed")]
+        "line,key",
+        [
+            ("min_commits=10", "min_commits"),
+            ("year=soon", "year"),
+            ("seed=-1", "seed"),
+            ("enforce_selection=maybe", "enforce_selection"),
+            ("enforce_selection=", "enforce_selection"),
+        ],
     )
     def test_env_config_key_not_read_or_bad_value(self, capsys, tmp_path, monkeypatch, line, key):
         cfg = tmp_path / "miner.cfg"
@@ -498,6 +505,41 @@ class TestConfigResolution:
         code, _, err = run(capsys, "rank", "--ccp", "0.2")
         assert code == EXIT_CONFIG
         assert str(cfg) in err and key in err
+
+    @pytest.mark.parametrize("value,on", [("YES", True), (" True ", True), ("1", True),
+                                          ("no", False), ("FALSE", False), ("0", False)])
+    def test_env_config_enforce_selection_reads_the_metadata_flag_rule(
+        self, capsys, tmp_path, monkeypatch, value, on
+    ):
+        cfg = tmp_path / "miner.cfg"
+        cfg.write_text(f"enforce_selection={value}\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        code, _, err = run(capsys, "analyze", LOG)
+        # Selection on without a year is a configuration error; off, the log is analysed.
+        assert (code, err) == ((EXIT_CONFIG, "configuration error: --enforce-selection "
+                                "requires --year\n") if on else (EXIT_OK, ""))
+
+    @pytest.mark.parametrize(
+        "option,text",
+        [("env", "seed=1\n# later\nseed=7\n"),
+         ("env", "enforce-selection=1\nenforce_selection=0\n"),
+         ("--perf", "recall=0.84\nfpr=0.042\nrecall=0.9\n")],
+        ids=["env-seed", "env-dash-and-underscore", "perf-recall"],
+    )
+    def test_key_given_twice_is_a_named_config_error(
+        self, capsys, tmp_path, monkeypatch, option, text
+    ):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        argv = ["rank", "--ccp", "0.2"]
+        if option == "env":
+            monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        else:
+            argv = [option, str(cfg), *argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        line = len(text.splitlines())
+        assert f"{cfg}, line {line}: key " in err and "given twice" in err
 
 
 @pytest.mark.parametrize(

@@ -318,14 +318,16 @@ class TestInvolvedAuthors:
     def test_threshold_boundary(self):
         eleven = [make_commit(hash=f"a{i}", author="low@x") for i in range(11)]
         twelve = [make_commit(hash=f"b{i}", author="high@x") for i in range(12)]
-        assert involved_authors(eleven + twelve) == {"high@x"}
+        assert involved_authors(eleven + twelve) == {"high@x": 12}
 
     def test_merge_commits_not_counted(self):
         commits = [make_commit(hash=f"m{i}", author="m@x", merge=True) for i in range(20)]
-        assert involved_authors(commits) == set()
+        assert involved_authors(commits) == {}
+        commits += [make_commit(hash=f"a{i}", author="m@x") for i in range(13)]
+        assert involved_authors(commits) == {"m@x": 13}
 
     def test_empty(self):
-        assert involved_authors([]) == set()
+        assert involved_authors([]) == {}
 
 
 def make_project(repo_id, hashes, owner=None, name=None, is_fork=False):
@@ -373,15 +375,28 @@ class TestSelectProjects:
         hashes_b = {f"b{i}" for i in range(250)}
         spark_big_owner = make_project("apache/spark", hashes_a, owner="apache", name="spark")
         spark_small_owner = make_project("solo/spark", hashes_b, owner="solo", name="spark")
-        # apache owns 12 projects in the input, solo owns 1
+        # apache owns 12 projects that pass the first two rules, solo owns 1
         extras = [
-            make_project(f"apache/p{i}", {f"x{i}-{j}" for j in range(5)})
+            make_project(f"apache/p{i}", {f"x{i}-{j}" for j in range(200)})
             for i in range(11)
         ]
         result = select_projects([spark_big_owner, spark_small_owner] + extras)
         accepted = {p.repo_id for p in result.accepted}
         assert "apache/spark" in accepted
         assert ("solo/spark", "duplicate_name") in result.exclusions
+
+    def test_owner_count_leaves_out_small_projects_and_forks(self):
+        alpha_a = make_project("zed/alpha", {f"a{i}" for i in range(250)})
+        alpha_b = make_project("amy/alpha", {f"b{i}" for i in range(250)})
+        # zed owns more projects in the input, but only one passes the first two rules;
+        # the tie goes to the owner first in order
+        extras = [
+            make_project("zed/tiny", {f"t{i}" for i in range(5)}),
+            make_project("zed/fork", {f"a{i}" for i in range(250)}, is_fork=True),
+        ]
+        result = select_projects([alpha_a, alpha_b] + extras)
+        assert [p.repo_id for p in result.accepted] == ["amy/alpha"]
+        assert ("zed/alpha", "duplicate_name") in result.exclusions
 
     def test_idempotent(self):
         shared = {f"s{i}" for i in range(60)}

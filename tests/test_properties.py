@@ -3,13 +3,14 @@
 import contextlib
 import io
 import json
+import random
 import tempfile
 import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ccp_miner.analytics import winsorize
@@ -21,9 +22,10 @@ from ccp_miner.estimator import (
     rank_on_scale,
 )
 from ccp_miner.ingestion import ProjectDescriptor, _ndjson_record, _raw_record, select_projects
-from ccp_miner.stats import MetricSeries, co_change
+from ccp_miner.stats import co_change
 
 from conftest import FIXTURES
+from test_analyze_reference import REPO_IDS, YEAR, _project, _project_commits
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz ", min_size=0, max_size=60)
 
@@ -154,12 +156,8 @@ class TestCoChangeProperties:
     @given(deltas)
     @settings(max_examples=50, deadline=None)
     def test_lift_symmetric(self, changes):
-        i = [
-            MetricSeries(e, {2018: 0.0, 2019: di}) for e, (di, _) in changes.items()
-        ]
-        j = [
-            MetricSeries(e, {2018: 0.0, 2019: dj}) for e, (_, dj) in changes.items()
-        ]
+        i = {e: {2018: 0.0, 2019: di} for e, (di, _) in changes.items()}
+        j = {e: {2018: 0.0, 2019: dj} for e, (_, dj) in changes.items()}
         forward = co_change(i, j)
         backward = co_change(j, i)
         if forward.lift is None or backward.lift is None:
@@ -333,3 +331,135 @@ class TestTimeZoneRelation:
             expected = None
         # Each is (repo, (hash, author, year, ...)), or None when skipped.
         assert [r[1][2] if r else None for r in (ndjson, raw)] == [expected, expected]
+
+
+def _selection_report(commits: list[dict], metadata: list[tuple]) -> dict:
+    """The `analyze --year YEAR --enforce-selection` report of the commits and metadata rows."""
+    rows = "".join(f"{r},{o},{n},{'true' if f else 'false'}\n" for r, o, n, f in metadata)
+    with tempfile.TemporaryDirectory() as tmp:
+        projects = Path(tmp) / "projects.csv"
+        projects.write_text("repo_id,owner,name,is_fork\n" + rows)
+        report = _analyze(
+            "\n".join(json.dumps(c) for c in commits),
+            before=("--year", str(YEAR), "--enforce-selection"),
+            after=("--projects", str(projects)),
+        )
+    return json.loads(report)
+
+
+# About one in five IN_YEAR stamps falls outside YEAR in UTC, so 300 commits
+# keep a project above the 200-commit minimum and 260 put it near it.
+_selection_project = st.fixed_dictionaries(
+    {
+        "in_year": st.sampled_from([0, 150, 260, 300, 300, 300]),
+        "other_years": st.sampled_from([0, 3, 20]),
+        "shared": st.sampled_from([0, 0, 0, 51, 120]),
+        "metadata": st.none() | _project.map(lambda spec: spec["metadata"]),
+    }
+)
+
+
+@st.composite
+def _selection_corpora(draw):
+    """Projects around the selection thresholds: their commits in log order, metadata and a seed."""
+    repo_ids = draw(st.lists(st.sampled_from(REPO_IDS), min_size=1, max_size=5, unique=True))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    commits, metadata = [], []
+    for repo_id in repo_ids:
+        spec = draw(_selection_project)
+        commits += _project_commits(rng, repo_id, spec)
+        if spec["metadata"] is not None:
+            metadata.append((repo_id, *spec["metadata"]))
+    assume(commits)  # an input without a commit is an input error
+    rng.shuffle(commits)
+    return commits, metadata, rng.getrandbits(32)
+
+
+def _mixed_in(commits: list[dict], added: list[dict], seed: int) -> list[dict]:
+    """``commits`` with the ``added`` ones inserted at random places, each keeping its order."""
+    rng = random.Random(seed)
+    mixed = list(commits)
+    for commit in added:
+        mixed.insert(rng.randrange(len(mixed) + 1), commit)
+    return mixed
+
+
+def _repo_ids(commits: list[dict], metadata: list[tuple]) -> set[str]:
+    return {c["repo"] for c in commits} | {row[0] for row in metadata}
+
+
+def _owners(commits: list[dict], metadata: list[tuple]) -> list[str]:
+    """The owners a project of the input may have, and one that owns nothing else."""
+    owners = {repo.partition("/")[0] for repo in _repo_ids(commits, metadata)}
+    return sorted(owners | {row[1] for row in metadata if row[1]}) + ["new"]
+
+
+class TestSelectionRelations:
+    """Metamorphic relations of selection (Chen, Cheung & Yiu, 1998)."""
+
+    @staticmethod
+    def _only_added_is_excluded(before: dict, after: dict, added: str, rules: set[str]):
+        added_rules = [e["rule"] for e in after["exclusions"] if e["repo_id"] == added]
+        assert len(added_rules) == 1 and added_rules[0] in rules
+        after["exclusions"] = [e for e in after["exclusions"] if e["repo_id"] != added]
+        assert after == before
+
+    @given(_selection_corpora(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_adding_a_fork_changes_only_exclusions(self, corpus, data):
+        commits, metadata, seed = corpus
+        source = data.draw(st.sampled_from(sorted({c["repo"] for c in commits})))
+        owner = data.draw(st.sampled_from(_owners(commits, metadata)))
+        fork = f"{owner}/{source.rpartition('/')[2]}"
+        assume(fork not in _repo_ids(commits, metadata))
+        copies = [{**c, "repo": fork} for c in commits if c["repo"] == source]
+        extra = data.draw(st.integers(0, 30))
+        own = [{**c, "hash": f"{fork}-{i}"} for i, c in enumerate(copies[:extra])]
+        row = (fork, data.draw(st.sampled_from(["", owner])), "", True)
+        before = _selection_report(commits, metadata)
+        after = _selection_report(_mixed_in(commits, copies + own, seed), [*metadata, row])
+        self._only_added_is_excluded(before, after, fork, {"fork", "min_commits"})
+
+    @given(_selection_corpora(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_adding_a_project_under_the_commit_minimum_changes_only_exclusions(
+        self, corpus, data
+    ):
+        commits, metadata, seed = corpus
+        owners = _owners(commits, metadata)
+        name = data.draw(st.sampled_from(["alpha", "beta", "gamma"]))
+        small = f"{data.draw(st.sampled_from(owners))}/{name}"
+        assume(small not in _repo_ids(commits, metadata))
+        shared = data.draw(st.sampled_from([0, 50, 120]))
+        spec = {
+            "shared": shared,
+            "in_year": data.draw(st.integers(0, 199 - shared)),
+            "other_years": data.draw(st.sampled_from([0, 20, 300])),
+        }
+        added = _project_commits(random.Random(seed), small, spec)
+        assume(added)
+        rows = list(metadata)
+        if data.draw(st.booleans()):
+            rows.append((small, data.draw(st.sampled_from(["", *owners])), "", False))
+        before = _selection_report(commits, metadata)
+        after = _selection_report(_mixed_in(commits, added, seed), rows)
+        self._only_added_is_excluded(before, after, small, {"min_commits"})
+
+    @given(_selection_corpora(), st.sampled_from(["q", "a", "zz", "0-"]))
+    @settings(max_examples=30, deadline=None)
+    def test_renaming_repos_in_order_renames_the_report(self, corpus, prefix):
+        commits, metadata, _ = corpus
+
+        def rename(text: str) -> str:
+            # The same prefix at the start and after each "/" keeps every comparison of ids,
+            # owners and names, and derives the renamed owner and name from a renamed id.
+            return prefix + text.replace("/", "/" + prefix) if text else text
+
+        renamed = _selection_report(
+            [{**c, "repo": rename(c["repo"])} for c in commits],
+            [(rename(r), rename(o), rename(n), f) for r, o, n, f in metadata],
+        )
+        expected = _selection_report(commits, metadata)
+        for entry in [*expected["exclusions"], *expected["projects"], *expected["rows"]]:
+            entry["repo_id"] = rename(entry["repo_id"])
+        assert renamed == expected

@@ -5,6 +5,10 @@ total, and the reference pipeline reads the analysis year from that mapping.
 Both are fed the same deduplicated commits over several years, so a change
 in which year's hashes count, in the size order, or in the rule order shows
 up as different ``accepted`` ids or ``exclusions``.
+
+One rule of the reference was changed with the program's: an owner's
+projects are counted over those that pass the commit minimum and the fork
+rule, not over the whole input (the line marked "changed" below).
 """
 
 from collections import Counter, defaultdict
@@ -81,8 +85,8 @@ def reference_select_projects(
     In order: drop projects under MIN_COMMITS commits in the year, drop
     forks, drop projects dominated by a strictly larger surviving project
     (more than SHARED_HASHES shared hashes in the year), and dedup
-    same-name projects keeping the owner with more projects in the input.
-    Every excluded project appears exactly once in the report.
+    same-name projects keeping the owner with more projects that pass the
+    first two rules. Every excluded project appears exactly once in the report.
     """
     exclusions: list[tuple[str, str]] = []
 
@@ -100,6 +104,7 @@ def reference_select_projects(
         else:
             kept.append(project)
     survivors = kept
+    owner_projects = Counter(p.owner for p in survivors)  # changed: was over ``projects``
 
     # Dominance: walk largest-first so the largest project of any
     # shared-commit cluster is always retained.
@@ -118,7 +123,6 @@ def reference_select_projects(
             retained.append(project)
     survivors = [p for p in survivors if p.repo_id not in dominated]
 
-    owner_projects = Counter(p.owner for p in projects)
     by_name: dict[str, list[ReferenceProjectDescriptor]] = defaultdict(list)
     for project in survivors:
         by_name[project.name].append(project)

@@ -4,7 +4,6 @@ import pytest
 
 from ccp_miner.errors import InputError
 from ccp_miner.stats import (
-    MetricSeries,
     co_change,
     load_developer_series_csv,
     load_series_csv,
@@ -12,14 +11,14 @@ from ccp_miner.stats import (
 )
 
 
-def series(entity, **year_values):
-    return MetricSeries(entity_id=entity, points={int(y[1:]): v for y, v in year_values.items()})
+def points(**year_values):
+    return {int(y[1:]): v for y, v in year_values.items()}
 
 
 class TestCoChange:
     def test_always_co_improving(self):
-        i = [series("a", y2018=0.5, y2019=0.3), series("b", y2018=0.6, y2019=0.2)]
-        j = [series("a", y2018=10.0, y2019=12.0), series("b", y2018=9.0, y2019=11.0)]
+        i = {"a": points(y2018=0.5, y2019=0.3), "b": points(y2018=0.6, y2019=0.2)}
+        j = {"a": points(y2018=10.0, y2019=12.0), "b": points(y2018=9.0, y2019=11.0)}
         report = co_change(i, j, improvement_sign_i=-1, improvement_sign_j=1)
         assert report.n_pairs == 2
         assert report.match_rate == 1.0
@@ -29,18 +28,18 @@ class TestCoChange:
 
     def test_hand_counted_mixed_events(self):
         # events (imp_i, imp_j): (T,T), (T,F), (F,T), (F,F)
-        i = [
-            series("a", y2018=0.5, y2019=0.3),
-            series("b", y2018=0.5, y2019=0.3),
-            series("c", y2018=0.3, y2019=0.5),
-            series("d", y2018=0.3, y2019=0.5),
-        ]
-        j = [
-            series("a", y2018=1.0, y2019=2.0),
-            series("b", y2018=2.0, y2019=1.0),
-            series("c", y2018=1.0, y2019=2.0),
-            series("d", y2018=2.0, y2019=1.0),
-        ]
+        i = {
+            "a": points(y2018=0.5, y2019=0.3),
+            "b": points(y2018=0.5, y2019=0.3),
+            "c": points(y2018=0.3, y2019=0.5),
+            "d": points(y2018=0.3, y2019=0.5),
+        }
+        j = {
+            "a": points(y2018=1.0, y2019=2.0),
+            "b": points(y2018=2.0, y2019=1.0),
+            "c": points(y2018=1.0, y2019=2.0),
+            "d": points(y2018=2.0, y2019=1.0),
+        }
         report = co_change(i, j, improvement_sign_i=-1, improvement_sign_j=1)
         assert report.n_pairs == 4
         assert report.match_rate == 0.5
@@ -49,54 +48,55 @@ class TestCoChange:
         assert report.lift == pytest.approx(0.0)
 
     def test_lift_symmetric(self):
-        i = [
-            series("a", y2018=0.5, y2019=0.3),
-            series("b", y2018=0.5, y2019=0.3),
-            series("c", y2018=0.3, y2019=0.5),
-        ]
-        j = [
-            series("a", y2018=1.0, y2019=2.0),
-            series("b", y2018=2.0, y2019=1.0),
-            series("c", y2018=1.0, y2019=2.0),
-        ]
+        i = {
+            "a": points(y2018=0.5, y2019=0.3),
+            "b": points(y2018=0.5, y2019=0.3),
+            "c": points(y2018=0.3, y2019=0.5),
+        }
+        j = {
+            "a": points(y2018=1.0, y2019=2.0),
+            "b": points(y2018=2.0, y2019=1.0),
+            "c": points(y2018=1.0, y2019=2.0),
+        }
         forward = co_change(i, j, improvement_sign_i=-1, improvement_sign_j=1)
         backward = co_change(j, i, improvement_sign_i=1, improvement_sign_j=-1)
         assert forward.lift == pytest.approx(backward.lift, abs=1e-9)
 
     def test_zero_threshold_is_strict(self):
         # an exact tie is not an improvement under the default policy
-        i = [series("a", y2018=0.5, y2019=0.5), series("b", y2018=0.5, y2019=0.4)]
-        j = [series("a", y2018=1.0, y2019=1.0), series("b", y2018=1.0, y2019=1.0)]
+        i = {"a": points(y2018=0.5, y2019=0.5), "b": points(y2018=0.5, y2019=0.4)}
+        j = {"a": points(y2018=1.0, y2019=1.0), "b": points(y2018=1.0, y2019=1.0)}
         report = co_change(i, j, improvement_sign_i=-1)
         assert report.precision == 0.0  # only b improved on i, j never improved
 
     def test_positive_threshold_is_inclusive(self):
         # deltas of 0.125 and 0.0625 are exact in binary floating point
-        i = [series("a", y2018=0.5, y2019=0.375), series("b", y2018=0.5, y2019=0.4375)]
-        j = [series("a", y2018=1.0, y2019=2.0), series("b", y2018=1.0, y2019=2.0)]
+        i = {"a": points(y2018=0.5, y2019=0.375), "b": points(y2018=0.5, y2019=0.4375)}
+        j = {"a": points(y2018=1.0, y2019=2.0), "b": points(y2018=1.0, y2019=2.0)}
         # a's i-delta equals the threshold and still counts
         report = co_change(i, j, delta_i=0.125, improvement_sign_i=-1)
         assert report.precision == 1.0
         assert report.base_rate == 1.0
 
     def test_negative_threshold_rejected(self):
+        series = {"a": points(y2018=1.0, y2019=2.0)}
         with pytest.raises(ValueError):
-            co_change([series("a", y2018=1.0, y2019=2.0)], [series("a", y2018=1.0, y2019=2.0)], delta_i=-0.1)
+            co_change(series, series, delta_i=-0.1)
 
     def test_no_overlap_is_an_error(self):
         with pytest.raises(InputError):
-            co_change([series("a", y2018=1.0, y2019=2.0)], [series("b", y2018=1.0, y2019=2.0)])
+            co_change({"a": points(y2018=1.0, y2019=2.0)}, {"b": points(y2018=1.0, y2019=2.0)})
 
 
 class TestTwinAnalysis:
     def project_pair(self, good=0.1, bad=0.5):
         # lower metric is better (sign -1)
-        return [series("good", y2019=good), series("bad", y2019=bad)]
+        return {"good": points(y2019=good), "bad": points(y2019=bad)}
 
     def test_developer_better_in_better_project(self):
         devs = {
-            ("ann", "good"): series("ann:good", y2019=0.1),
-            ("ann", "bad"): series("ann:bad", y2019=0.4),
+            ("ann", "good"): points(y2019=0.1),
+            ("ann", "bad"): points(y2019=0.4),
         }
         report = twin_analysis(devs, self.project_pair(), improvement_sign=-1)
         assert report.n_developer_pairs == 1
@@ -104,24 +104,24 @@ class TestTwinAnalysis:
 
     def test_developer_worse_in_better_project(self):
         devs = {
-            ("ann", "good"): series("ann:good", y2019=0.4),
-            ("ann", "bad"): series("ann:bad", y2019=0.1),
+            ("ann", "good"): points(y2019=0.4),
+            ("ann", "bad"): points(y2019=0.1),
         }
         report = twin_analysis(devs, self.project_pair(), improvement_sign=-1)
         assert report.precision == 0.0
 
     def test_tied_projects_do_not_qualify(self):
         devs = {
-            ("ann", "good"): series("ann:good", y2019=0.1),
-            ("ann", "bad"): series("ann:bad", y2019=0.4),
+            ("ann", "good"): points(y2019=0.1),
+            ("ann", "bad"): points(y2019=0.4),
         }
         with pytest.raises(InputError):
             twin_analysis(devs, self.project_pair(good=0.3, bad=0.3), improvement_sign=-1)
 
     def test_project_gap_threshold(self):
         devs = {
-            ("ann", "good"): series("ann:good", y2019=0.1),
-            ("ann", "bad"): series("ann:bad", y2019=0.4),
+            ("ann", "good"): points(y2019=0.1),
+            ("ann", "bad"): points(y2019=0.4),
         }
         # gap is 0.4; with an inclusive threshold of 0.5 nothing qualifies
         with pytest.raises(InputError):
@@ -132,25 +132,25 @@ class TestTwinAnalysis:
     def test_multiple_developers_mixed(self):
         projects = self.project_pair()
         devs = {
-            ("ann", "good"): series("ann:good", y2019=0.1),
-            ("ann", "bad"): series("ann:bad", y2019=0.4),
-            ("bob", "good"): series("bob:good", y2019=0.5),
-            ("bob", "bad"): series("bob:bad", y2019=0.2),
+            ("ann", "good"): points(y2019=0.1),
+            ("ann", "bad"): points(y2019=0.4),
+            ("bob", "good"): points(y2019=0.5),
+            ("bob", "bad"): points(y2019=0.2),
         }
         report = twin_analysis(devs, projects, improvement_sign=-1)
         assert report.n_developer_pairs == 2
         assert report.precision == 0.5
 
     def test_developer_missing_one_project_skipped(self):
-        devs = {("ann", "good"): series("ann:good", y2019=0.1)}
+        devs = {("ann", "good"): points(y2019=0.1)}
         with pytest.raises(InputError):
             twin_analysis(devs, self.project_pair(), improvement_sign=-1)
 
     @pytest.mark.parametrize("thresholds", [{"delta_project": -0.1}, {"delta_dev": -0.1}])
     def test_negative_threshold_rejected(self, thresholds):
         devs = {
-            ("ann", "good"): series("ann:good", y2019=0.1),
-            ("ann", "bad"): series("ann:bad", y2019=0.4),
+            ("ann", "good"): points(y2019=0.1),
+            ("ann", "bad"): points(y2019=0.4),
         }
         with pytest.raises(ValueError, match="non-negative"):
             twin_analysis(devs, self.project_pair(), improvement_sign=-1, **thresholds)
@@ -160,8 +160,7 @@ class TestLoadSeriesCsv:
     def test_round_values(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("entity,year,value\na,2018,0.5\na,2019,0.25\nb,2018,0.1\n")
-        loaded = {s.entity_id: s.points for s in load_series_csv(path)}
-        assert loaded == {"a": {2018: 0.5, 2019: 0.25}, "b": {2018: 0.1}}
+        assert load_series_csv(path) == {"a": {2018: 0.5, 2019: 0.25}, "b": {2018: 0.1}}
 
     def test_duplicate_year_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -180,10 +179,9 @@ class TestLoadDeveloperSeriesCsv:
     def test_round_values(self, tmp_path):
         path = tmp_path / "dev.csv"
         path.write_text("developer,project,year,value\nd1,p1,2019,0.1\nd1,p2,2019,0.5\n")
-        loaded = load_developer_series_csv(path)
-        assert {key: (s.entity_id, s.points) for key, s in loaded.items()} == {
-            ("d1", "p1"): ("d1:p1", {2019: 0.1}),
-            ("d1", "p2"): ("d1:p2", {2019: 0.5}),
+        assert load_developer_series_csv(path) == {
+            ("d1", "p1"): {2019: 0.1},
+            ("d1", "p2"): {2019: 0.5},
         }
 
     def test_duplicate_year_rejected(self, tmp_path):

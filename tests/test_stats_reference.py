@@ -5,7 +5,9 @@ orient each pair by name, so a change in which pairs qualify or succeed, or in
 the threshold comparisons, shows up as a different report.
 """
 
+import dataclasses
 from collections.abc import Mapping
+from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,6 @@ from hypothesis import strategies as st
 from ccp_miner.errors import InputError
 from ccp_miner.stats import (
     CoChangeReport,
-    MetricSeries,
     TwinReport,
     co_change,
     twin_analysis,
@@ -21,6 +22,14 @@ from ccp_miner.stats import (
 
 # ---------------------------------------------------------------------------
 # Reference implementations
+
+
+@dataclass(frozen=True, slots=True)
+class MetricSeries:
+    """One metric tracked over years for a single entity."""
+
+    entity_id: str
+    points: Mapping[int, float]
 
 
 def _improved(delta_value: float, threshold: float, sign: int, comparator: str) -> bool:
@@ -158,7 +167,7 @@ SIGNS = st.sampled_from([-1, 1])
 def outcome(study, *args, **kwargs):
     """The report as a dict, or the error it raised."""
     try:
-        return study(*args, **kwargs).as_dict()
+        return dataclasses.asdict(study(*args, **kwargs))
     except InputError as exc:
         return ("InputError", str(exc))
 
@@ -179,14 +188,14 @@ class TestAgainstReference:
     )
     @settings(max_examples=300, deadline=None)
     def test_co_change(self, points_i, points_j, delta_i, delta_j, sign_i, sign_j, comparator):
-        args = (metric_series(points_i), metric_series(points_j), delta_i, delta_j)
         kwargs = {
             "improvement_sign_i": sign_i,
             "improvement_sign_j": sign_j,
             "comparator": comparator,
         }
-        assert outcome(co_change, *args, **kwargs) == outcome(
-            reference_co_change, *args, **kwargs
+        assert outcome(co_change, points_i, points_j, delta_i, delta_j, **kwargs) == outcome(
+            reference_co_change,
+            metric_series(points_i), metric_series(points_j), delta_i, delta_j, **kwargs
         )
 
     @given(
@@ -204,5 +213,7 @@ class TestAgainstReference:
         self, dev_points, project_points, delta_project, delta_dev, sign, comparator
     ):
         devs = {key: MetricSeries(f"{key[0]}:{key[1]}", p) for key, p in dev_points.items()}
-        args = (devs, metric_series(project_points), delta_project, delta_dev, sign, comparator)
-        assert outcome(twin_analysis, *args) == outcome(reference_twin_analysis, *args)
+        thresholds = (delta_project, delta_dev, sign, comparator)
+        assert outcome(twin_analysis, dev_points, project_points, *thresholds) == outcome(
+            reference_twin_analysis, devs, metric_series(project_points), *thresholds
+        )
