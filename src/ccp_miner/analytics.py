@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping, Set
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from statistics import fmean
 
 from .errors import InputError
@@ -167,37 +167,3 @@ class ProjectYearStats:
     onboarding: float | None = None
     dominant_language: str | None = None
     avg_file_kb: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "repo_id": self.repo_id,
-            "year": self.year,
-            "n_commits": self.n_commits,
-            "k_hits": self.k_hits,
-            "ccp": self.ccp.as_dict(),
-            "coupling": self.coupling,
-            "coupling_by_file": self.coupling_by_file,
-            "speed": self.speed,
-            "retention": self.retention,
-            "onboarding": self.onboarding,
-            "dominant_language": self.dominant_language,
-            "avg_file_kb": self.avg_file_kb,
-        }
-
-    @classmethod
-    def flat_columns(cls) -> list[str]:
-        """Keys of ``as_flat_dict``, in order: the CSV report's header."""
-        ccp_columns = ["hit_rate", "ccp_raw", "ccp_status"]
-        return [f.name for f in fields(cls) if f.name != "ccp"] + ccp_columns
-
-    def as_flat_dict(self) -> dict:
-        out = self.as_dict()
-        ccp = out.pop("ccp")
-        out.update(
-            {
-                "hit_rate": ccp["hit_rate"],
-                "ccp_raw": ccp["ccp_raw"],
-                "ccp_status": ccp["status"],
-            }
-        )
-        return out

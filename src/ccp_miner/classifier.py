@@ -287,9 +287,10 @@ def load_labeled_corpus(path: str | Path) -> list[LabeledCommit]:
     ``label`` is 0 or 1; an optional third column holds comma-separated
     annotator votes (e.g. ``1,0,1``), each 0 or 1. A line with more columns
     or another label or vote raises InputError naming the file and line.
+    Only LF, CR or CRLF ends a line; a form feed or U+2028 is message text.
     """
     corpus = []
-    for lineno, raw in enumerate(read_text(path, InputError).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, InputError).split("\n"), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")

@@ -44,6 +44,16 @@ CONFIG_KEYS = (
     "model", "english_model", "perf", "table", "year", "seed", "format", "enforce_selection"
 )
 
+FORMATS = ("json", "csv")
+
+# The analyze CSV columns: the stats fields, with the estimate's three in place of ``ccp``.
+ANALYZE_COLUMNS = [
+    *(f.name for f in dataclasses.fields(analytics.ProjectYearStats) if f.name != "ccp"),
+    "hit_rate",
+    "ccp_raw",
+    "ccp_status",
+]
+
 
 class RunConfig:
     """Resolved models, constants and output settings for one command run."""
@@ -89,7 +99,7 @@ class RunConfig:
         )
         self.year = pick("year", int)
         self.seed = pick("seed", _seed, 0)
-        self.output_format = pick("format", default="json")
+        self.output_format = pick("format", _output_format, "json")
         self.enforce_selection = pick("enforce_selection", ingestion.read_flag, False)
 
         fingerprint = {
@@ -148,12 +158,13 @@ def _read_commits(
 
 
 def _emit(report: dict, config: RunConfig) -> None:
-    if config.output_format == "csv" and isinstance(report.get("rows"), list):
-        writer = csv.DictWriter(sys.stdout, fieldnames=analytics.ProjectYearStats.flat_columns())
+    """Print ``report`` as JSON, each dataclass as an object; ``analyze`` rows as CSV if asked."""
+    if config.output_format == "csv" and report["report_type"] == "analyze":
+        writer = csv.DictWriter(sys.stdout, fieldnames=ANALYZE_COLUMNS)
         writer.writeheader()
         writer.writerows(report["rows"])
         return
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(report, sort_keys=True, indent=2, default=dataclasses.asdict))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +287,13 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
                 repo_id, year, by_year, authors_by_year, involved_by_year, prior_authors,
                 config, language, avg_kb,
             )
-            entry = stat.as_dict()
+            entry = dataclasses.asdict(stat)
+            row = {name: value for name, value in entry.items() if name != "ccp"}
+            ccp = entry["ccp"]
+            row.update(hit_rate=ccp["hit_rate"], ccp_raw=ccp["ccp_raw"], ccp_status=ccp["status"])
+            rows.append(row)
             if stat.ccp.valid:
-                entry["band"] = estimator.rank_on_scale(stat.ccp.ccp_raw, config.table).as_dict()
+                entry["band"] = estimator.rank_on_scale(stat.ccp.ccp_raw, config.table)
             else:
                 messages = [c.message for c in by_year[year]]
                 median, p90 = classifier.terse_message_profile(messages)
@@ -291,7 +306,6 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
                     "reference": DIAGNOSTIC_REFERENCE,
                 }
             reports.append(entry)
-            rows.append(stat.as_flat_dict())
 
     report = {
         "meta": config.meta(),
@@ -312,7 +326,7 @@ def cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
             "meta": config.meta(),
             "report_type": "rank",
             "ccp": args.ccp,
-            "band": band.as_dict(),
+            "band": band,
         },
         config,
     )
@@ -321,9 +335,9 @@ def cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _bootstrap(
     args: argparse.Namespace, config: RunConfig, corpus: list[classifier.LabeledCommit]
-) -> dict:
+) -> estimator.BootstrapReport:
     """The bootstrap difference report of ``validate-model`` and ``bootstrap``."""
-    report = estimator.bootstrap_difference_distribution(
+    return estimator.bootstrap_difference_distribution(
         corpus,
         config.term_model,
         perf=None if args.perf_source == "corpus" else config.performance,
@@ -331,7 +345,6 @@ def _bootstrap(
         coverage=args.coverage,
         seed=config.seed,
     )
-    return dataclasses.asdict(report)
 
 
 def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
@@ -365,7 +378,7 @@ def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
                 iterations=args.iterations,
                 eval_segments=args.segments,
                 seed=config.seed,
-            ).as_dict()
+            )
     _emit(report, config)
     return EXIT_OK
 
@@ -380,10 +393,7 @@ def cmd_cochange(args: argparse.Namespace, config: RunConfig) -> int:
         improvement_sign_j=args.sign_j,
         comparator=args.comparator,
     )
-    _emit(
-        {"meta": config.meta(), "report_type": "cochange", "cochange": dataclasses.asdict(report)},
-        config,
-    )
+    _emit({"meta": config.meta(), "report_type": "cochange", "cochange": report}, config)
     return EXIT_OK
 
 
@@ -396,9 +406,7 @@ def cmd_twin(args: argparse.Namespace, config: RunConfig) -> int:
         improvement_sign=args.sign,
         comparator=args.comparator,
     )
-    _emit(
-        {"meta": config.meta(), "report_type": "twin", "twin": dataclasses.asdict(report)}, config
-    )
+    _emit({"meta": config.meta(), "report_type": "twin", "twin": report}, config)
     return EXIT_OK
 
 
@@ -430,6 +438,7 @@ _probability = _bounded(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _coverage = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
 _iterations = _bounded(int, lambda v: v >= 1, ">= 1")
 _seed = _bounded(int, lambda v: v >= 0, ">= 0")  # also the config file's seed
+_output_format = _bounded(str, FORMATS.__contains__, "json or csv")  # the config file's format
 
 
 def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:
@@ -464,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--table", help="CCP distribution table CSV")
     parser.add_argument("--year", type=int, help="analysis calendar year (UTC)")
     parser.add_argument("--seed", type=_seed, help="random seed (default 0)")
-    parser.add_argument("--format", choices=("json", "csv"), help="output format")
+    parser.add_argument("--format", choices=FORMATS, help="output format")
     parser.add_argument(
         "--enforce-selection",
         action="store_true",

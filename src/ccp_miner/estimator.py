@@ -53,29 +53,17 @@ class EstimateStatus(str, Enum):
 
 @dataclass(frozen=True)
 class CcpEstimate:
-    """A hit count, the raw MLE value, and its validity status."""
+    """A hit count, its rate, the raw MLE value, and its validity status."""
 
     n: int
     k: int
+    hit_rate: float
     ccp_raw: float
     status: EstimateStatus
 
     @property
-    def hit_rate(self) -> float:
-        return self.k / self.n
-
-    @property
     def valid(self) -> bool:
         return self.status is EstimateStatus.VALID
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "hit_rate": self.hit_rate,
-            "ccp_raw": self.ccp_raw,
-            "status": self.status.value,
-        }
 
 
 def ccp_from_hit_rate(hr: float, perf: ModelPerformance) -> tuple[float, EstimateStatus]:
@@ -99,8 +87,9 @@ def estimate_ccp(k: int, n: int, perf: ModelPerformance) -> CcpEstimate:
         raise InputError("estimate_ccp requires n > 0")
     if not 0 <= k <= n:
         raise ValueError(f"hit count k={k} outside [0, {n}]")
-    ccp, status = ccp_from_hit_rate(k / n, perf)
-    return CcpEstimate(n=n, k=k, ccp_raw=ccp, status=status)
+    hit_rate = k / n
+    ccp, status = ccp_from_hit_rate(hit_rate, perf)
+    return CcpEstimate(n=n, k=k, hit_rate=hit_rate, ccp_raw=ccp, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +278,9 @@ def bootstrap_difference_distribution(
 
 @dataclass(frozen=True)
 class SegmentSensitivity:
-    low: float
-    high: float
+    segment: tuple[float, float]
     max_abs_difference: float
     p95_abs_difference: float
-
-    def as_dict(self) -> dict:
-        return {
-            "segment": [self.low, self.high],
-            "max_abs_difference": self.max_abs_difference,
-            "p95_abs_difference": self.p95_abs_difference,
-        }
 
 
 @dataclass(frozen=True)
@@ -308,14 +289,6 @@ class SensitivityReport:
     seed: int
     redraws: int
     segments: tuple[SegmentSensitivity, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "redraws": self.redraws,
-            "segments": [s.as_dict() for s in self.segments],
-        }
 
 
 DEFAULT_SENSITIVITY_SEGMENTS = ((0.0, 1.0), (0.042, 0.84), (0.06, 0.39))
@@ -379,8 +352,7 @@ def estimator_sensitivity(
         max_diff = np.abs(est_a - est_b).max(axis=0)
         segments.append(
             SegmentSensitivity(
-                low=low,
-                high=high,
+                segment=(low, high),
                 max_abs_difference=float(max_diff.max()),
                 p95_abs_difference=float(np.percentile(max_diff, 95, method="lower")),
             )
@@ -417,12 +389,9 @@ class DistributionTable:
 class PercentileBand:
     """The percentile interval bracketing an estimate, best to worst."""
 
-    lower: int  # percentile floor; 0 means below the table's worst threshold
-    upper: int
+    lower_percentile: int  # 0 means below the table's worst threshold
+    upper_percentile: int
     label: str
-
-    def as_dict(self) -> dict:
-        return {"lower_percentile": self.lower, "upper_percentile": self.upper, "label": self.label}
 
 
 def load_distribution_table(path: str | Path) -> DistributionTable:
@@ -453,9 +422,9 @@ def rank_on_scale(ccp: float, table: DistributionTable) -> PercentileBand:
             best = percentile
     if best is None:
         worst = table.rows[0][0]
-        return PercentileBand(lower=0, upper=worst, label=f"bottom {worst}%")
+        return PercentileBand(0, worst, f"bottom {worst}%")
     percentiles = [p for p, _ in table.rows]
     if best == percentiles[-1]:
-        return PercentileBand(lower=best, upper=100, label=f"top {100 - best}%")
+        return PercentileBand(best, 100, f"top {100 - best}%")
     upper = percentiles[percentiles.index(best) + 1]
-    return PercentileBand(lower=best, upper=upper, label=f"percentile {best}-{upper}")
+    return PercentileBand(best, upper, f"percentile {best}-{upper}")

@@ -183,7 +183,7 @@ class TestAcceptance:
         top = rank_on_scale(0.04, distribution_table)
         bottom = rank_on_scale(0.50, distribution_table)
         ok = (
-            (median.lower, median.upper) == (50, 60)
+            (median.lower_percentile, median.upper_percentile) == (50, 60)
             and top.label == "top 5%"
             and bottom.label == "bottom 10%"
         )

@@ -1,5 +1,6 @@
 """Analytics unit tests: capping, coupling, speed, retention, the stats bundle."""
 
+from dataclasses import asdict
 from statistics import fmean
 
 import pytest
@@ -219,6 +220,6 @@ class TestGrouping:
             k_hits=0,
             ccp=estimate_ccp(0, 10, default_perf),
         )
-        flat = stat.as_flat_dict()
-        assert flat["hit_rate"] == 0.0
-        assert flat["ccp_status"] == "BelowZero"
+        ccp = asdict(stat)["ccp"]
+        assert ccp["hit_rate"] == 0.0
+        assert ccp["status"] == "BelowZero"

@@ -273,7 +273,7 @@ FILES = [None, [], ["a.c"], ["src/b.py", "src/c.h"], ["docs/x.md", "a.c", "t/y.p
 
 # Timestamps of the analysis year, some of them only in UTC, and of the others.
 IN_YEAR = ["2019-03-01T10:00:00+00:00", "2019-07-04T12:30:00", "2020-01-01T00:30:00+01:00",
-           "2019-12-31T23:30:00-00:30", "2018-12-31T23:00:00-02:00"]
+           "2019-12-31T23:30:00+00:30", "2018-12-31T23:00:00-02:00"]
 OTHER_YEARS = ["2018-06-01T00:00:00+00:00", "2019-01-01T00:30:00+01:00", "2020-02-02T02:02:02",
                "2019-12-31T23:30:00-01:00"]
 
@@ -497,3 +497,7 @@ class TestAgainstReference:
         extra = ("--input-format", "git", *(("--repo", "acme/widget") if named else ()))
         namespace = {"input_format": "git", "repo": "acme/widget" if named else None}
         _check(files, (), mode, extra, namespace, term_model)
+
+    def test_stamps_fall_in_the_years_their_lists_name(self):
+        assert {_reference_utc_year(ts) for ts in IN_YEAR} == {YEAR}
+        assert YEAR not in {_reference_utc_year(ts) for ts in OTHER_YEARS}

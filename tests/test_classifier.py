@@ -395,3 +395,13 @@ class TestLabeledCorpus:
         corpus.write_text("1\tfix the crash\t\n0\tadd docs\t0,0,1\n")
         loaded = classifier.load_labeled_corpus(corpus)
         assert [c.annotator_labels for c in loaded] == [None, (False, False, True)]
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_only_lf_cr_or_crlf_ends_a_line(self, tmp_path, separator):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_bytes(f"1\tfix the crash\r\n0\tupdate{separator}docs\n".encode())
+        loaded = classifier.load_labeled_corpus(corpus)
+        assert [c.message for c in loaded] == ["fix the crash", f"update{separator}docs"]
+        corpus.write_bytes(f"1\tfix the crash\r0\tupdate{separator}docs\n2\tbad\n".encode())
+        with pytest.raises(InputError, match=f"{re.escape(str(corpus))}, line 3: "):
+            classifier.load_labeled_corpus(corpus)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -135,8 +136,10 @@ class TestAnalyzeCommand:
             capsys, "--format", "csv", "--year", "2020", "--enforce-selection", "analyze", LOG
         )
         assert code == EXIT_OK
-        [header] = out.splitlines()
-        assert header.startswith("repo_id,year,n_commits") and header.endswith(",ccp_status")
+        assert out.splitlines() == [
+            "repo_id,year,n_commits,k_hits,coupling,coupling_by_file,speed,retention,"
+            "onboarding,dominant_language,avg_file_kb,hit_rate,ccp_raw,ccp_status"
+        ]
 
     def test_year_filter(self, capsys):
         code, out, _ = run(capsys, "--year", "2018", "analyze", MALFORMED)
@@ -355,7 +358,7 @@ class TestSharedFirstDraw:
         )
         report = json.loads(out)
         assert report["difference"] == json.loads(plain)["difference"]
-        assert report["sensitivity"] == json.loads(json.dumps(sensitivity.as_dict()))
+        assert report["sensitivity"] == json.loads(json.dumps(asdict(sensitivity)))
 
     def test_first_draw_is_made_once(self, capsys, rows_drawn):
         code, out, _ = run(capsys, *self.ARGS, "--sensitivity")
@@ -453,6 +456,78 @@ class TestCochangeAndTwin:
         assert f"argument {flag}: must be >= 0, got '{value}'" in capsys.readouterr().err
 
 
+class TestReportLayout:
+    """The exact keys of each report object; a report change must show here."""
+
+    STATS = {
+        "repo_id", "year", "n_commits", "k_hits", "coupling", "coupling_by_file", "speed",
+        "retention", "onboarding", "dominant_language", "avg_file_kb",
+    }
+    BAND = {"lower_percentile", "upper_percentile", "label"}
+
+    def test_analyze_project_ccp_and_row(self, capsys, tmp_path):
+        # acme/widget's hit rate 0.6 is valid; every commit of acme/fixes is a hit.
+        fixes = [
+            {"repo": "acme/fixes", "hash": f"f{i}", "author": "ann@x",
+             "ts": "2019-05-01T00:00:00+00:00", "msg": "fix crash", "files": ["a.c"],
+             "merge": False}
+            for i in range(3)
+        ]
+        log = tmp_path / "two.ndjson"
+        log.write_text(Path(LOG).read_text() + "".join(json.dumps(c) + "\n" for c in fixes))
+        code, out, _ = run(capsys, "analyze", str(log))
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert set(report) == {
+            "meta", "report_type", "skipped_lines", "exclusions", "projects", "rows"
+        }
+        assert set(report["meta"]) == {
+            "tool_version", "model_id", "recall", "fpr", "seed", "config_hash"
+        }
+        invalid, valid = report["projects"]
+        assert set(valid) == self.STATS | {"ccp", "band"}
+        assert set(valid["band"]) == self.BAND
+        assert set(invalid) == self.STATS | {"ccp", "diagnostics"}
+        assert set(invalid["diagnostics"]) == {
+            "english_hit_rate", "median_message_chars", "p90_message_chars", "reference"
+        }
+        assert set(valid["ccp"]) == {"n", "k", "hit_rate", "ccp_raw", "status"}
+        assert [p["ccp"]["status"] for p in report["projects"]] == ["AboveOne", "Valid"]
+        assert [set(row) for row in report["rows"]] == 2 * [
+            self.STATS | {"hit_rate", "ccp_raw", "ccp_status"}
+        ]
+
+    def test_rank_band(self, capsys):
+        code, out, _ = run(capsys, "rank", "--ccp", "0.2")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert set(report) == {"meta", "report_type", "ccp", "band"}
+        assert set(report["band"]) == self.BAND
+
+    def test_bootstrap_difference_and_sensitivity(self, capsys):
+        code, out, _ = run(capsys, "bootstrap", GOLD, "--iterations", "50", "--sensitivity")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert set(report) == {"meta", "report_type", "difference", "sensitivity"}
+        assert set(report["difference"]) == {
+            "iterations", "seed", "coverage", "mean_difference", "interval_low", "interval_high"
+        }
+        assert set(report["sensitivity"]) == {"iterations", "seed", "redraws", "segments"}
+        for segment in report["sensitivity"]["segments"]:
+            assert set(segment) == {"segment", "max_abs_difference", "p95_abs_difference"}
+            assert len(segment["segment"]) == 2
+
+    def test_validate_model_confusion_matrix(self, capsys):
+        code, out, _ = run(capsys, "validate-model", GOLD, "--iterations", "50")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert set(report) == {"meta", "report_type", "confusion_matrix", "bootstrap"}
+        assert set(report["confusion_matrix"]) == {
+            "tp", "fn", "fp", "tn", "accuracy", "precision", "recall", "fpr", "hit_rate",
+            "positive_rate",
+        }
+
+
 class TestConfigResolution:
     def test_env_config_file(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "miner.cfg"
@@ -496,6 +571,8 @@ class TestConfigResolution:
             ("seed=-1", "seed"),
             ("enforce_selection=maybe", "enforce_selection"),
             ("enforce_selection=", "enforce_selection"),
+            ("format=xml", "format"),
+            ("format=", "format"),
         ],
     )
     def test_env_config_key_not_read_or_bad_value(self, capsys, tmp_path, monkeypatch, line, key):

@@ -257,8 +257,8 @@ class TestFitPerformance:
 class TestRankOnScale:
     def test_median_band(self, distribution_table):
         band = rank_on_scale(0.20, distribution_table)
-        assert band.lower == 50
-        assert band.upper == 60
+        assert band.lower_percentile == 50
+        assert band.upper_percentile == 60
 
     def test_top_band(self, distribution_table):
         band = rank_on_scale(0.04, distribution_table)
@@ -270,7 +270,7 @@ class TestRankOnScale:
 
     def test_monotone(self, distribution_table):
         grid = [i / 100 for i in range(0, 101)]
-        lowers = [rank_on_scale(c, distribution_table).lower for c in grid]
+        lowers = [rank_on_scale(c, distribution_table).lower_percentile for c in grid]
         assert all(a >= b for a, b in zip(lowers, lowers[1:]))
 
     def test_rejects_non_probability(self, distribution_table):

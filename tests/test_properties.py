@@ -86,8 +86,8 @@ class TestEstimatorProperties:
     def test_rank_monotone(self, a, b, distribution_table):
         lo, hi = sorted((a, b))
         assert (
-            rank_on_scale(lo, distribution_table).lower
-            >= rank_on_scale(hi, distribution_table).lower
+            rank_on_scale(lo, distribution_table).lower_percentile
+            >= rank_on_scale(hi, distribution_table).lower_percentile
         )
 
 
