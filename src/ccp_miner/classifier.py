@@ -225,11 +225,11 @@ class EnglishModel:
 # Model loading
 
 def parse_term_model(text: str) -> TermModel:
-    """Parse the line-oriented term-model format (see load_term_model)."""
+    """Parse the line-oriented term-model format (see load_term_model); only LF ends a line."""
     model_id = ""
     sections: dict[str, list[str]] = {"fix": [], "other_fix": [], "negation": []}
     current: list[str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -272,7 +272,7 @@ def load_default_term_model() -> TermModel:
 
 def load_english_model(path: str | Path) -> EnglishModel:
     """Load an english model file: one lowercase word per line."""
-    words = frozenset(w.strip() for w in read_text(path, ModelLoadError).splitlines() if w.strip())
+    words = frozenset(w.strip() for w in read_text(path, ModelLoadError).split("\n") if w.strip())
     return EnglishModel(words=words)
 
 

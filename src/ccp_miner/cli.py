@@ -231,6 +231,14 @@ def _project_year_stats(
     )
 
 
+def _file_size(text: str) -> int:
+    """A HEAD listing's ``size_bytes``: an integer no less than 0."""
+    size = int(text)
+    if size < 0:
+        raise ValueError(f"size_bytes {text!r} is negative")
+    return size
+
+
 def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     if config.enforce_selection and config.year is None:
         raise ConfigError("--enforce-selection requires --year")
@@ -240,7 +248,7 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     language = avg_kb = None
     if args.head_listing:
         head_listing = list(
-            ingestion.read_csv(args.head_listing, {"path": str, "size_bytes": int})
+            ingestion.read_csv(args.head_listing, {"path": str, "size_bytes": _file_size})
         )
         if head_listing:
             language = analytics.dominant_language(head_listing)

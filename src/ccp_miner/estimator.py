@@ -379,6 +379,10 @@ class DistributionTable:
             raise ConfigError("distribution table is empty")
         percentiles = [p for p, _ in self.rows]
         thresholds = [t for _, t in self.rows]
+        if not all(0 < p < 100 for p in percentiles):
+            raise ConfigError("distribution table percentiles must be in (0, 100)")
+        if not all(0.0 <= t <= 1.0 for t in thresholds):  # NaN fails too
+            raise ConfigError("distribution table thresholds must be numbers in [0, 1]")
         if percentiles != sorted(percentiles) or len(set(percentiles)) != len(percentiles):
             raise ConfigError("distribution table percentiles must be strictly ascending")
         if any(a <= b for a, b in zip(thresholds, thresholds[1:])):
@@ -395,10 +399,12 @@ class PercentileBand:
 
 
 def load_distribution_table(path: str | Path) -> DistributionTable:
-    """Load a ``percentile,ccp`` CSV sorted ascending by percentile."""
-    return DistributionTable(
-        rows=tuple(read_csv(path, {"percentile": int, "ccp": float}, ConfigError))
-    )
+    """Load a ``percentile,ccp`` CSV sorted ascending by percentile; its errors name the file."""
+    rows = tuple(read_csv(path, {"percentile": int, "ccp": float}, ConfigError))
+    try:
+        return DistributionTable(rows=rows)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_default_distribution_table() -> DistributionTable:

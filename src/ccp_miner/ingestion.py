@@ -1,14 +1,14 @@
 """Input file readers and commit-history ingestion.
 
-Every input file is read by ``read_text``, ``read_lines``, ``read_csv`` or
-``read_config``, which raise the caller's error class naming the file.
+Every input file is opened by ``_opened`` as UTF-8 text in which only LF, CRLF
+or a lone CR ends a line; the readers built on it raise errors naming the file.
 
 The canonical commit export format is newline-delimited JSON, one object per
 commit with string keys ``repo``, ``hash``, ``author``, ``ts`` (ISO-8601) and
 ``msg``, and optional ``files`` (a list of strings or null) and ``merge`` (a
 boolean). A raw ``git log`` format (record/unit separator based, documented
-by the ``export-log-recipe`` subcommand) is also parsed. In both formats the
-CRLF and CR line ends inside a message read as LF.
+by the ``export-log-recipe`` subcommand) is also parsed, from its whole
+text. In both formats the CRLF and CR line ends inside a message read as LF.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ import json
 import operator
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TextIO
 
 from .errors import CcpMinerError, InputError
 
@@ -33,46 +35,40 @@ INVOLVED_COMMITS = 12  # non-merge commits in a year for an involved developer
 # Readers
 
 
-def read_text(path: str | Path, error: type[CcpMinerError] = InputError) -> str:
-    """Read a UTF-8 file with universal newlines, as ``Path.read_text`` does.
+@contextmanager
+def _opened(path: str | Path, error: type[CcpMinerError]) -> Iterator[TextIO]:
+    """The file at ``path`` as UTF-8 text with universal newlines: LF, CRLF and CR read as LF.
 
     An unreadable file or bytes that are not UTF-8 raise ``error`` naming
-    the file and the offset of the first bad byte.
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path} is not UTF-8: byte {exc.start} is {data[exc.start]:#04x}") from exc
-    return _lf(text)
-
-
-def _lf(text: str) -> str:
-    """``text`` with CRLF and CR line ends read as LF."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
-
-
-def read_lines(path: str | Path, error: type[CcpMinerError] = InputError) -> Iterator[str]:
-    """Yield the lines of ``read_text(path)`` one at a time, line ends kept.
-
-    The file is never held whole, so memory follows what the caller keeps,
-    not the size of the file. CR and CRLF read as LF, and errors are those
-    of ``read_text``.
+    the file and, read again as bytes, the offset of the first bad byte.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            yield from fh
+            yield fh
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        read_text(path, error)  # raises, naming the offset of the first bad byte
+        try:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            data.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            raise error(f"{path} is not UTF-8: byte {bad.start} is {data[bad.start]:#04x}") from exc
+        except OSError:
+            pass
         raise error(f"{path} is not UTF-8") from exc
+
+
+def read_text(path: str | Path, error: type[CcpMinerError] = InputError) -> str:
+    """The whole text of ``path``, opened as ``_opened`` does."""
+    with _opened(path, error) as fh:
+        return fh.read()
+
+
+def read_lines(path: str | Path, error: type[CcpMinerError] = InputError) -> Iterator[str]:
+    """Yield the lines of ``path`` one at a time, ``\\n`` kept; the file is never held whole."""
+    with _opened(path, error) as fh:
+        yield from fh
 
 
 def read_csv(
@@ -80,15 +76,15 @@ def read_csv(
     columns: Mapping[str, Callable[[str], object]],
     error: type[CcpMinerError] = InputError,
 ) -> Iterator[tuple]:
-    """Yield the ``columns`` of each row of a UTF-8 CSV file with a header line.
+    """Yield the ``columns`` of each row of a CSV file with a header line.
 
-    ``columns`` maps header names to converters, and each tuple holds the
-    converted values in that order. Blank lines are skipped, as
-    ``csv.DictReader`` does. A missing column, a short row or a value its
-    converter rejects raises ``error`` naming the file and line.
+    ``columns`` maps header names to converters; each tuple holds the converted
+    values in that order. Blank lines are skipped, as ``csv.DictReader`` does,
+    and a CR or CRLF in a quoted field reads as LF. A missing column, a short
+    row or a value its converter rejects raises ``error`` naming file and line.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with _opened(path, error) as fh:
             rows = csv.reader(fh)
             header = next(rows, None)
             if header is None:
@@ -116,11 +112,6 @@ def read_csv(
                 except ValueError as exc:
                     raise error(f"{path}, line {rows.line_num}: {exc}") from exc
                 yield pick(row)
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        read_text(path, error)  # raises, naming the offset of the first bad byte
-        raise error(f"{path} is not UTF-8") from exc
     except csv.Error as exc:
         raise error(f"{path}: {exc}") from exc
 
@@ -135,7 +126,7 @@ def read_config(
     """
     known = set(keys)
     values = {}
-    for lineno, raw in enumerate(read_text(path, error).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, error).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -209,6 +200,13 @@ _JSON_SPACE = " \t\n\r"
 _decode_json = json.JSONDecoder().raw_decode
 
 
+def _lf(text: str) -> str:
+    """``text`` with CRLF and CR line ends read as LF, as ``_opened`` reads a file."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _ndjson_record(line: str) -> tuple[str, Commit] | None:
     """One NDJSON commit and its repo, or None when the line is not the object the module describes."""
     try:
@@ -253,7 +251,7 @@ def _raw_record(chunk: str, repo_id: str) -> tuple[str, Commit] | None:
             author.strip().lower(),
             _utc_year(ts_text.strip()),
             message.rstrip("\n"),
-            tuple(f.strip() for f in file_block.splitlines() if f.strip()),
+            tuple(f.strip() for f in file_block.split("\n") if f.strip()),
             len(parents.split()) > 1,
         )
     except (ValueError, OverflowError):  # field count, timestamp or UTC year bad

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ccp_miner import estimator, ingestion
+from ccp_miner import classifier, estimator, ingestion
 from ccp_miner.cli import (
     CONFIG_ENV_VAR,
     EXIT_CONFIG,
@@ -712,10 +712,14 @@ DEEP = b"".join(
         ("deep.ndjson", DEEP + b'{"msg": "' + LATIN1 + b'"}\n', ["analyze", "{path}"],
          EXIT_INPUT),
         ("empty.log", b"", ["analyze", "{path}", "--input-format", "git"], EXIT_INPUT),
+        ("table.csv", b"percentile,ccp\n10,0.3\n50,nan\n",
+         ["--table", "{path}", "rank", "--ccp", "0.2"], EXIT_CONFIG),
+        ("head.csv", b"path,size_bytes\na.py,-400\nb.py,100\n",
+         ["analyze", LOG, "--head-listing", "{path}"], EXIT_INPUT),
     ],
     ids=["metadata-short-row", "metadata-latin1", "corpus-latin1", "env-config-latin1",
          "perf-latin1", "model-latin1", "raw-git-log-latin1", "ndjson-no-record",
-         "ndjson-latin1", "raw-git-log-no-chunk"],
+         "ndjson-latin1", "raw-git-log-no-chunk", "table-nan-threshold", "head-listing-negative"],
 )
 def test_bad_input_file_is_a_named_config_or_input_error(
     capsys, tmp_path, monkeypatch, name, content, argv, exit_code
@@ -735,6 +739,86 @@ def test_directory_as_input_is_a_named_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(tmp_path))
     assert code == EXIT_INPUT
     assert err.startswith(f"input error: cannot read {tmp_path}: ")
+
+
+# The characters other than LF and CR that str.splitlines breaks a line at.
+LINE_BREAKS_NOT_ENDING_A_LINE = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _env_config_line_rule(capsys, tmp_path, monkeypatch, c):
+    cfg = tmp_path / "miner.cfg"
+    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+    cfg.write_text(f"seed=3{c}year=2019\n", newline="")
+    code, out, err = run(capsys, "rank", "--ccp", "0.2")
+    bad = f"3{c}year=2019"
+    assert (code, out, err) == (EXIT_CONFIG, "", f"configuration error: {cfg}: bad value for "
+                                f"seed: {bad!r}\n")
+    cfg.write_text(f"# note{c}x\r\nseed=1\rbogus\n", newline="")
+    code, _, err = run(capsys, "rank", "--ccp", "0.2")
+    assert (code, err) == (EXIT_CONFIG, f"configuration error: {cfg}, line 3: expected "
+                           "key=value, got 'bogus'\n")
+
+
+def _perf_line_rule(capsys, tmp_path, monkeypatch, c):
+    perf = tmp_path / "perf.cfg"
+    text = f"model_id=m{c}fpr=0.5\r\nrecall=0.9\rfpr=0.1\n"
+    perf.write_text(text, newline="")
+    code, out, _ = run(capsys, "--perf", str(perf), "rank", "--ccp", "0.2")
+    meta = json.loads(out)["meta"]
+    assert (code, meta["recall"], meta["fpr"]) == (EXIT_OK, 0.9, 0.1)
+    keys = ("recall", "fpr", "model_id")
+    assert ingestion.read_config(perf, keys, InputError)["model_id"] == f"m{c}fpr=0.5"
+    perf.write_text(text + "bogus\n", newline="")
+    code, _, err = run(capsys, "--perf", str(perf), "rank", "--ccp", "0.2")
+    assert (code, err) == (EXIT_CONFIG, f"configuration error: {perf}, line 4: expected "
+                           "key=value, got 'bogus'\n")
+
+
+def _term_model_line_rule(capsys, tmp_path, monkeypatch, c):
+    model = tmp_path / "model.terms"
+    text = f"model_id: m\r\n[fix]\rfix{c}[negation]\n"
+    model.write_text(text, newline="")
+    loaded = classifier.load_term_model(model)
+    assert (loaded.fix_patterns, loaded.negation_patterns) == ((f"fix{c}[negation]",), ())
+    model.write_text(text + "[nope]\n", newline="")
+    code, _, err = run(capsys, "--model", str(model), "rank", "--ccp", "0.2")
+    assert (code, err) == (EXIT_CONFIG, "configuration error: unknown section [nope] at line 4\n")
+
+
+def _english_model_line_rule(capsys, tmp_path, monkeypatch, c):
+    english = tmp_path / "english.txt"
+    english.write_text(f"abc{c}def\r\nfoo\rbar\n", newline="")
+    assert classifier.load_english_model(english).words == {f"abc{c}def", "foo", "bar"}
+
+
+def _raw_log_line_rule(capsys, tmp_path, monkeypatch, c):
+    log = tmp_path / "widget.log"
+    log.write_text(
+        f"\x1eaaa\x1fann@x\x1f2019-01-01T00:00:00+00:00\x1fp\x1ffix\x1f\na{c}b.c\r\nc.c\rd.c\n",
+        newline="",
+    )
+    [commit] = ingestion.parse_raw_git_log(ingestion.read_text(log), repo_id="r").records
+    assert commit[4] == (f"a{c}b.c", "c.c", "d.c")
+
+
+@pytest.mark.parametrize(
+    "check, c",
+    [
+        pytest.param(check, c, id=f"{name}-U+{ord(c):04X}")
+        for name, check in [
+            ("env-config", _env_config_line_rule),
+            ("perf", _perf_line_rule),
+            ("term-model", _term_model_line_rule),
+            ("english-model", _english_model_line_rule),
+            ("raw-log-files", _raw_log_line_rule),
+        ]
+        for c in LINE_BREAKS_NOT_ENDING_A_LINE
+        if not (check is _raw_log_line_rule and c == "\x1e")  # the raw log's record separator
+    ],
+)
+def test_only_lf_crlf_or_cr_ends_a_line(capsys, tmp_path, monkeypatch, check, c):
+    """A value keeps the character or its own rule refuses it; errors after it name the line."""
+    check(capsys, tmp_path, monkeypatch, c)
 
 
 def _subprocess_env() -> dict:

@@ -1,5 +1,7 @@
 """Estimator unit tests: MLE inversion, validity domain, bootstrap, ranking."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,11 +279,21 @@ class TestRankOnScale:
         with pytest.raises(ValueError):
             rank_on_scale(1.2, distribution_table)
 
-    def test_table_validation(self):
+    def test_table_validation(self, distribution_table):
         with pytest.raises(ConfigError):
             DistributionTable(rows=((10, 0.3), (20, 0.4)))  # thresholds must decrease
         with pytest.raises(ConfigError):
             DistributionTable(rows=((20, 0.4), (10, 0.3)))  # percentiles must ascend
+        # NaN compares false, so it once passed the decreasing check; percentiles
+        # of 0, 100 or beyond gave bands such as "top 0%" or "top -50%".
+        nan, inf = float("nan"), float("inf")
+        for rows in [((10, 0.3), (50, nan)), ((10, 0.3), (50, inf)), ((10, 1.5), (50, 0.2)),
+                     ((10, 0.3), (50, -0.1)), ((-5, 0.3), (50, 0.2)), ((50, 0.3), (150, 0.2)),
+                     ((0, 0.3), (50, 0.2)), ((50, 0.3), (100, 0.2))]:
+            with pytest.raises(ConfigError):
+                DistributionTable(rows=rows)
+        # The bundled table passes the same rules.
+        assert [p for p, _ in distribution_table.rows] == [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
 
 
 class TestConfigFiles:
@@ -301,3 +313,8 @@ class TestConfigFiles:
         path.write_text("percentile,ccp\n10,0.4\n50,0.2\n")
         table = load_distribution_table(path)
         assert table.rows == ((10, 0.4), (50, 0.2))
+        for rows in ["10,0.3\n50,nan\n", "-5,0.3\n150,0.2\n", "0,0.3\n100,0.2\n",
+                     "10,0.2\n50,0.3\n", ""]:
+            path.write_text("percentile,ccp\n" + rows)
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: distribution table "):
+                load_distribution_table(path)

@@ -1,5 +1,6 @@
 """Ingestion unit tests: parsing, windowing, selection, involvement."""
 
+import ast
 import csv
 import gc
 import io
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ccp_miner import ingestion
 from ccp_miner.errors import InputError
 from ccp_miner.ingestion import (
     CommitRecord,
@@ -177,9 +179,26 @@ class TestReadLines:
         head = ("x" * 99 + "\n") * (at // 100) + "y" * (at % 100)
         path = tmp_path / "log.ndjson"
         path.write_bytes((head + "\r\n\u00e9\r\rz\r\nlast").encode())
+        expected = path.read_bytes().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         lines = list(read_lines(path))
-        assert "".join(lines) == read_text(path)
-        assert [line.rstrip("\n") for line in lines] == read_text(path).split("\n")
+        assert "".join(lines) == read_text(path) == expected
+        assert [line.rstrip("\n") for line in lines] == expected.split("\n")
+
+    # Past the first 8 KiB read chunk and past the first 64 KiB.
+    @pytest.mark.parametrize("at", [10_000, 70_001])
+    @pytest.mark.parametrize("reader", ["read_text", "read_lines", "read_csv"])
+    def test_non_utf8_byte_is_named_at_its_offset_in_the_file(self, tmp_path, at, reader):
+        head = b"path,size_bytes\n" + b"a.py,1\n" * (at // 7)
+        path = tmp_path / "listing.csv"
+        path.write_bytes(head + b"caf\xe9.py,2\n")
+        read = {
+            "read_text": lambda: read_text(path),
+            "read_lines": lambda: list(read_lines(path)),
+            "read_csv": lambda: list(read_csv(path, {"path": str, "size_bytes": int})),
+        }[reader]
+        with pytest.raises(InputError) as caught:
+            read()
+        assert str(caught.value) == f"{path} is not UTF-8: byte {len(head) + 3} is 0xe9"
 
 
 # Field text with the characters that force quoting: commas, quotes, newlines.
@@ -222,6 +241,36 @@ def write_table(directory, header, rows, blanks, terminator) -> tuple[Path, list
     path = Path(directory) / "table.csv"
     path.write_bytes(text.getvalue().encode())
     return path, last_lines
+
+
+class TestReadCsv:
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"])
+    def test_line_end_in_a_quoted_field_reads_as_lf(self, tmp_path, end):
+        path = tmp_path / "table.csv"
+        path.write_bytes(f'name,n{end}"a{end}b",1{end}c,2{end}'.encode())
+        assert list(read_csv(path, {"name": str, "n": int})) == [("a\nb", 1), ("c", 2)]
+
+
+class TestSourceRules:
+    def test_one_opener_and_no_splitlines(self):
+        """Only ``ingestion._opened`` calls the builtin ``open``; nothing calls ``.splitlines``."""
+        package = Path(ingestion.__file__).parent
+        found = []
+        for source in sorted(package.glob("*.py")):
+            tree = ast.parse(source.read_text(encoding="utf-8"))
+            allowed = set()
+            if source.name == "ingestion.py":
+                [opener] = [n for n in tree.body if getattr(n, "name", None) == "_opened"]
+                allowed = {id(n) for n in ast.walk(opener)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "splitlines":
+                    found.append(f"{source.name}:{node.lineno}: .splitlines()")
+                if isinstance(func, ast.Name) and func.id == "open" and id(node) not in allowed:
+                    found.append(f"{source.name}:{node.lineno}: open()")
+        assert found == []
 
 
 class TestReadCsvProperties:
