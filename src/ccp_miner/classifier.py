@@ -260,9 +260,14 @@ def load_term_model(path: str | Path) -> TermModel:
 
     Format: UTF-8, one pattern per line, sections ``[fix]``, ``[other_fix]``
     and ``[negation]``, ``#`` comments, and a ``model_id:`` header line.
-    Malformed patterns raise ModelLoadError here, never mid-classification.
+    Malformed patterns raise ModelLoadError here, never mid-classification;
+    every ModelLoadError names the file.
     """
-    return parse_term_model(read_text(path, ModelLoadError))
+    text = read_text(path, ModelLoadError)
+    try:
+        return parse_term_model(text)
+    except ModelLoadError as exc:
+        raise ModelLoadError(f"{path}: {exc}") from exc
 
 
 def load_default_term_model() -> TermModel:
@@ -271,9 +276,12 @@ def load_default_term_model() -> TermModel:
 
 
 def load_english_model(path: str | Path) -> EnglishModel:
-    """Load an english model file: one lowercase word per line."""
+    """Load an english model file: one lowercase word per line. Its errors name the file."""
     words = frozenset(w.strip() for w in read_text(path, ModelLoadError).split("\n") if w.strip())
-    return EnglishModel(words=words)
+    try:
+        return EnglishModel(words=words)
+    except ModelLoadError as exc:
+        raise ModelLoadError(f"{path}: {exc}") from exc
 
 
 def load_default_english_model() -> EnglishModel:

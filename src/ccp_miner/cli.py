@@ -144,9 +144,9 @@ def _read_commits(
     for path in args.input:
         try:
             if getattr(args, "input_format", "ndjson") == "git":
-                text = ingestion.read_text(path, InputError)
+                records = ingestion.read_records(path, "\x1e", InputError)
                 repo = getattr(args, "repo", None) or Path(path).stem
-                result = ingestion.parse_raw_git_log(text, repo_id=repo, by_repo=by_repo)
+                result = ingestion.parse_raw_git_log(records, repo_id=repo, by_repo=by_repo)
             else:
                 lines = ingestion.read_lines(path, InputError)
                 result = ingestion.parse_git_log(lines, by_repo=by_repo)

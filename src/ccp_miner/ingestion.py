@@ -7,8 +7,9 @@ The canonical commit export format is newline-delimited JSON, one object per
 commit with string keys ``repo``, ``hash``, ``author``, ``ts`` (ISO-8601) and
 ``msg``, and optional ``files`` (a list of strings or null) and ``merge`` (a
 boolean). A raw ``git log`` format (record/unit separator based, documented
-by the ``export-log-recipe`` subcommand) is also parsed, from its whole
-text. In both formats the CRLF and CR line ends inside a message read as LF.
+by the ``export-log-recipe`` subcommand) is also parsed, record by record as
+``read_records`` streams it. In both formats the CRLF and CR line ends inside a
+message read as LF.
 """
 
 from __future__ import annotations
@@ -69,6 +70,32 @@ def read_lines(path: str | Path, error: type[CcpMinerError] = InputError) -> Ite
     """Yield the lines of ``path`` one at a time, ``\\n`` kept; the file is never held whole."""
     with _opened(path, error) as fh:
         yield from fh
+
+
+# Characters read_records reads at a time.
+RECORD_BLOCK = 1 << 16
+
+
+def read_records(
+    path: str | Path, sep: str, error: type[CcpMinerError] = InputError
+) -> Iterator[str]:
+    """Yield the ``sep``-separated records of ``path``, read in blocks, never the file whole.
+
+    The text is read as ``_opened`` reads it. A record that spans many blocks
+    is joined once, so a long record, or a file without ``sep``, stays linear.
+    """
+    with _opened(path, error) as fh:
+        pieces: list[str] = []
+        while block := fh.read(RECORD_BLOCK):
+            *records, last = block.split(sep)
+            if records:
+                pieces.append(records[0])
+                records[0] = "".join(pieces)
+                yield from records
+                pieces = [last]
+            else:
+                pieces.append(last)
+        yield "".join(pieces)
 
 
 def read_csv(
@@ -239,19 +266,27 @@ def _ndjson_record(line: str) -> tuple[str, Commit] | None:
         return None
 
 
-def _raw_record(chunk: str, repo_id: str) -> tuple[str, Commit] | None:
-    """One ``git log`` chunk of GIT_LOG_RECIPE and ``repo_id``, or None when it does not parse."""
+def _raw_record(
+    chunk: str, repo_id: str, share: Callable[[str, str], str]
+) -> tuple[str, Commit] | None:
+    """One ``git log`` chunk of GIT_LOG_RECIPE and ``repo_id``, or None when it does not parse.
+
+    Author and path strings go through ``share``, a ``dict.setdefault`` that
+    keeps one copy of each.
+    """
     try:
         commit_hash, author, ts_text, parents, message, file_block = chunk.split("\x1f")
         commit_hash = commit_hash.strip()
         if not commit_hash:
             return None
+        author = author.strip().lower()
+        paths = list(filter(None, map(str.strip, file_block.split("\n"))))
         return repo_id, (
             commit_hash,
-            author.strip().lower(),
+            share(author, author),
             _utc_year(ts_text.strip()),
             message.rstrip("\n"),
-            tuple(f.strip() for f in file_block.split("\n") if f.strip()),
+            tuple(map(share, paths, paths)),
             len(parents.split()) > 1,
         )
     except (ValueError, OverflowError):  # field count, timestamp or UTC year bad
@@ -298,13 +333,19 @@ def parse_git_log(stream: Iterable[str], by_repo: CommitTable | None = None) -> 
     return _accept((_ndjson_record(line) for line in stream if line.strip()), "lines", by_repo)
 
 
-def parse_raw_git_log(text: str, repo_id: str, by_repo: CommitTable | None = None) -> ParseResult:
-    """Parse the `git log` export of GIT_LOG_RECIPE; bad chunks and repeated hashes are skipped.
+def parse_raw_git_log(
+    records: Iterable[str], repo_id: str, by_repo: CommitTable | None = None
+) -> ParseResult:
+    """Parse the `git log` export of GIT_LOG_RECIPE from its ``\\x1e``-separated records.
 
-    ``by_repo`` works as in parse_git_log.
+    ``records`` is what ``read_records(path, "\\x1e")`` yields. Blank records
+    are passed over; bad chunks and repeated hashes are skipped and counted.
+    Each author and path string is kept once per call. ``by_repo`` works as
+    in parse_git_log.
     """
-    chunks = (chunk for chunk in text.split("\x1e") if chunk.strip())
-    return _accept((_raw_record(chunk, repo_id) for chunk in chunks), "chunks", by_repo)
+    share = {}.setdefault
+    chunks = (chunk for chunk in records if chunk.strip())
+    return _accept((_raw_record(chunk, repo_id, share) for chunk in chunks), "chunks", by_repo)
 
 
 def window_by_year(commits: Iterable[CommitRecord]) -> dict[int, list[CommitRecord]]:

@@ -712,6 +712,12 @@ DEEP = b"".join(
         ("deep.ndjson", DEEP + b'{"msg": "' + LATIN1 + b'"}\n', ["analyze", "{path}"],
          EXIT_INPUT),
         ("empty.log", b"", ["analyze", "{path}", "--input-format", "git"], EXIT_INPUT),
+        ("model.terms", b"model_id=x\n", ["--model", "{path}", "rank", "--ccp", "0.2"],
+         EXIT_CONFIG),
+        ("model.terms", b"model_id: m\n[fix]\nfix(\n",
+         ["--model", "{path}", "rank", "--ccp", "0.2"], EXIT_CONFIG),
+        ("english.txt", b"the\nab\n", ["--english-model", "{path}", "rank", "--ccp", "0.2"],
+         EXIT_CONFIG),
         ("table.csv", b"percentile,ccp\n10,0.3\n50,nan\n",
          ["--table", "{path}", "rank", "--ccp", "0.2"], EXIT_CONFIG),
         ("head.csv", b"path,size_bytes\na.py,-400\nb.py,100\n",
@@ -719,7 +725,8 @@ DEEP = b"".join(
     ],
     ids=["metadata-short-row", "metadata-latin1", "corpus-latin1", "env-config-latin1",
          "perf-latin1", "model-latin1", "raw-git-log-latin1", "ndjson-no-record",
-         "ndjson-latin1", "raw-git-log-no-chunk", "table-nan-threshold", "head-listing-negative"],
+         "ndjson-latin1", "raw-git-log-no-chunk", "model-outside-section", "model-bad-pattern",
+         "english-model-short-word", "table-nan-threshold", "head-listing-negative"],
 )
 def test_bad_input_file_is_a_named_config_or_input_error(
     capsys, tmp_path, monkeypatch, name, content, argv, exit_code
@@ -782,7 +789,9 @@ def _term_model_line_rule(capsys, tmp_path, monkeypatch, c):
     assert (loaded.fix_patterns, loaded.negation_patterns) == ((f"fix{c}[negation]",), ())
     model.write_text(text + "[nope]\n", newline="")
     code, _, err = run(capsys, "--model", str(model), "rank", "--ccp", "0.2")
-    assert (code, err) == (EXIT_CONFIG, "configuration error: unknown section [nope] at line 4\n")
+    assert (code, err) == (
+        EXIT_CONFIG, f"configuration error: {model}: unknown section [nope] at line 4\n"
+    )
 
 
 def _english_model_line_rule(capsys, tmp_path, monkeypatch, c):
@@ -797,7 +806,7 @@ def _raw_log_line_rule(capsys, tmp_path, monkeypatch, c):
         f"\x1eaaa\x1fann@x\x1f2019-01-01T00:00:00+00:00\x1fp\x1ffix\x1f\na{c}b.c\r\nc.c\rd.c\n",
         newline="",
     )
-    [commit] = ingestion.parse_raw_git_log(ingestion.read_text(log), repo_id="r").records
+    [commit] = ingestion.parse_raw_git_log(ingestion.read_records(log, "\x1e"), repo_id="r").records
     assert commit[4] == (f"a{c}b.c", "c.c", "d.c")
 
 

@@ -21,7 +21,13 @@ from ccp_miner.estimator import (
     estimate_ccp,
     rank_on_scale,
 )
-from ccp_miner.ingestion import ProjectDescriptor, _ndjson_record, _raw_record, select_projects
+from ccp_miner.ingestion import (
+    RECORD_BLOCK,
+    ProjectDescriptor,
+    _ndjson_record,
+    _raw_record,
+    select_projects,
+)
 from ccp_miner.stats import co_change
 
 from conftest import FIXTURES
@@ -243,6 +249,34 @@ class TestAnalyzeMetamorphic:
         }
         assert len(reports) == 1
 
+    @given(
+        st.lists(_commit.map(lambda c: {**c, "repo": "acme/widget"}), min_size=1, max_size=12),
+        st.integers(0, 60),
+    )
+    @example(commits=[{"repo": "acme/widget", "hash": "h0", "author": "ann@x", "msg": "fix typo",
+                       "ts": "2019-01-01T00:00:00+00:00", "files": ["a.c"]}], shift=0)
+    @settings(max_examples=30, deadline=None)
+    def test_line_ends_do_not_change_the_raw_log_report(self, commits, shift):
+        """A padding commit ends ``shift`` characters before the reader's first block does.
+
+        At shift 0 the padding's last line end (a CRLF, a CR or an LF) ends
+        the block and the next record's \\x1e starts the second one.
+        """
+        pad = {"hash": "pad", "author": "pad@x", "ts": "2019-03-01T00:00:00+00:00", "msg": ""}
+        room = RECORD_BLOCK - shift - len(_raw_chunk(pad))
+        pad["msg"] = ("update docs" + "\n" + "x" * 79) * (room // 91 + 1)
+        pad["msg"] = pad["msg"][: room - 1] + "y"
+        text = "".join(_raw_chunk(c) for c in [pad, *commits])
+        text = text.replace("\r\n", "\n")
+        assert text[RECORD_BLOCK - shift - 1 : RECORD_BLOCK - shift + 1] == "\n\x1e"
+        reports = {
+            _analyze(text.replace("\n", end), after=("--input-format", "git", "--repo", "r"))
+            for end in ("\n", "\r\n", "\r")
+        }
+        assert len(reports) == 1
+        projects = json.loads(reports.pop())["projects"]
+        assert sum(p["n_commits"] for p in projects) == 1 + len({c["hash"] for c in commits})
+
     @given(_logs, st.data())
     @settings(max_examples=30, deadline=None)
     def test_splitting_a_log_into_two_files_keeps_the_report(self, lines, data):
@@ -323,7 +357,7 @@ class TestTimeZoneRelation:
         commit = {"repo": "acme/widget", "hash": "h1", "author": "ann@x",
                   "ts": ts.isoformat(), "msg": "fix crash"}
         ndjson = _ndjson_record(json.dumps(commit))
-        raw = _raw_record(_raw_chunk(commit).lstrip("\x1e"), "acme/widget")
+        raw = _raw_record(_raw_chunk(commit).lstrip("\x1e"), "acme/widget", {}.setdefault)
         try:
             # An offset-less timestamp is UTC, whatever the host's zone.
             expected = ts.replace(tzinfo=ts.tzinfo or timezone.utc).astimezone(timezone.utc).year
