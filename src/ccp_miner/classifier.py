@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import InputError, ModelLoadError
-from .ingestion import read_text
+from .ingestion import naming, read_records
 
 try:
     from re import _constants as _sre_constants, _parser as _sre_parse
@@ -224,12 +224,12 @@ class EnglishModel:
 # ---------------------------------------------------------------------------
 # Model loading
 
-def parse_term_model(text: str) -> TermModel:
-    """Parse the line-oriented term-model format (see load_term_model); only LF ends a line."""
+def parse_term_model(lines: Iterable[str]) -> TermModel:
+    """Parse the lines of the term-model format (see load_term_model)."""
     model_id = ""
     sections: dict[str, list[str]] = {"fix": [], "other_fix": [], "negation": []}
     current: list[str] | None = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -263,11 +263,8 @@ def load_term_model(path: str | Path) -> TermModel:
     Malformed patterns raise ModelLoadError here, never mid-classification;
     every ModelLoadError names the file.
     """
-    text = read_text(path, ModelLoadError)
-    try:
-        return parse_term_model(text)
-    except ModelLoadError as exc:
-        raise ModelLoadError(f"{path}: {exc}") from exc
+    with naming(path, ModelLoadError):
+        return parse_term_model(read_records(path, "\n", ModelLoadError))
 
 
 def load_default_term_model() -> TermModel:
@@ -277,11 +274,9 @@ def load_default_term_model() -> TermModel:
 
 def load_english_model(path: str | Path) -> EnglishModel:
     """Load an english model file: one lowercase word per line. Its errors name the file."""
-    words = frozenset(w.strip() for w in read_text(path, ModelLoadError).split("\n") if w.strip())
-    try:
-        return EnglishModel(words=words)
-    except ModelLoadError as exc:
-        raise ModelLoadError(f"{path}: {exc}") from exc
+    with naming(path, ModelLoadError):
+        words = (w.strip() for w in read_records(path, "\n", ModelLoadError))
+        return EnglishModel(words=frozenset(filter(None, words)))
 
 
 def load_default_english_model() -> EnglishModel:
@@ -298,7 +293,7 @@ def load_labeled_corpus(path: str | Path) -> list[LabeledCommit]:
     Only LF, CR or CRLF ends a line; a form feed or U+2028 is message text.
     """
     corpus = []
-    for lineno, raw in enumerate(read_text(path, InputError).split("\n"), start=1):
+    for lineno, raw in enumerate(read_records(path, "\n"), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")

@@ -142,18 +142,13 @@ def _read_commits(
     A commit read from an earlier file is a repeat, as within one.
     """
     for path in args.input:
-        try:
+        with ingestion.naming(path, InputError):
             if getattr(args, "input_format", "ndjson") == "git":
-                records = ingestion.read_records(path, "\x1e", InputError)
+                records = ingestion.read_records(path, "\x1e")
                 repo = getattr(args, "repo", None) or Path(path).stem
                 result = ingestion.parse_raw_git_log(records, repo_id=repo, by_repo=by_repo)
             else:
-                lines = ingestion.read_lines(path, InputError)
-                result = ingestion.parse_git_log(lines, by_repo=by_repo)
-        except InputError as exc:
-            if isinstance(exc.__cause__, (OSError, UnicodeDecodeError)):
-                raise  # the reader's error, which names the file already
-            raise InputError(f"{path}: {exc}") from exc
+                result = ingestion.parse_git_log(ingestion.read_records(path, "\n"), by_repo)
         yield result
 
 
@@ -358,22 +353,21 @@ def _bootstrap(
 def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = classifier.load_labeled_corpus(args.corpus)
     matrix = classifier.evaluate_model(corpus, config.term_model)
-    _emit(
-        {
+    with ingestion.naming(args.corpus, InputError):
+        report = {
             "meta": config.meta(),
             "report_type": "validate-model",
             "confusion_matrix": matrix.as_dict(),
             "bootstrap": _bootstrap(args, config, corpus),
-        },
-        config,
-    )
+        }
+    _emit(report, config)
     return EXIT_OK
 
 
 def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = classifier.load_labeled_corpus(args.corpus)
     # Both studies start with the same draw from the seed: make it once.
-    with estimator.shared_draws():
+    with estimator.shared_draws(), ingestion.naming(args.corpus, InputError):
         report = {
             "meta": config.meta(),
             "report_type": "bootstrap",

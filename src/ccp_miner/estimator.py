@@ -107,7 +107,10 @@ def fit_performance(labels: np.ndarray, hits: np.ndarray) -> ModelPerformance:
         raise InputError("performance measurement requires both positives and negatives")
     recall = float((labels & hits).sum() / positives)
     fpr = float((~labels & hits).sum() / negatives)
-    return ModelPerformance(recall=recall, fpr=fpr)
+    try:
+        return ModelPerformance(recall=recall, fpr=fpr)
+    except ConfigError as exc:  # the corpus is at fault, not a setting
+        raise InputError(f"measured {exc}") from exc
 
 
 def _corpus_arrays(corpus: list[LabeledCommit], model: TermModel) -> tuple[np.ndarray, np.ndarray]:
@@ -202,6 +205,8 @@ def load_performance_config(path: str | Path) -> ModelPerformance:
         return ModelPerformance(recall=float(values["recall"]), fpr=float(values["fpr"]))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"performance config {path} needs numeric 'recall' and 'fpr'") from exc
+    except ConfigError as exc:  # recall and fpr out of their domain
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_default_performance() -> ModelPerformance:
@@ -308,7 +313,9 @@ def estimator_sensitivity(
     in the hit rate, so its extremes over a segment are at the endpoints;
     report the max and p95 of the max absolute difference per segment.
     Degenerate resamples (no positives, no negatives, or recall <= fpr) are
-    redrawn and counted.
+    redrawn and counted. A valid one exists exactly when the corpus has a
+    true positive and a true negative (those alone give recall 1, fpr 0);
+    without both, InputError.
     """
     if not corpus:
         raise InputError("estimator_sensitivity requires a non-empty corpus")
@@ -318,6 +325,11 @@ def estimator_sensitivity(
     import numpy as np
 
     labels, hits = _corpus_arrays(corpus, model)
+    if not ((labels & hits).any() and (~labels & ~hits).any()):
+        raise InputError(
+            "sensitivity needs a true positive and a true negative: "
+            "no resample of this corpus has recall > fpr"
+        )
     n = len(corpus)
     rng = np.random.default_rng(seed)
     redraws = 0

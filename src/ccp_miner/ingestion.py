@@ -1,7 +1,8 @@
 """Input file readers and commit-history ingestion.
 
 Every input file is opened by ``_opened`` as UTF-8 text in which only LF, CRLF
-or a lone CR ends a line; the readers built on it raise errors naming the file.
+or a lone CR ends a line, and streamed by ``read_csv`` (CSV files) or
+``read_records`` (the rest), whose errors name the file.
 
 The canonical commit export format is newline-delimited JSON, one object per
 commit with string keys ``repo``, ``hash``, ``author``, ``ts`` (ISO-8601) and
@@ -60,16 +61,19 @@ def _opened(path: str | Path, error: type[CcpMinerError]) -> Iterator[TextIO]:
         raise error(f"{path} is not UTF-8") from exc
 
 
-def read_text(path: str | Path, error: type[CcpMinerError] = InputError) -> str:
-    """The whole text of ``path``, opened as ``_opened`` does."""
-    with _opened(path, error) as fh:
-        return fh.read()
+@contextmanager
+def naming(path: str | Path, error: type[CcpMinerError]) -> Iterator[None]:
+    """Put ``path`` in front of an ``error`` raised inside, unless a reader raised it.
 
-
-def read_lines(path: str | Path, error: type[CcpMinerError] = InputError) -> Iterator[str]:
-    """Yield the lines of ``path`` one at a time, ``\\n`` kept; the file is never held whole."""
-    with _opened(path, error) as fh:
-        yield from fh
+    A reader's own error comes from an OSError or a UnicodeDecodeError and
+    names the file already.
+    """
+    try:
+        yield
+    except error as exc:
+        if isinstance(exc.__cause__, (OSError, UnicodeDecodeError)):
+            raise
+        raise error(f"{path}: {exc}") from exc
 
 
 # Characters read_records reads at a time.
@@ -81,8 +85,9 @@ def read_records(
 ) -> Iterator[str]:
     """Yield the ``sep``-separated records of ``path``, read in blocks, never the file whole.
 
-    The text is read as ``_opened`` reads it. A record that spans many blocks
-    is joined once, so a long record, or a file without ``sep``, stays linear.
+    The text is read as ``_opened`` reads it, and split as ``text.split(sep)``
+    splits it. A record that spans many blocks is joined once, so a long
+    record, or a file without ``sep``, stays linear.
     """
     with _opened(path, error) as fh:
         pieces: list[str] = []
@@ -153,7 +158,7 @@ def read_config(
     """
     known = set(keys)
     values = {}
-    for lineno, raw in enumerate(read_text(path, error).split("\n"), start=1):
+    for lineno, raw in enumerate(read_records(path, "\n", error), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -259,7 +264,7 @@ def _ndjson_record(line: str) -> tuple[str, Commit] | None:
             "".join(files)  # TypeError unless every file is a str
         else:
             return None
-        # Line ends in the message as read_text gives them in a raw log.
+        # Line ends in the message as _opened reads them in a raw log.
         return repo, (commit_hash, author.strip().lower(), _utc_year(ts), _lf(msg), files, merge)
     # Not JSON, not an object or a field missing; or a bad timestamp or UTC year.
     except (ValueError, KeyError, TypeError, OverflowError):
@@ -294,21 +299,25 @@ def _raw_record(
 
 
 def _accept(
-    parsed: Iterable[tuple[str, Commit] | None], unit: str, by_repo: CommitTable | None
+    items: Iterable[str], record: Callable[[str], tuple[str, Commit] | None], unit: str,
+    by_repo: CommitTable | None,
 ) -> ParseResult:
-    """Keep each (repo, commit) whose hash ``by_repo[repo]`` lacks yet, count the rest.
+    """Parse each non-blank item with ``record``; keep each (repo, commit) new to ``by_repo``.
 
-    Kept commits join ``by_repo``. InputError if no commit parses.
+    Kept commits join ``by_repo``; the rest are counted. InputError if no commit parses.
     """
     kept: list[Commit] = []
     unparsed = repeated = 0
     if by_repo is None:
         by_repo = {}
-    for item in parsed:
-        if item is None:
+    for item in items:
+        if not item.strip():
+            continue
+        parsed = record(item)
+        if parsed is None:
             unparsed += 1
             continue
-        repo, commit = item
+        repo, commit = parsed
         commits = by_repo.get(repo)
         if commits is None:
             commits = by_repo[repo] = {}
@@ -322,15 +331,15 @@ def _accept(
     return ParseResult(records=kept, skipped=unparsed + repeated, by_repo=by_repo)
 
 
-def parse_git_log(stream: Iterable[str], by_repo: CommitTable | None = None) -> ParseResult:
-    """Parse newline-delimited JSON commit objects.
+def parse_git_log(lines: Iterable[str], by_repo: CommitTable | None = None) -> ParseResult:
+    """Parse newline-delimited JSON commit objects, one per line; blank lines are passed over.
 
     Malformed lines, lines with a field of the wrong type and repeated
     commits are skipped and counted; an input with zero parseable records
     raises InputError. ``by_repo`` holds the commits of input read before,
     which count as repeats here; the commits kept join it.
     """
-    return _accept((_ndjson_record(line) for line in stream if line.strip()), "lines", by_repo)
+    return _accept(lines, _ndjson_record, "lines", by_repo)
 
 
 def parse_raw_git_log(
@@ -344,8 +353,7 @@ def parse_raw_git_log(
     in parse_git_log.
     """
     share = {}.setdefault
-    chunks = (chunk for chunk in records if chunk.strip())
-    return _accept((_raw_record(chunk, repo_id, share) for chunk in chunks), "chunks", by_repo)
+    return _accept(records, lambda chunk: _raw_record(chunk, repo_id, share), "chunks", by_repo)
 
 
 def window_by_year(commits: Iterable[CommitRecord]) -> dict[int, list[CommitRecord]]:

@@ -16,17 +16,20 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import random
 import tempfile
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from statistics import fmean
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccp_miner import classifier, ingestion
+from ccp_miner import classifier, estimator, ingestion
 from ccp_miner.cli import main
 from ccp_miner.errors import InputError
 from ccp_miner.ingestion import ProjectDescriptor
@@ -93,7 +96,7 @@ def _reference_ndjson_record(line: str) -> ReferenceCommitRecord | None:
             hash=obj["hash"],
             author_id=obj["author"].strip().lower(),
             year=_reference_utc_year(obj["ts"]),
-            message=_reference_lf(obj["msg"]),  # line ends as read_text gives them in a raw log
+            message=_reference_lf(obj["msg"]),  # line ends as a raw log reads them
             files=tuple(files or ()),
             is_merge=merge,
         )
@@ -172,14 +175,14 @@ def reference_read_commits(args: argparse.Namespace) -> ReferenceParseResult:
     seen: set[tuple[str, str]] = set()
     for path in args.input:
         try:
-            if getattr(args, "input_format", "ndjson") == "git":
-                text = ingestion.read_text(path, InputError)
-                repo = getattr(args, "repo", None) or Path(path).stem
-                result = reference_parse_raw_git_log(text, repo_id=repo, seen=seen)
-            else:
-                result = reference_parse_git_log(
-                    ingestion.read_lines(path, InputError), seen=seen
-                )
+            # The generated files are UTF-8, so no reader error is compared here.
+            with open(path, encoding="utf-8") as fh:
+                if getattr(args, "input_format", "ndjson") == "git":
+                    text = fh.read()
+                    repo = getattr(args, "repo", None) or Path(path).stem
+                    result = reference_parse_raw_git_log(text, repo_id=repo, seen=seen)
+                else:
+                    result = reference_parse_git_log(fh, seen=seen)
         except InputError as exc:
             if isinstance(exc.__cause__, (OSError, UnicodeDecodeError)):
                 raise  # the reader's error, which names the file already
@@ -250,6 +253,263 @@ def reference_classify(args: argparse.Namespace, term_model) -> list[str]:
         }
         lines.append(json.dumps(line, sort_keys=True))
     return lines
+
+
+# The per-year metrics of ``analyze``: ``_project_year_stats``, the year loop
+# of ``cmd_analyze`` and the ``analytics`` functions they call, as they were
+# before the loop kept a running author union, counted involved authors only
+# for the years it reports and shared one capped list between both couplings.
+# Only names change: ``analytics.`` and ``ingestion.`` go, and two locals that
+# would shadow a copy get a trailing underscore. ``classify_message``,
+# ``estimate_ccp``, ``rank_on_scale`` and the diagnostics are the program's own.
+
+INVOLVED_COMMITS = 12  # non-merge commits in a year for an involved developer
+CAP_QUANTILE = 0.99  # quantile at which distributions are capped
+SPEED_CAP = 500  # most commits one developer counts for in developer speed
+MIN_NEW_DEVELOPERS = 10  # new developers below which onboarding is not reported
+
+DIAGNOSTIC_REFERENCE = {
+    "english_hit_rate_below_zero_median": 0.16,
+    "english_hit_rate_valid_median": 0.54,
+    "terse_median_chars": 27,
+    "terse_p90_chars": 81,
+}
+
+
+def window_by_year(commits):
+    """Partition commits by UTC calendar year."""
+    windows = defaultdict(list)
+    for commit in commits:
+        windows[commit.year].append(commit)
+    return dict(windows)
+
+
+def involved_authors(commits) -> set[str]:
+    """Authors with at least INVOLVED_COMMITS non-merge commits in the given set."""
+    counts = Counter(c.author_id for c in commits if not c.is_merge)
+    return {author for author, n in counts.items() if n >= INVOLVED_COMMITS}
+
+
+def winsorize(values: list[float], quantile: float = CAP_QUANTILE) -> list[float]:
+    """One-sided winsorizing: cap values above the nearest-rank(lower) quantile.
+
+    Order and length are preserved; idempotent and monotone.
+    """
+    if not values:
+        raise InputError("winsorize requires a non-empty list")
+    if not 0.0 < quantile < 1.0:
+        raise ValueError("quantile must be in (0, 1)")
+    # nearest-rank threshold; small lists are left uncapped rather than
+    # squashed to their minimum
+    rank = max(1, math.ceil(quantile * len(values)))
+    threshold = sorted(values)[rank - 1]
+    return [min(v, threshold) for v in values]
+
+
+def _capped_sizes(commits, verdicts):
+    """Non-corrective commits that carry files, each with its capped file count."""
+    if len(commits) != len(verdicts):
+        raise ValueError("commits and verdicts must be aligned")
+    kept = [c for c, v in zip(commits, verdicts) if not v.corrective and c.files]
+    if not kept:
+        return []
+    return list(zip(kept, winsorize([float(len(c.files)) for c in kept])))
+
+
+def coupling(commits, verdicts) -> float | None:
+    """Mean files per non-corrective commit, winsorized at CAP_QUANTILE.
+
+    Corrective commits are excluded because bug fixes touch systematically
+    fewer files and would distort the comparison. None when no
+    non-corrective commit carries files.
+    """
+    capped = _capped_sizes(commits, verdicts)
+    if not capped:
+        return None
+    return fmean(size for _, size in capped)
+
+
+def coupling_by_file(commits, verdicts) -> float | None:
+    """Per-file variant: mean over files of the mean size of their commits."""
+    sizes_by_file: dict[str, list[float]] = {}
+    for commit, size in _capped_sizes(commits, verdicts):
+        for path in commit.files:
+            sizes_by_file.setdefault(path, []).append(size)
+    if not sizes_by_file:
+        return None
+    return fmean(fmean(sizes) for sizes in sizes_by_file.values())
+
+
+def developer_speed(commits, involved: set[str]) -> float | None:
+    """Mean non-merge commits per involved author, capped at SPEED_CAP; None when none involved."""
+    if not involved:
+        return None
+    counts = Counter(c.author_id for c in commits if not c.is_merge)
+    missing = involved - set(counts)
+    if missing:
+        raise ValueError(f"involved authors absent from commits: {sorted(missing)[:3]}")
+    return fmean(min(counts[a], SPEED_CAP) for a in involved)
+
+
+def retention(year_t_involved: set[str], year_t1_authors: set[str]) -> float | None:
+    """Fraction of involved developers active again the next year."""
+    if not year_t_involved:
+        return None
+    return len(year_t_involved & year_t1_authors) / len(year_t_involved)
+
+
+def onboarding(
+    prior_authors: set[str],
+    year_t1_authors: set[str],
+    year_t1_involved: set[str],
+) -> float | None:
+    """Fraction of newly arrived developers that become involved.
+
+    New developers are authors of year t+1 not seen before; the ratio is
+    suppressed (None) below MIN_NEW_DEVELOPERS new developers to avoid noise.
+    """
+    new = year_t1_authors - prior_authors
+    if len(new) < MIN_NEW_DEVELOPERS:
+        return None
+    return len(new & year_t1_involved) / len(new)
+
+
+def _ccp_as_dict(ccp) -> dict:
+    """``CcpEstimate.as_dict``."""
+    return {
+        "n": ccp.n,
+        "k": ccp.k,
+        "hit_rate": ccp.hit_rate,
+        "ccp_raw": ccp.ccp_raw,
+        "status": ccp.status.value,
+    }
+
+
+def _band_as_dict(band) -> dict:
+    """``PercentileBand.as_dict``."""
+    return {
+        "lower_percentile": band.lower_percentile,
+        "upper_percentile": band.upper_percentile,
+        "label": band.label,
+    }
+
+
+@dataclass
+class ProjectYearStats:
+    """Metric bundle for one project in one calendar year."""
+
+    repo_id: str
+    year: int
+    n_commits: int
+    k_hits: int
+    ccp: object
+    coupling: float | None = None
+    coupling_by_file: float | None = None
+    speed: float | None = None
+    retention: float | None = None
+    onboarding: float | None = None
+    dominant_language: str | None = None
+    avg_file_kb: float | None = None
+
+    def as_dict(self) -> dict:
+        return {
+            "repo_id": self.repo_id,
+            "year": self.year,
+            "n_commits": self.n_commits,
+            "k_hits": self.k_hits,
+            "ccp": _ccp_as_dict(self.ccp),
+            "coupling": self.coupling,
+            "coupling_by_file": self.coupling_by_file,
+            "speed": self.speed,
+            "retention": self.retention,
+            "onboarding": self.onboarding,
+            "dominant_language": self.dominant_language,
+            "avg_file_kb": self.avg_file_kb,
+        }
+
+    def as_flat_dict(self) -> dict:
+        out = self.as_dict()
+        ccp = out.pop("ccp")
+        out.update(
+            {
+                "hit_rate": ccp["hit_rate"],
+                "ccp_raw": ccp["ccp_raw"],
+                "ccp_status": ccp["status"],
+            }
+        )
+        return out
+
+
+def reference_project_year_stats(repo_id, year, commits, by_year, config, language, avg_kb):
+    verdicts = [classifier.classify_message(c.message, config.term_model) for c in commits]
+    k = sum(1 for v in verdicts if v.corrective)
+    ccp = estimator.estimate_ccp(k=k, n=len(commits), perf=config.performance)
+    involved = involved_authors(commits)
+    speed = developer_speed(commits, involved)
+
+    retention_ = onboarding_ = None
+    next_commits = by_year.get(year + 1)
+    if next_commits is not None:
+        next_authors = {c.author_id for c in next_commits}
+        retention_ = retention(involved, next_authors)
+        prior_authors = {
+            c.author_id for y, cs in by_year.items() if y <= year for c in cs
+        }
+        next_involved = involved_authors(next_commits)
+        onboarding_ = onboarding(prior_authors, next_authors, next_involved)
+
+    return ProjectYearStats(
+        repo_id=repo_id,
+        year=year,
+        n_commits=len(commits),
+        k_hits=k,
+        ccp=ccp,
+        coupling=coupling(commits, verdicts),
+        coupling_by_file=coupling_by_file(commits, verdicts),
+        speed=speed,
+        retention=retention_,
+        onboarding=onboarding_,
+        dominant_language=language,
+        avg_file_kb=avg_kb,
+    )
+
+
+def reference_year_reports(args: argparse.Namespace, config, language=None, avg_kb=None):
+    """The ``projects`` entries and the ``rows`` of ``analyze`` without selection."""
+    by_repo: dict[str, list[ReferenceCommitRecord]] = {}
+    for record in reference_read_commits(args).records:
+        by_repo.setdefault(record.repo_id, []).append(record)
+    rows = []
+    reports = []
+    for repo_id in sorted(by_repo):
+        by_year = window_by_year(by_repo[repo_id])
+        years = [config.year] if config.year is not None else sorted(by_year)
+        for year in years:
+            commits = by_year.get(year)
+            if not commits:
+                continue
+            stat = reference_project_year_stats(
+                repo_id, year, commits, by_year, config, language, avg_kb
+            )
+            entry = stat.as_dict()
+            if stat.ccp.valid:
+                entry["band"] = _band_as_dict(
+                    estimator.rank_on_scale(stat.ccp.ccp_raw, config.table)
+                )
+            else:
+                messages = [c.message for c in commits]
+                median, p90 = classifier.terse_message_profile(messages)
+                entry["diagnostics"] = {
+                    "english_hit_rate": classifier.english_hit_rate(
+                        messages, config.english_model
+                    ),
+                    "median_message_chars": median,
+                    "p90_message_chars": p90,
+                    "reference": DIAGNOSTIC_REFERENCE,
+                }
+            reports.append(entry)
+            rows.append(stat.as_flat_dict())
+    return reports, rows
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +761,183 @@ class TestAgainstReference:
     def test_stamps_fall_in_the_years_their_lists_name(self):
         assert {_reference_utc_year(ts) for ts in IN_YEAR} == {YEAR}
         assert YEAR not in {_reference_utc_year(ts) for ts in OTHER_YEARS}
+
+
+# ---------------------------------------------------------------------------
+# Per-year metrics: multi-year logs against the reference, and relations
+
+# Authors of the generated histories; each year draws some of them, so an
+# author may leave and come back, and a year may bring ten or more new ones.
+DEVELOPERS = [f"dev{i}@x.org" for i in range(40)]
+# Non-merge commits of one author in one year: around INVOLVED_COMMITS, and
+# for at most one author a year, around SPEED_CAP.
+SMALL_COUNTS = [1, 2, 11, 12, 13]
+LARGE_COUNTS = [0, 499, 500, 501]
+PATHS = [f"src/m{i}.c" for i in range(12)] + ["README", "docs/a.md"]
+FIX_MESSAGES = ["fix crash on startup", "Fixed the null pointer bug\n\nlong body"]
+OTHER_MESSAGES = ["update dependencies to latest versions", "add tests", "refactor storage layer"]
+
+
+def _files(rng: random.Random):
+    """No files (three ways), a few, or now and then many, so the cap at CAP_QUANTILE bites."""
+    kind = rng.randrange(10)
+    if kind < 3:
+        return [None, [], "absent"][kind]
+    return rng.sample(PATHS, rng.randint(1, 4) if kind < 9 else len(PATHS))
+
+
+def _commit_of(rng: random.Random, repo: str, commit_hash: str, author: str, year: int,
+               fix: bool, merge: bool) -> dict:
+    commit = {
+        "repo": repo, "hash": commit_hash, "author": author,
+        "ts": f"{year}-{rng.randint(1, 12):02d}-15T12:00:00+00:00",
+        "msg": rng.choice(FIX_MESSAGES if fix else OTHER_MESSAGES), "merge": merge,
+    }
+    files = _files(rng)
+    if files != "absent":
+        commit["files"] = files
+    return commit
+
+
+def _history(rng: random.Random) -> list[dict]:
+    """The commits of one or two projects over one to four of six years, gaps allowed."""
+    commits = []
+    for repo in rng.sample(["o/a", "o/b"], rng.randint(1, 2)):
+        for year in rng.sample(range(2010, 2016), rng.randint(1, 4)):
+            authors = rng.sample(DEVELOPERS, rng.choice([1, 3, 12, 16]))
+            counts = [rng.choice(SMALL_COUNTS) for _ in authors]
+            counts[0] = rng.choice(LARGE_COUNTS) or counts[0]
+            fix_share = rng.choice([0.0, 0.2, 1.0])  # BelowZero, Valid and AboveOne years
+            for author, count in zip(authors, counts):
+                merges = rng.choice([0, 0, 1, 2])
+                commits += [
+                    _commit_of(rng, repo, f"{repo}-{year}-{author}-{i}", author, year,
+                               rng.random() < fix_share, i >= count)
+                    for i in range(count + merges)
+                ]
+    rng.shuffle(commits)
+    return commits
+
+
+HISTORIES = st.integers(0, 2**32 - 1).map(lambda seed: _history(random.Random(seed)))
+
+
+def _cases(commits: list[dict]) -> set[str]:
+    """The boundary cases of the per-year metrics that ``commits`` reach."""
+    authors: dict[tuple[str, int], Counter] = defaultdict(Counter)
+    for c in commits:
+        authors[c["repo"], int(c["ts"][:4])][c["author"]] += not c["merge"]
+    cases = set()
+    for (repo, year), counts in authors.items():
+        later = sorted(y for r, y in authors if r == repo and y > year)
+        earlier = set().union(*(a for (r, y), a in authors.items() if r == repo and y <= year))
+        cases |= {f"{n} commits" for n in counts.values() if n in (11, 12, 13, 500, 501)}
+        if later and later[0] > year + 1:
+            cases.add("gap year")
+        if year + 1 in later and len(set(authors[repo, year + 1]) - earlier) >= 10:
+            cases.add("ten new authors")
+        for author in counts:
+            gone = [y for y in later if author not in authors[repo, y]]
+            if gone and any(author in authors[repo, y] for y in later if y > gone[0]):
+                cases.add("author leaves and comes back")
+    if any(c["merge"] for c in commits):
+        cases.add("merges")
+    if any(not c.get("files") for c in commits):
+        cases.add("commits with no files")
+    return cases
+
+
+def _write(tmp: str, commits: list[dict]) -> str:
+    path = Path(tmp) / f"log{len(list(Path(tmp).iterdir()))}.ndjson"
+    path.write_bytes("".join(json.dumps(c) + "\n" for c in commits).encode())
+    return str(path)
+
+
+def _entries(path: str, *flags: str) -> tuple[list, list]:
+    """The ``projects`` entries and ``rows`` of ``analyze`` on the log at ``path``."""
+    code, out, err, _ = _run([*flags, "analyze", path])
+    assert code == 0, err
+    report = json.loads(out)
+    return report["projects"], report["rows"]
+
+
+def _of_years(entries: tuple[list, list], keep) -> tuple[list, list]:
+    """The entries and rows whose year ``keep`` accepts."""
+    return tuple([e for e in part if keep(e["year"])] for part in entries)
+
+
+class TestYearMetricsAgainstReference:
+    @given(HISTORIES, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_whole_entries(self, term_model, english_model, default_perf, distribution_table,
+                           commits, data):
+        years = sorted({int(c["ts"][:4]) for c in commits})
+        year = data.draw(st.sampled_from([None, *years, years[-1] + 1]))
+        config = argparse.Namespace(
+            term_model=term_model, english_model=english_model, performance=default_perf,
+            table=distribution_table, year=year,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(tmp, commits)
+            entries, rows = _entries(path, *(("--year", str(year)) if year else ()))
+            args = argparse.Namespace(input=[path], input_format="ndjson", repo=None)
+            expected = reference_year_reports(args, config)
+        assert [entries, rows] == json.loads(json.dumps(expected))
+
+    def test_histories_reach_every_boundary(self):
+        reached = set().union(*(_cases(_history(random.Random(seed))) for seed in range(60)))
+        assert reached == {
+            "11 commits", "12 commits", "13 commits", "500 commits", "501 commits", "gap year",
+            "ten new authors", "author leaves and comes back", "merges", "commits with no files",
+        }
+
+
+class TestYearRelations:
+    """Relations between ``analyze`` reports on related logs, without selection."""
+
+    @given(HISTORIES)
+    @settings(max_examples=10, deadline=None)
+    def test_a_years_entries_are_the_same_alone_and_among_all_years(self, commits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(tmp, commits)
+            every = _entries(path)
+            for year in sorted({e["year"] for e in every[0]}):
+                assert _entries(path, "--year", str(year)) == _of_years(every, year.__eq__)
+
+    @given(HISTORIES, st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_commits_two_years_on_change_no_earlier_year(self, commits, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        year = data.draw(st.sampled_from(sorted({int(c["ts"][:4]) for c in commits})))
+        later = [
+            _commit_of(rng, rng.choice(["o/a", "o/b", "o/c"]), f"late-{i}",
+                       rng.choice(DEVELOPERS), year + rng.randint(2, 4), rng.random() < 0.3,
+                       rng.random() < 0.1)
+            for i in range(data.draw(st.sampled_from([1, 12, 40])))
+        ]
+        grown = commits + later
+        rng.shuffle(grown)
+        with tempfile.TemporaryDirectory() as tmp:
+            before = _of_years(_entries(_write(tmp, commits)), lambda y: y <= year)
+            after = _of_years(_entries(_write(tmp, grown)), lambda y: y <= year)
+        assert after == before
+
+    @given(HISTORIES, st.sampled_from(["author", "files"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_renaming_authors_or_paths_one_to_one_changes_no_entry(self, commits, field, seed):
+        rng = random.Random(seed)
+        if field == "author":
+            names = sorted({c["author"] for c in commits})
+            fresh = [f"renamed{i}@y.org" for i in range(len(names))]
+        else:
+            names = sorted({f for c in commits for f in c.get("files") or ()})
+            fresh = [f"renamed/{i}.c" for i in range(len(names))]
+        # Old names swap among themselves as well as taking fresh ones.
+        rename = dict(zip(names, rng.sample(names + fresh, len(names))))
+        renamed = [
+            {**c, "author": rename[c["author"]]} if field == "author"
+            else {**c, "files": [rename[f] for f in c["files"]]} if c.get("files") else c
+            for c in commits
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _entries(_write(tmp, renamed)) == _entries(_write(tmp, commits))

@@ -229,20 +229,20 @@ class TestModelLoading:
         assert term_model.model_id
 
     def test_malformed_pattern_raises_at_load(self):
-        with pytest.raises(ModelLoadError):
-            parse_term_model("model_id: x\n[fix]\n(unclosed\n")
+        with pytest.raises(ModelLoadError, match="does not compile"):
+            parse_term_model(["model_id: x", "[fix]", "(unclosed", ""])
 
     def test_backreference_rejected(self):
-        with pytest.raises(ModelLoadError):
-            parse_term_model("model_id: x\n[fix]\n(a)\\1\n")
+        with pytest.raises(ModelLoadError, match="backreference"):
+            parse_term_model(["model_id: x", "[fix]", "(a)\\1", ""])
 
     def test_missing_model_id_rejected(self):
-        with pytest.raises(ModelLoadError):
-            parse_term_model("[fix]\nbug\n")
+        with pytest.raises(ModelLoadError, match="missing a 'model_id:' header"):
+            parse_term_model(["[fix]", "bug", ""])
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ModelLoadError):
-            parse_term_model("model_id: x\n[bogus]\nbug\n")
+        with pytest.raises(ModelLoadError, match=r"unknown section \[bogus\] at line 2"):
+            parse_term_model(["model_id: x", "[bogus]", "bug", ""])
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "m.terms"

@@ -681,6 +681,9 @@ def test_non_finite_metric_value_is_a_named_input_error(
 
 
 LATIN1 = "caf\xe9".encode("latin-1")
+# Labeled corpora with no true positive (no message hits) and no true negative.
+NO_HIT_CORPUS = b"1\tupdate docs\n0\tupdate docs\n1\trefactor code\n0\tbump version\n"
+ALL_POSITIVE_CORPUS = b"1\tfix crash\n1\tfix bug\n"
 # Good NDJSON lines past the first 64 KiB read buffer of a streamed reader.
 DEEP = b"".join(
     json.dumps({"repo": "r", "hash": f"h{i}", "author": "a@x",
@@ -722,11 +725,20 @@ DEEP = b"".join(
          ["--table", "{path}", "rank", "--ccp", "0.2"], EXIT_CONFIG),
         ("head.csv", b"path,size_bytes\na.py,-400\nb.py,100\n",
          ["analyze", LOG, "--head-listing", "{path}"], EXIT_INPUT),
+        ("corpus.tsv", NO_HIT_CORPUS, ["validate-model", "{path}"], EXIT_INPUT),
+        ("corpus.tsv", NO_HIT_CORPUS, ["bootstrap", "{path}", "--iterations", "50"], EXIT_INPUT),
+        ("corpus.tsv", ALL_POSITIVE_CORPUS, ["validate-model", "{path}"], EXIT_INPUT),
+        ("corpus.tsv", ALL_POSITIVE_CORPUS, ["bootstrap", "{path}", "--iterations", "50"],
+         EXIT_INPUT),
+        ("perf.cfg", b"recall=0.1\nfpr=0.2\n", ["--perf", "{path}", "rank", "--ccp", "0.2"],
+         EXIT_CONFIG),
     ],
     ids=["metadata-short-row", "metadata-latin1", "corpus-latin1", "env-config-latin1",
          "perf-latin1", "model-latin1", "raw-git-log-latin1", "ndjson-no-record",
          "ndjson-latin1", "raw-git-log-no-chunk", "model-outside-section", "model-bad-pattern",
-         "english-model-short-word", "table-nan-threshold", "head-listing-negative"],
+         "english-model-short-word", "table-nan-threshold", "head-listing-negative",
+         "validate-no-hit-corpus", "bootstrap-no-hit-corpus", "validate-all-positive-corpus",
+         "bootstrap-all-positive-corpus", "perf-recall-not-above-fpr"],
 )
 def test_bad_input_file_is_a_named_config_or_input_error(
     capsys, tmp_path, monkeypatch, name, content, argv, exit_code
@@ -740,6 +752,25 @@ def test_bad_input_file_is_a_named_config_or_input_error(
     assert str(path) in err
     if LATIN1 in content:
         assert f"byte {content.index(LATIN1) + 3} is 0xe9" in err
+
+
+@pytest.mark.parametrize("content", [NO_HIT_CORPUS, ALL_POSITIVE_CORPUS],
+                         ids=["no-true-positive", "no-true-negative"])
+def test_sensitivity_without_a_valid_resample_ends_with_a_named_input_error(tmp_path, content):
+    """No resample of these corpora has recall > fpr, so redrawing would never end."""
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_bytes(content)
+    argv = ["bootstrap", str(corpus), "--sensitivity", "--perf-source", "config"]
+    probe = f"import sys, ccp_miner.cli as cli; sys.exit(cli.main({argv!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
+    assert proc.stderr == (
+        f"input error: {corpus}: sensitivity needs a true positive and a true negative: "
+        "no resample of this corpus has recall > fpr\n"
+    )
 
 
 def test_directory_as_input_is_a_named_input_error(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Estimator unit tests: MLE inversion, validity domain, bootstrap, ranking."""
 
+import itertools
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,37 @@ class TestPackedCounts:
 
 
 class TestSensitivity:
+    def test_refused_exactly_when_no_resample_is_valid(self, term_model):
+        """Every corpus of up to four items, against every resample of it.
+
+        A resample is valid with a positive, a negative and recall > fpr. One
+        exists exactly when the corpus has a true positive and a true
+        negative; without one, estimator_sensitivity raises before drawing,
+        and with one it ends.
+        """
+        cells = dict(zip(("tp", "fn", "fp", "tn"), build_corpus(tp=1, fn=1, fp=1, tn=1)))
+
+        def valid(resample) -> bool:
+            count = Counter(resample)
+            positives, negatives = count["tp"] + count["fn"], count["fp"] + count["tn"]
+            return bool(positives and negatives) and (
+                count["tp"] / positives > count["fp"] / negatives
+            )
+
+        for n in range(1, 5):
+            for kinds in itertools.product(cells, repeat=n):
+                exists = any(
+                    valid([kinds[i] for i in picks])
+                    for picks in itertools.product(range(n), repeat=n)
+                )
+                assert exists == ("tp" in kinds and "tn" in kinds), kinds
+                corpus = [cells[kind] for kind in kinds]
+                if exists:
+                    estimator_sensitivity(corpus, term_model, iterations=2, seed=n)
+                else:
+                    with pytest.raises(InputError, match="a true positive and a true negative"):
+                        estimator_sensitivity(corpus, term_model, iterations=2, seed=n)
+
     def test_zero_variance_corpus(self, term_model):
         # duplicates of one always-hit positive and one never-hit negative:
         # every resample measures recall=1, fpr=0, so estimators never differ

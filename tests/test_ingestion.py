@@ -6,6 +6,7 @@ import csv
 import gc
 import io
 import json
+import re
 import tempfile
 import tracemalloc
 from dataclasses import astuple
@@ -26,9 +27,7 @@ from ccp_miner.ingestion import (
     parse_git_log,
     parse_raw_git_log,
     read_csv,
-    read_lines,
     read_records,
-    read_text,
     select_projects,
     window_by_year,
 )
@@ -176,44 +175,39 @@ class TestLoadProjectMetadata:
         ]
 
 
-class TestReadLines:
+class TestReadRecords:
     # With ``at`` one, three or five bytes before a multiple of the 8 KiB read
     # chunk, the CRLF, the two-byte character or the lone CR before a CR
     # straddles that multiple. At 65535, 65533 and 65531 the last character of
     # read_records' first 64 Ki-character block is the CRLF, the lone CR before
     # a CR, and the \x1e (the two-byte character ends one character earlier).
     @pytest.mark.parametrize("at", [8191, 8189, 8187, 65535, 65533, 65531])
-    def test_lines_of_read_text_across_read_buffers(self, tmp_path, at):
+    @pytest.mark.parametrize("sep", ["\n", "\x1e"])
+    def test_records_across_read_buffers(self, tmp_path, at, sep):
         head = ("x" * 99 + "\n") * (at // 100) + "y" * (at % 100)
         path = tmp_path / "log.ndjson"
         path.write_bytes((head + "\r\n\u00e9\r\r\x1ez\r\nlast").encode())
         expected = path.read_bytes().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        lines = list(read_lines(path))
-        assert "".join(lines) == read_text(path) == expected
-        assert [line.rstrip("\n") for line in lines] == expected.split("\n")
-        records = list(read_records(path, "\x1e"))
-        assert "\x1e".join(records) == expected
-        assert records == expected.split("\x1e")
+        records = list(read_records(path, sep))
+        assert sep.join(records) == expected
+        assert records == expected.split(sep)
 
     # Past the first 8 KiB read chunk and past the first 64 KiB.
     @pytest.mark.parametrize("at", [10_000, 70_001])
-    @pytest.mark.parametrize("reader", ["read_text", "read_lines", "read_csv", "read_records"])
+    @pytest.mark.parametrize("reader", ["read_csv", "read_records-lf", "read_records-rs"])
     def test_non_utf8_byte_is_named_at_its_offset_in_the_file(self, tmp_path, at, reader):
         head = b"path,size_bytes\n" + b"a.py,1\n" * (at // 7)
         path = tmp_path / "listing.csv"
         path.write_bytes(head + b"caf\xe9.py,2\n")
         read = {
-            "read_text": lambda: read_text(path),
-            "read_lines": lambda: list(read_lines(path)),
             "read_csv": lambda: list(read_csv(path, {"path": str, "size_bytes": int})),
-            "read_records": lambda: list(read_records(path, "\x1e")),
+            "read_records-lf": lambda: list(read_records(path, "\n")),
+            "read_records-rs": lambda: list(read_records(path, "\x1e")),
         }[reader]
         with pytest.raises(InputError) as caught:
             read()
         assert str(caught.value) == f"{path} is not UTF-8: byte {len(head) + 3} is 0xe9"
 
-
-class TestReadRecords:
     @pytest.mark.parametrize(
         "text",
         [
@@ -287,30 +281,63 @@ class TestReadCsv:
         assert list(read_csv(path, {"name": str, "n": int})) == [("a\nb", 1), ("c", 2)]
 
 
+# Readers that hold a whole file, which the package must not define again.
+WHOLE_FILE_READERS = {"read_text", "read_lines"}
+
+
 class TestSourceRules:
-    def test_one_opener_and_no_splitlines(self):
-        """Only ``ingestion._opened`` calls the builtin ``open``; nothing calls ``.splitlines``."""
+    def test_one_opener_one_text_reader_and_no_splitlines(self):
+        """Only ``ingestion._opened`` calls the builtin ``open`` or reads a file whole.
+
+        Every text input is streamed through ``read_records`` (or ``read_csv``):
+        nothing else calls ``.read()`` without a size, no whole-file reader is
+        defined again, and nothing calls ``.splitlines``.
+        """
         package = Path(ingestion.__file__).parent
         found = []
         for source in sorted(package.glob("*.py")):
-            tree = ast.parse(source.read_text(encoding="utf-8"))
+            tree = ast.parse(source.read_bytes().decode("utf-8"))
             allowed = set()
             if source.name == "ingestion.py":
                 [opener] = [n for n in tree.body if getattr(n, "name", None) == "_opened"]
                 allowed = {id(n) for n in ast.walk(opener)}
             for node in ast.walk(tree):
+                name = getattr(node, "name", None) or getattr(node, "id", None)
+                binds = not isinstance(getattr(node, "ctx", None), ast.Load)
+                if name in WHOLE_FILE_READERS and binds:
+                    found.append(f"{source.name}:{node.lineno}: defines {name}")
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
                 if isinstance(func, ast.Attribute) and func.attr == "splitlines":
                     found.append(f"{source.name}:{node.lineno}: .splitlines()")
-                if isinstance(func, ast.Name) and func.id == "open" and id(node) not in allowed:
+                if id(node) in allowed:
+                    continue
+                if isinstance(func, ast.Name) and func.id == "open":
                     found.append(f"{source.name}:{node.lineno}: open()")
-                # Commit logs are streamed, never read whole.
-                name = getattr(func, "attr", getattr(func, "id", None))
-                if source.name == "cli.py" and name == "read_text":
-                    found.append(f"{source.name}:{node.lineno}: read_text()")
+                if isinstance(func, ast.Attribute) and func.attr == "read" and not node.args:
+                    found.append(f"{source.name}:{node.lineno}: .read()")
         assert found == []
+
+    @pytest.mark.parametrize(
+        "source, rule",
+        [
+            ("def f(path):\n    with open(path) as fh:\n        return fh.read()\n", "open()"),
+            ("def f(fh):\n    return fh.read()\n", ".read()"),
+            ("def f(fh):\n    return fh.read(size=-1)\n", ".read()"),
+            ("def read_text(path):\n    pass\n", "defines read_text"),
+            ("read_lines = read_records\n", "defines read_lines"),
+            ("def f(text):\n    return text.splitlines()\n", ".splitlines()"),
+        ],
+    )
+    def test_the_source_rules_catch_each_break(self, tmp_path, monkeypatch, source, rule):
+        package = tmp_path / "ccp_miner"
+        package.mkdir()
+        (package / "ingestion.py").write_text("def _opened(path):\n    return open(path).read()\n")
+        (package / "extra.py").write_text(source)
+        monkeypatch.setattr(ingestion, "__file__", str(package / "ingestion.py"))
+        with pytest.raises(AssertionError, match=r"extra\.py:\d+: " + re.escape(rule)):
+            self.test_one_opener_one_text_reader_and_no_splitlines()
 
 
 class TestReadCsvProperties:
