@@ -19,7 +19,6 @@ from statistics import fmean
 
 from .errors import InputError
 from .estimator import CcpEstimate
-from .ingestion import CommitRecord
 
 # The paper's fixed thresholds.
 CAP_QUANTILE = 0.99  # quantile at which distributions are capped
@@ -56,17 +55,18 @@ def winsorize(values: list[float], quantile: float = CAP_QUANTILE) -> list[float
 
 
 def capped_sizes(
-    commits: list[CommitRecord], corrective: list[bool]
+    files: list[tuple[str, ...]], corrective: list[bool]
 ) -> list[tuple[tuple[str, ...], float]]:
     """The files of each non-corrective commit that has some, with its file count capped.
 
-    ``corrective`` flags the commits in order. Corrective commits are left
-    out because bug fixes touch systematically fewer files and would
-    distort the comparison. Both coupling measures read this list.
+    ``files`` holds each commit's files and ``corrective`` flags the commits,
+    both in the same order. Corrective commits are left out because bug fixes
+    touch systematically fewer files and would distort the comparison. Both
+    coupling measures read this list.
     """
-    if len(commits) != len(corrective):
-        raise ValueError("commits and corrective flags must be aligned")
-    kept = [c.files for c, fix in zip(commits, corrective) if not fix and c.files]
+    if len(files) != len(corrective):
+        raise ValueError("file lists and corrective flags must be aligned")
+    kept = [paths for paths, fix in zip(files, corrective) if not fix and paths]
     if not kept:
         return []
     return list(zip(kept, winsorize([float(len(files)) for files in kept])))

@@ -185,7 +185,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
 def _project_year_stats(
     repo_id: str,
     year: int,
-    by_year: dict[int, list[ingestion.CommitRecord]],
+    by_year: dict[int, list[ingestion.Commit]],
     authors_by_year: dict[int, set[str]],
     involved_by_year: dict[int, dict[str, int]],
     prior_authors: set[str],
@@ -196,12 +196,13 @@ def _project_year_stats(
     """Stats of one project-year; ``prior_authors`` holds every author up to ``year``."""
     commits = by_year[year]
     corrective = [
-        classifier.classify_message(c.message, config.term_model).corrective for c in commits
+        classifier.classify_message(message, config.term_model).corrective
+        for _, _, _, message, _, _ in commits
     ]
     k = sum(corrective)
     ccp = estimator.estimate_ccp(k=k, n=len(commits), perf=config.performance)
     involved = involved_by_year[year]
-    capped = analytics.capped_sizes(commits, corrective)
+    capped = analytics.capped_sizes([files for _, _, _, _, files, _ in commits], corrective)
 
     retention = onboarding = None
     if year + 1 in by_year:
@@ -269,12 +270,8 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     rows = []
     reports = []
     for repo_id in sorted(accepted):
-        # Full records only for the projects analysed.
-        by_year = ingestion.window_by_year(
-            ingestion.CommitRecord(repo_id, *commit)
-            for commit in by_repo[repo_id].values()
-        )
-        authors_by_year = {y: {c.author_id for c in cs} for y, cs in by_year.items()}
+        by_year = ingestion.window_by_year(by_repo[repo_id].values())
+        authors_by_year = {y: {author for _, author, *_ in cs} for y, cs in by_year.items()}
         # Only the years analysed and the years after them need their involved authors.
         involved_by_year = {
             y: ingestion.involved_authors(cs)
@@ -298,7 +295,7 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
             if stat.ccp.valid:
                 entry["band"] = estimator.rank_on_scale(stat.ccp.ccp_raw, config.table)
             else:
-                messages = [c.message for c in by_year[year]]
+                messages = [message for _, _, _, message, _, _ in by_year[year]]
                 median, p90 = classifier.terse_message_profile(messages)
                 entry["diagnostics"] = {
                     "english_hit_rate": classifier.english_hit_rate(

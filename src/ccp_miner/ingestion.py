@@ -190,24 +190,11 @@ Feed the file to `ccp-miner classify` or `ccp-miner analyze` with
 """
 
 
-@dataclass(slots=True)
-class CommitRecord:
-    """One parsed commit: identity, author, UTC calendar year, message, files."""
-
-    repo_id: str
-    hash: str
-    author_id: str
-    year: int
-    message: str
-    files: tuple[str, ...] = ()
-    is_merge: bool = False
-
-
-# A parsed commit as the parsers keep it: CommitRecord's fields after
-# ``repo_id``, so ``CommitRecord(repo_id, *commit)`` builds the record. It holds
-# only str, int, bool and a tuple of str, so the cyclic GC stops tracking it
-# once it has survived a collection (one with files, once its files tuple has),
-# and later collections do not walk the commits kept.
+# One parsed commit, from the parser to the report: (hash, author_id, UTC
+# year, message, files, is_merge). A plain tuple of str, int, bool and a tuple
+# of str, so the cyclic GC stops tracking it once it has survived a collection
+# (one with files, once its files tuple has), and later collections do not
+# walk the commits kept.
 Commit = tuple[str, str, int, str, tuple[str, ...], bool]
 
 # Every kept commit, by repo_id and then hash, each repo's in input order.
@@ -356,17 +343,18 @@ def parse_raw_git_log(
     return _accept(records, lambda chunk: _raw_record(chunk, repo_id, share), "chunks", by_repo)
 
 
-def window_by_year(commits: Iterable[CommitRecord]) -> dict[int, list[CommitRecord]]:
+def window_by_year(commits: Iterable[Commit]) -> dict[int, list[Commit]]:
     """Partition commits by UTC calendar year."""
-    windows: dict[int, list[CommitRecord]] = defaultdict(list)
+    windows: dict[int, list[Commit]] = defaultdict(list)
     for commit in commits:
-        windows[commit.year].append(commit)
+        _, _, year, _, _, _ = commit
+        windows[year].append(commit)
     return dict(windows)
 
 
-def involved_authors(commits: Iterable[CommitRecord]) -> dict[str, int]:
+def involved_authors(commits: Iterable[Commit]) -> dict[str, int]:
     """Each author with at least INVOLVED_COMMITS non-merge commits here, with that count."""
-    counts = Counter(c.author_id for c in commits if not c.is_merge)
+    counts = Counter(author for _, author, _, _, _, merge in commits if not merge)
     return {author: n for author, n in counts.items() if n >= INVOLVED_COMMITS}
 
 

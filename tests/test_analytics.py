@@ -64,7 +64,10 @@ class TestWinsorize:
 
 def capped_for(commits, model):
     """``capped_sizes`` of the commits, flagged as the model classifies them."""
-    return capped_sizes(commits, [classify_message(c.message, model).corrective for c in commits])
+    return capped_sizes(
+        [files for _, _, _, _, files, _ in commits],
+        [classify_message(message, model).corrective for _, _, _, message, _, _ in commits],
+    )
 
 
 class TestCoupling:
@@ -102,9 +105,8 @@ class TestCoupling:
         )
 
     def test_misaligned_inputs(self, term_model):
-        commits = [make_commit(hash="h1", msg=MISS_OTHER)]
         with pytest.raises(ValueError):
-            capped_sizes(commits, [])
+            capped_sizes([("a.c",)], [])
 
 
 class TestCouplingByFile:
@@ -136,11 +138,11 @@ class TestCouplingByFile:
             make_commit(hash=f"h{i}", msg=HIT_CORRECTIVE if fix else MISS_OTHER, files=files)
             for i, (fix, files) in enumerate(specs)
         ]
-        kept = [c for (fix, _), c in zip(specs, commits) if not fix and c.files]
+        kept = [files for fix, files in specs if not fix and files]
         sizes_by_file = {}
         if kept:
-            for commit, size in zip(kept, winsorize([float(len(c.files)) for c in kept])):
-                for path in commit.files:
+            for files, size in zip(kept, winsorize([float(len(f)) for f in kept])):
+                for path in files:
                     sizes_by_file.setdefault(path, []).append(size)
         expected = (
             fmean(fmean(sizes) for sizes in sizes_by_file.values()) if sizes_by_file else None

@@ -677,11 +677,9 @@ def raw_corpora(draw):
 # Comparison
 
 
-def _fields(commits) -> list[tuple]:
-    return [
-        (c.repo_id, c.hash, c.author_id, c.year, c.message, c.files, c.is_merge)
-        for c in commits
-    ]
+def _fields(commits: list[ReferenceCommitRecord]) -> list[tuple]:
+    """The records as the program's commit tuples, which name no repo."""
+    return [(c.hash, c.author_id, c.year, c.message, c.files, c.is_merge) for c in commits]
 
 
 def _run(argv: list[str]) -> tuple[int, str, str, list[list[tuple]]]:
@@ -691,7 +689,7 @@ def _run(argv: list[str]) -> tuple[int, str, str, list[list[tuple]]]:
 
     def capture(commits):
         commits = list(commits)
-        analysed.append(_fields(commits))
+        analysed.append(commits)
         return original(commits)
 
     out, err = io.StringIO(), io.StringIO()

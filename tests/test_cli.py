@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -168,30 +167,6 @@ class TestAnalyzeCommand:
         code, _, err = run(capsys, "analyze", str(tmp_path / "missing.ndjson"))
         assert code == EXIT_CONFIG
         assert err == "configuration error: --enforce-selection requires --year\n"
-
-    def test_records_are_built_only_for_the_accepted_project(self, capsys, tmp_path, monkeypatch):
-        sizes = {"o/small": 30, "o/big": 210, "p/old": 250}
-        lines = [
-            json.dumps({"repo": repo, "hash": f"{repo}-{i}", "author": "a@x",
-                        "ts": f"{2018 if repo == 'p/old' else 2019}-05-01T00:00:00+00:00",
-                        "msg": "fix crash"})
-            for repo, n in sizes.items()
-            for i in range(n)
-        ]
-        log = tmp_path / "three.ndjson"
-        log.write_text("\n".join(lines) + "\n")
-        built = Counter()
-        record = ingestion.CommitRecord
-
-        def counting(repo_id, *fields):
-            built[repo_id] += 1
-            return record(repo_id, *fields)
-
-        monkeypatch.setattr(ingestion, "CommitRecord", counting)
-        code, out, _ = run(capsys, "--year", "2019", "--enforce-selection", "analyze", str(log))
-        assert code == EXIT_OK
-        assert [p["repo_id"] for p in json.loads(out)["projects"]] == ["o/big"]
-        assert built == {"o/big": 210}
 
     def test_onboarding_counts_authors_of_every_earlier_year(self, capsys, tmp_path):
         # author -> commits per year; 12 non-merge commits make an author

@@ -9,7 +9,6 @@ import json
 import re
 import tempfile
 import tracemalloc
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 from ccp_miner import cli, ingestion
 from ccp_miner.errors import InputError
 from ccp_miner.ingestion import (
-    CommitRecord,
+    Commit,
     ProjectDescriptor,
     _utc_year,
     involved_authors,
@@ -35,18 +34,9 @@ from ccp_miner.ingestion import (
 from conftest import FIXTURES
 
 
-def make_commit(repo="acme/widget", hash="c1", author="ann@example.com",
-                ts="2019-06-01T12:00:00+00:00", msg="fix crash",
-                files=("a.c",), merge=False) -> CommitRecord:
-    return CommitRecord(
-        repo_id=repo,
-        hash=hash,
-        author_id=author,
-        year=_utc_year(ts),
-        message=msg,
-        files=tuple(files),
-        is_merge=merge,
-    )
+def make_commit(hash="c1", author="ann@example.com", ts="2019-06-01T12:00:00+00:00",
+                msg="fix crash", files=("a.c",), merge=False) -> Commit:
+    return (hash, author, _utc_year(ts), msg, tuple(files), merge)
 
 
 class TestParseGitLog:
@@ -579,7 +569,7 @@ class TestProjectDescriptor:
             make_commit(hash="h2", ts="2019-06-01T00:00:00+00:00"),
             make_commit(hash="h3", ts="2019-07-01T00:00:00+00:00"),
         ]
-        by_hash = {c.hash: astuple(c)[1:] for c in commits}
+        by_hash = {c[0]: c for c in commits}
         project = ProjectDescriptor.from_commits("acme/widget", by_hash, 2019)
         assert project.owner == "acme"
         assert project.name == "widget"

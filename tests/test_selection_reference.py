@@ -22,7 +22,6 @@ from ccp_miner.errors import InputError
 from ccp_miner.ingestion import (
     MIN_COMMITS,
     SHARED_HASHES,
-    CommitRecord,
     ProjectDescriptor,
     SelectionResult,
     select_projects,
@@ -30,6 +29,19 @@ from ccp_miner.ingestion import (
 
 # ---------------------------------------------------------------------------
 # Reference implementations
+
+
+@dataclass(slots=True)
+class ReferenceCommitRecord:
+    """One parsed commit: identity, author, UTC calendar year, message, files."""
+
+    repo_id: str
+    hash: str
+    author_id: str
+    year: int
+    message: str
+    files: tuple[str, ...] = ()
+    is_merge: bool = False
 
 
 @dataclass
@@ -47,7 +59,7 @@ class ReferenceProjectDescriptor:
 
     @classmethod
     def from_commits(
-        cls, commits: Iterable[CommitRecord], owner: str = "", name: str = "", is_fork: bool = False
+        cls, commits: Iterable[ReferenceCommitRecord], owner: str = "", name: str = "", is_fork: bool = False
     ) -> "ReferenceProjectDescriptor":
         by_year: dict[int, set[str]] = defaultdict(set)
         repo_id = ""
@@ -166,7 +178,7 @@ _project = st.fixed_dictionaries(
 )
 
 
-def _commits(repo_id: str, year: int, spec: dict) -> list[CommitRecord]:
+def _commits(repo_id: str, year: int, spec: dict) -> list[ReferenceCommitRecord]:
     """One project's distinct commits over YEARS.
 
     The first ``shared`` hashes of its cluster come first, the first
@@ -184,7 +196,7 @@ def _commits(repo_id: str, year: int, spec: dict) -> list[CommitRecord]:
         for j in range(count):
             years[f"{repo_id}-{other}-{j}"] = other
     return [
-        CommitRecord(repo_id=repo_id, hash=h, author_id="a@x", year=y, message="m")
+        ReferenceCommitRecord(repo_id=repo_id, hash=h, author_id="a@x", year=y, message="m")
         for h, y in years.items()
     ]
 
