@@ -227,8 +227,11 @@ class BootstrapReport:
     interval_high: float
 
     def __post_init__(self):
-        if not self.interval_low <= self.mean_difference <= self.interval_high:
-            raise ValueError("bootstrap interval must bracket the mean difference")
+        # Not low <= mean <= high: with nearest-rank (lower) percentiles both ends
+        # of a 2-iteration interval are the smaller difference, and a float mean
+        # can fall outside [min, max].
+        if not self.interval_low <= self.interval_high:
+            raise ValueError("bootstrap interval must have low <= high")
 
 
 # Defaults of the bootstrap and sensitivity studies, and of the CLI flags.
@@ -298,6 +301,9 @@ class SensitivityReport:
 
 DEFAULT_SENSITIVITY_SEGMENTS = ((0.0, 1.0), (0.042, 0.84), (0.06, 0.39))
 
+# Redraws one sensitivity study may make, per iteration, before it gives up.
+MAX_REDRAWS_PER_ITERATION = 100
+
 
 def estimator_sensitivity(
     corpus: list[LabeledCommit],
@@ -315,7 +321,8 @@ def estimator_sensitivity(
     Degenerate resamples (no positives, no negatives, or recall <= fpr) are
     redrawn and counted. A valid one exists exactly when the corpus has a
     true positive and a true negative (those alone give recall 1, fpr 0);
-    without both, InputError.
+    without both, InputError. Valid resamples can still be too rare to
+    find: past MAX_REDRAWS_PER_ITERATION x ``iterations`` redraws, InputError.
     """
     if not corpus:
         raise InputError("estimator_sensitivity requires a non-empty corpus")
@@ -333,6 +340,7 @@ def estimator_sensitivity(
     n = len(corpus)
     rng = np.random.default_rng(seed)
     redraws = 0
+    max_redraws = MAX_REDRAWS_PER_ITERATION * iterations
 
     def draw(count: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw `count` (recall, fpr) pairs from valid resamples."""
@@ -350,6 +358,11 @@ def estimator_sensitivity(
             recall[pending[ok]] = r[ok]
             fpr[pending[ok]] = f[ok]
             redraws += int((~ok).sum())
+            if redraws > max_redraws:
+                raise InputError(
+                    f"sensitivity found too few valid resamples: more than {max_redraws} "
+                    f"redraws ({MAX_REDRAWS_PER_ITERATION} per iteration)"
+                )
             pending = pending[~ok]
         return recall, fpr
 

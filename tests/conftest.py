@@ -15,6 +15,14 @@ MISS_CORRECTIVE = "restore missing counter increment in retry path"  # label 1, 
 HIT_OTHER = "experiment with failure injection in tests"  # label 0, classified corrective
 MISS_OTHER = "update dependencies to latest versions"  # label 0, not classified
 
+# One labeled-corpus line per confusion cell.
+CELL_LINES = {
+    "TP": f"1\t{HIT_CORRECTIVE}\n",
+    "FN": f"1\t{MISS_CORRECTIVE}\n",
+    "FP": f"0\t{HIT_OTHER}\n",
+    "TN": f"0\t{MISS_OTHER}\n",
+}
+
 
 def build_corpus(tp: int, fn: int, fp: int, tn: int) -> list[classifier.LabeledCommit]:
     """A labeled corpus realizing exactly the given confusion counts."""

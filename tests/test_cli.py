@@ -22,7 +22,7 @@ from ccp_miner.cli import (
 )
 from ccp_miner.errors import InputError
 
-from conftest import FIXTURES
+from conftest import CELL_LINES, FIXTURES
 
 LOG = str(FIXTURES / "log_small.ndjson")
 MALFORMED = str(FIXTURES / "log_malformed.ndjson")
@@ -745,6 +745,52 @@ def test_sensitivity_without_a_valid_resample_ends_with_a_named_input_error(tmp_
     assert proc.stderr == (
         f"input error: {corpus}: sensitivity needs a true positive and a true negative: "
         "no resample of this corpus has recall > fpr\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "content, before, iterations",
+    [
+        (ALL_POSITIVE_CORPUS, (), "50"),
+        (ALL_POSITIVE_CORPUS, (), "100"),
+        ("".join(CELL_LINES[c] for c in ("FN", "FN", "TP", "FP", "TP")).encode(),
+         ("--seed", "5"), "2"),
+    ],
+    ids=["all-positive-50", "all-positive-100", "two-iterations"],
+)
+def test_bootstrap_interval_need_not_bracket_the_mean(
+    capsys, tmp_path, content, before, iterations
+):
+    """The interval's ends are nearest-rank (lower) percentiles, so the mean may lie outside."""
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_bytes(content)
+    code, out, err = run(
+        capsys, *before, "bootstrap", str(corpus), "--perf-source", "config",
+        "--iterations", iterations,
+    )
+    assert (code, err) == (EXIT_OK, "")
+    difference = json.loads(out)["difference"]
+    assert difference["interval_low"] <= difference["interval_high"]
+
+
+def test_sensitivity_with_too_rare_valid_resamples_ends_with_a_named_input_error(tmp_path):
+    """1 TP, 1 TN, 200 FN and 200 FP: nearly no resample has recall > fpr."""
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(
+        CELL_LINES["TP"] + CELL_LINES["TN"] + 200 * CELL_LINES["FN"] + 200 * CELL_LINES["FP"]
+    )
+    argv = ["bootstrap", str(corpus), "--sensitivity", "--perf-source", "config",
+            "--iterations", "10"]
+    probe = f"import sys, ccp_miner.cli as cli; sys.exit(cli.main({argv!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True,
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
+    limit = 10 * estimator.MAX_REDRAWS_PER_ITERATION
+    assert proc.stderr == (
+        f"input error: {corpus}: sensitivity found too few valid resamples: "
+        f"more than {limit} redraws ({estimator.MAX_REDRAWS_PER_ITERATION} per iteration)\n"
     )
 
 

@@ -30,7 +30,7 @@ from ccp_miner.ingestion import (
 )
 from ccp_miner.stats import co_change
 
-from conftest import FIXTURES
+from conftest import CELL_LINES, FIXTURES
 from test_analyze_reference import REPO_IDS, YEAR, _project, _project_commits
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz ", min_size=0, max_size=60)
@@ -95,6 +95,32 @@ class TestEstimatorProperties:
             rank_on_scale(lo, distribution_table).lower_percentile
             >= rank_on_scale(hi, distribution_table).lower_percentile
         )
+
+
+class TestLabeledCorpusExits:
+    @given(
+        st.lists(st.sampled_from(sorted(CELL_LINES)), max_size=8),
+        st.sampled_from([("validate-model",), ("bootstrap",), ("bootstrap", "--sensitivity")]),
+        st.sampled_from([1, 2, 3, 7, 50, 100]),
+        st.integers(0, 20),
+        st.sampled_from(["corpus", "config"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_small_corpora_end_with_a_report_or_an_input_error(
+        self, cells, command, iterations, seed, perf_source
+    ):
+        """No labeled corpus is an internal error (exit 4), and none runs without end."""
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / "corpus.tsv"
+            corpus.write_text("".join(CELL_LINES[cell] for cell in cells))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([
+                    "--seed", str(seed), *command[:1], str(corpus), *command[1:],
+                    "--iterations", str(iterations), "--perf-source", perf_source,
+                ])
+        assert code in (0, 3), err.getvalue()
+        assert (code == 0) == (err.getvalue() == "")
 
 
 class TestWinsorizeProperties:

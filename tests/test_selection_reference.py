@@ -59,7 +59,11 @@ class ReferenceProjectDescriptor:
 
     @classmethod
     def from_commits(
-        cls, commits: Iterable[ReferenceCommitRecord], owner: str = "", name: str = "", is_fork: bool = False
+        cls,
+        commits: Iterable[ReferenceCommitRecord],
+        owner: str = "",
+        name: str = "",
+        is_fork: bool = False,
     ) -> "ReferenceProjectDescriptor":
         by_year: dict[int, set[str]] = defaultdict(set)
         repo_id = ""
