@@ -23,6 +23,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
@@ -438,18 +439,24 @@ def select_projects(projects: list[ProjectDescriptor]) -> SelectionResult:
     owner_projects = Counter(p.owner for p in survivors)
 
     # Dominance: walk largest-first so the largest project of any
-    # shared-commit cluster is always retained.
+    # shared-commit cluster is always retained. ``holders`` maps each hash of
+    # a retained project to the places in ``ordered`` of the retained projects
+    # holding it, so a project's shared hashes are counted per holder without
+    # comparing it with every retained project. Its values are tuples of ints,
+    # which the cyclic GC stops tracking; most are one shared ``(place,)``.
     ordered = sorted(survivors, key=_size_key, reverse=True)
-    retained: list[ProjectDescriptor] = []
+    holders: dict[str, tuple[int, ...]] = {}
     dominated: set[str] = set()
-    for project in ordered:
-        for larger in retained:
-            if len(project.hashes & larger.hashes) > SHARED_HASHES:
-                dominated.add(project.repo_id)
-                exclusions.append((project.repo_id, "dominated"))
-                break
+    for place, project in enumerate(ordered):
+        common = project.hashes & holders.keys()
+        shared = Counter(chain.from_iterable(map(holders.__getitem__, common)))
+        if any(n > SHARED_HASHES for n in shared.values()):
+            dominated.add(project.repo_id)
+            exclusions.append((project.repo_id, "dominated"))
         else:
-            retained.append(project)
+            held = {commit_hash: holders[commit_hash] + (place,) for commit_hash in common}
+            holders.update(dict.fromkeys(project.hashes, (place,)))
+            holders.update(held)
     survivors = [p for p in survivors if p.repo_id not in dominated]
 
     by_name: dict[str, list[ProjectDescriptor]] = defaultdict(list)

@@ -22,7 +22,9 @@ from ccp_miner.estimator import (
     rank_on_scale,
 )
 from ccp_miner.ingestion import (
+    MIN_COMMITS,
     RECORD_BLOCK,
+    SHARED_HASHES,
     ProjectDescriptor,
     _ndjson_record,
     _raw_record,
@@ -175,6 +177,36 @@ class TestSelectionProperties:
         second = select_projects(first.accepted)
         assert [p.repo_id for p in second.accepted] == [p.repo_id for p in first.accepted]
         assert second.exclusions == []
+
+
+    @given(
+        st.lists(st.sampled_from([0, 1, 49, 50, 51]), min_size=1, max_size=4),
+        st.sampled_from([0, 1, 50]),
+        st.booleans(),
+    )
+    def test_dominated_by_one_larger_project_not_by_several_together(
+        self, shares, common, takes_common
+    ):
+        """A project sharing ``shares[i]`` hashes with larger project i, and each
+        larger one holding ``common`` hashes of all of them, which the project
+        holds too when ``takes_common``: it is dominated exactly when one larger
+        project shares more than SHARED_HASHES hashes with it."""
+        common_hashes = {f"c{j}" for j in range(common)}
+        larger = []
+        own = {f"own{j}" for j in range(MIN_COMMITS)}
+        for i, share in enumerate(shares):
+            given_away = {f"x{i}-{j}" for j in range(share)}
+            own |= given_away
+            hashes = {f"l{i}-{j}" for j in range(500)} | common_hashes | given_away
+            larger.append(ProjectDescriptor(f"big/p{i}", "big", f"p{i}", False,
+                                            frozenset(hashes), len(hashes)))
+        if takes_common:
+            own |= common_hashes
+        small = ProjectDescriptor("small/p", "small", "p", False, frozenset(own), len(own))
+        result = select_projects([small, *larger])
+        dominated = max(shares) + (common if takes_common else 0) > SHARED_HASHES
+        kept = larger if dominated else [small, *larger]
+        assert [p.repo_id for p in result.accepted] == [p.repo_id for p in kept]
 
 
 class TestCoChangeProperties:

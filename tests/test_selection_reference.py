@@ -205,6 +205,45 @@ def _commits(repo_id: str, year: int, spec: dict) -> list[ReferenceCommitRecord]
     ]
 
 
+# Projects whose analysis-year hashes include the slice [start, start + length)
+# of one pool, so that one project may share 49-51 hashes with several larger
+# ones at once: shares whose sum passes SHARED_HASHES while no one share does.
+_sliced = st.fixed_dictionaries(
+    {
+        "in_year": st.sampled_from([200, 230, 260]),
+        "start": st.sampled_from([0, 1, 49, 50, 51, 100]),
+        "length": st.sampled_from([0, 50, 51, 100, 101]),
+    }
+)
+
+
+def _sliced_commits(repo_id: str, year: int, spec: dict) -> list[ReferenceCommitRecord]:
+    """The pool slice of ``spec`` and ``in_year`` hashes of the project's own, all in ``year``."""
+    hashes = [f"pool-{j}" for j in range(spec["start"], spec["start"] + spec["length"])]
+    hashes += [f"{repo_id}-{j}" for j in range(spec["in_year"])]
+    return [
+        ReferenceCommitRecord(repo_id=repo_id, hash=h, author_id="a@x", year=year, message="m")
+        for h in hashes
+    ]
+
+
+def _assert_selects_as_reference(corpus: list[tuple[list, tuple]], year: int) -> None:
+    """select_projects and the reference accept and exclude the same projects of ``corpus``."""
+    reference = reference_select_projects(
+        [ReferenceProjectDescriptor.from_commits(c, *meta) for c, meta in corpus], year
+    )
+    selection = select_projects(
+        [
+            ProjectDescriptor.from_commits(
+                c[0].repo_id, {r.hash: astuple(r)[1:] for r in c}, year, *meta
+            )
+            for c, meta in corpus
+        ]
+    )
+    assert [p.repo_id for p in selection.accepted] == [p.repo_id for p in reference.accepted]
+    assert selection.exclusions == reference.exclusions
+
+
 class TestAgainstReference:
     @given(
         st.lists(st.sampled_from(REPO_IDS), min_size=1, max_size=7, unique=True),
@@ -219,16 +258,14 @@ class TestAgainstReference:
             commits = _commits(repo_id, year, spec)
             if commits:
                 corpus.append((commits, spec["metadata"] or ()))
-        reference = reference_select_projects(
-            [ReferenceProjectDescriptor.from_commits(c, *meta) for c, meta in corpus], year
-        )
-        selection = select_projects(
-            [
-                ProjectDescriptor.from_commits(
-                    c[0].repo_id, {r.hash: astuple(r)[1:] for r in c}, year, *meta
-                )
-                for c, meta in corpus
-            ]
-        )
-        assert [p.repo_id for p in selection.accepted] == [p.repo_id for p in reference.accepted]
-        assert selection.exclusions == reference.exclusions
+        _assert_selects_as_reference(corpus, year)
+
+    @given(
+        st.lists(st.sampled_from(REPO_IDS), min_size=2, max_size=7, unique=True),
+        st.sampled_from(YEARS),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_shares_with_several_larger_projects(self, repo_ids, year, data):
+        corpus = [(_sliced_commits(r, year, data.draw(_sliced)), ()) for r in repo_ids]
+        _assert_selects_as_reference(corpus, year)
