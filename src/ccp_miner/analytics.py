@@ -69,7 +69,7 @@ def capped_sizes(
     kept = [paths for paths, fix in zip(files, corrective) if not fix and paths]
     if not kept:
         return []
-    return list(zip(kept, winsorize([float(len(files)) for files in kept])))
+    return list(zip(kept, winsorize([float(len(paths)) for paths in kept])))
 
 
 def coupling(capped: list[tuple[tuple[str, ...], float]]) -> float | None:
