@@ -43,7 +43,8 @@ class _Git:
             "GIT_COMMITTER_NAME": "Ann",
             "GIT_COMMITTER_EMAIL": "ann@example.com",
         }
-        self("init", "-q", "-b", "main", ".")
+        self("init", "-q", ".")
+        self("symbolic-ref", "HEAD", "refs/heads/main")
 
     def __call__(self, *args: str, date: str | None = None) -> str:
         env = self.env if date is None else {
