@@ -20,15 +20,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from re import _constants as _sre_constants, _parser as _sre_parse
 
 from .errors import InputError, ModelLoadError
 from .ingestion import naming, read_records
-
-try:
-    from re import _constants as _sre_constants, _parser as _sre_parse
-except ImportError:  # Python 3.10
-    import sre_constants as _sre_constants
-    import sre_parse as _sre_parse
 
 _BACKREF_RE = re.compile(r"\\[1-9]")
 

@@ -143,9 +143,9 @@ def _read_commits(
     """
     for path in args.input:
         with ingestion.naming(path, InputError):
-            if getattr(args, "input_format", "ndjson") == "git":
+            if args.input_format == "git":
                 records = ingestion.read_records(path, "\x1e")
-                repo = getattr(args, "repo", None) or Path(path).stem
+                repo = args.repo or Path(path).stem
                 result = ingestion.parse_raw_git_log(records, repo_id=repo, by_repo=by_repo)
             else:
                 result = ingestion.parse_git_log(ingestion.read_records(path, "\n"), by_repo)
@@ -398,7 +398,7 @@ def cmd_cochange(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_twin(args: argparse.Namespace, config: RunConfig) -> int:
     report = stats.twin_analysis(
-        stats.load_developer_series_csv(args.dev_series),
+        stats.load_series_csv(args.dev_series, ("developer", "project")),
         stats.load_series_csv(args.project_series),
         delta_project=args.delta_project,
         delta_dev=args.delta_dev,
@@ -481,6 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    log_args = argparse.ArgumentParser(add_help=False)
+    log_args.add_argument("input", nargs="+", help="commit log file(s)")
+    log_args.add_argument("--input-format", choices=("ndjson", "git"), default="ndjson")
+    log_args.add_argument("--repo", help="repo id for --input-format git")
+
     corpus_args = argparse.ArgumentParser(add_help=False)
     corpus_args.add_argument("corpus", help="labeled corpus file (label<TAB>message)")
     corpus_args.add_argument(
@@ -489,16 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_args.add_argument("--coverage", type=_coverage, default=estimator.DEFAULT_COVERAGE)
     corpus_args.add_argument("--perf-source", choices=("corpus", "config"), default="corpus")
 
-    p = sub.add_parser("classify", help="per-commit verdict stream (NDJSON)")
-    p.add_argument("input", nargs="+", help="commit log file(s)")
-    p.add_argument("--input-format", choices=("ndjson", "git"), default="ndjson")
-    p.add_argument("--repo", help="repo id for --input-format git")
+    p = sub.add_parser("classify", parents=[log_args], help="per-commit verdict stream (NDJSON)")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("analyze", help="per-project-year stats, CCP and ranking")
-    p.add_argument("input", nargs="+", help="commit log file(s)")
-    p.add_argument("--input-format", choices=("ndjson", "git"), default="ndjson")
-    p.add_argument("--repo", help="repo id for --input-format git")
+    p = sub.add_parser(
+        "analyze", parents=[log_args], help="per-project-year stats, CCP and ranking"
+    )
     p.add_argument("--projects", help="project metadata CSV (repo_id,owner,name,is_fork)")
     p.add_argument("--head-listing", help="HEAD snapshot CSV (path,size_bytes)")
     p.set_defaults(func=cmd_analyze)

@@ -1,8 +1,9 @@
 """Input file readers and commit-history ingestion.
 
-Every input file is opened by ``_opened`` as UTF-8 text in which only LF, CRLF
-or a lone CR ends a line, and streamed by ``read_csv`` (CSV files) or
-``read_records`` (the rest), whose errors name the file.
+Every input file is opened by ``_opened`` as UTF-8 text, a leading byte-order
+mark dropped, in which only LF, CRLF or a lone CR ends a line, and streamed by
+``read_csv`` (CSV files) or ``read_records`` (the rest), whose errors name the
+file.
 
 The canonical commit export format is newline-delimited JSON, one object per
 commit with string keys ``repo``, ``hash``, ``author``, ``ts`` (ISO-8601) and
@@ -42,11 +43,12 @@ INVOLVED_COMMITS = 12  # non-merge commits in a year for an involved developer
 def _opened(path: str | Path, error: type[CcpMinerError]) -> Iterator[TextIO]:
     """The file at ``path`` as UTF-8 text with universal newlines: LF, CRLF and CR read as LF.
 
-    An unreadable file or bytes that are not UTF-8 raise ``error`` naming
-    the file and, read again as bytes, the offset of the first bad byte.
+    A byte-order mark at the start is not part of the text. An unreadable
+    file or bytes that are not UTF-8 raise ``error`` naming the file and,
+    read again as bytes, the offset of the first bad byte in the file.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
@@ -177,7 +179,7 @@ def read_config(
 
 GIT_LOG_RECIPE = r"""Export a repository's history for ccp-miner:
 
-    git log --all --no-color \
+    git log --branches --tags --remotes --no-color \
         --pretty=format:'%x1e%H%x1f%ae%x1f%aI%x1f%P%x1f%B%x1f' \
         --name-only > history.gitlog
 

@@ -29,43 +29,30 @@ def _finite(text: str) -> float:
     return value
 
 
-def load_series_csv(path: str | Path) -> dict[str, dict[int, float]]:
-    """Load an ``entity,year,value`` CSV as entity -> year -> value.
+def load_series_csv(
+    path: str | Path, keys: tuple[str, ...] = ("entity",)
+) -> dict[str | tuple[str, ...], dict[int, float]]:
+    """Load a CSV with the ``keys`` columns, ``year`` and ``value`` as key -> year -> value.
 
-    A repeated year or a value that is not finite is an error.
-    """
-    points: dict[str, dict[int, float]] = {}
-    for entity, year, value in read_csv(path, {"entity": str, "year": int, "value": _finite}):
-        entity_points = points.get(entity)
-        if entity_points is None:
-            points[entity] = {year: value}
-        elif year in entity_points:
-            raise InputError(f"duplicate year {year} for entity {entity!r} in {path}")
-        else:
-            entity_points[year] = value
-    return points
-
-
-def load_developer_series_csv(path: str | Path) -> dict[tuple[str, str], dict[int, float]]:
-    """Load a ``developer,project,year,value`` CSV as (developer, project) -> year -> value.
-
-    A repeated (developer, project, year) row or a value that is not finite
+    A series is keyed by the text of its one key column (``entity`` by
+    default) or by the tuple of the texts of several, as ``("developer",
+    "project")`` gives. A key's repeated year or a value that is not finite
     is an error.
     """
-    columns = {"developer": str, "project": str, "year": int, "value": _finite}
-    series: dict[tuple[str, str], dict[int, float]] = {}
-    for developer, project, year, value in read_csv(path, columns):
-        key = (developer, project)
+    n = len(keys)
+    key_of = operator.itemgetter(*range(n))
+    series: dict[str | tuple[str, ...], dict[int, float]] = {}
+    for row in read_csv(path, {**dict.fromkeys(keys, str), "year": int, "value": _finite}):
+        key = key_of(row)
+        year = row[n]
         points = series.get(key)
         if points is None:
-            series[key] = {year: value}
+            series[key] = {year: row[n + 1]}
         elif year in points:
-            raise InputError(
-                f"duplicate year {year} for developer {developer!r} "
-                f"in project {project!r} in {path}"
-            )
+            named = " in ".join(f"{name} {text!r}" for name, text in zip(keys, row))
+            raise InputError(f"duplicate year {year} for {named} in {path}")
         else:
-            points[year] = value
+            points[year] = row[n + 1]
     return series
 
 

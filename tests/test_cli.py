@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ccp_miner import classifier, estimator, ingestion
+from ccp_miner import classifier, estimator, ingestion, stats
 from ccp_miner.cli import (
     CONFIG_ENV_VAR,
     EXIT_CONFIG,
@@ -395,6 +395,25 @@ class TestCochangeAndTwin:
         assert twin["n_developer_pairs"] == 1
         assert twin["precision"] == 1.0
 
+    def test_twin_reads_both_files_through_the_one_loader(self, capsys, tmp_path, monkeypatch):
+        dev = tmp_path / "dev.csv"
+        proj = tmp_path / "proj.csv"
+        dev.write_text("developer,project,year,value\nann,good,2019,0.1\nann,bad,2019,0.4\n")
+        proj.write_text("entity,year,value\ngood,2019,0.1\nbad,2019,0.5\n")
+        read = []
+        load = stats.load_series_csv
+
+        def counting(path, *keys):
+            read.append(path)
+            return load(path, *keys)
+
+        monkeypatch.setattr(stats, "load_series_csv", counting)
+        code, _, _ = run(
+            capsys, "twin", "--dev-series", str(dev), "--project-series", str(proj), "--sign", "-1"
+        )
+        assert code == EXIT_OK
+        assert sorted(read) == sorted([str(dev), str(proj)])
+
     def test_repeated_developer_project_year_is_an_input_error(self, capsys, tmp_path):
         dev = tmp_path / "dev.csv"
         proj = tmp_path / "proj.csv"
@@ -678,6 +697,8 @@ DEEP = b"".join(
          EXIT_INPUT),
         ("corpus.tsv", b"1\tfix crash\n0\t" + LATIN1 + b"\n", ["validate-model", "{path}"],
          EXIT_INPUT),
+        ("corpus.tsv", "\ufeff".encode() + b"1\tfix crash\n0\t" + LATIN1 + b"\n",
+         ["validate-model", "{path}"], EXIT_INPUT),
         ("miner.cfg", b"seed=1\n# " + LATIN1 + b"\n", ["rank", "--ccp", "0.2"], EXIT_CONFIG),
         ("perf.cfg", b"recall=0.8\nfpr=0.1\nmodel_id=" + LATIN1 + b"\n",
          ["--perf", "{path}", "rank", "--ccp", "0.2"], EXIT_CONFIG),
@@ -708,7 +729,8 @@ DEEP = b"".join(
         ("perf.cfg", b"recall=0.1\nfpr=0.2\n", ["--perf", "{path}", "rank", "--ccp", "0.2"],
          EXIT_CONFIG),
     ],
-    ids=["metadata-short-row", "metadata-latin1", "corpus-latin1", "env-config-latin1",
+    ids=["metadata-short-row", "metadata-latin1", "corpus-latin1", "corpus-bom-latin1",
+         "env-config-latin1",
          "perf-latin1", "model-latin1", "raw-git-log-latin1", "ndjson-no-record",
          "ndjson-latin1", "raw-git-log-no-chunk", "model-outside-section", "model-bad-pattern",
          "english-model-short-word", "table-nan-threshold", "head-listing-negative",
@@ -727,6 +749,34 @@ def test_bad_input_file_is_a_named_config_or_input_error(
     assert str(path) in err
     if LATIN1 in content:
         assert f"byte {content.index(LATIN1) + 3} is 0xe9" in err
+
+
+@pytest.mark.parametrize(
+    "name, content, argv",
+    [
+        ("i.csv", SERIES_FILES["i.csv"].encode(),
+         ["cochange", "--series-i", "{path}", "--series-j", "{path}"]),
+        ("miner.cfg", b"seed=7\n", ["rank", "--ccp", "0.2"]),
+        ("log.ndjson",
+         b'{"repo": "r", "hash": "h1", "author": "a@x", "ts": "2019-01-01T00:00:00+00:00", '
+         b'"msg": "fix crash"}\n', ["analyze", "{path}"]),
+        ("model.terms", b"model_id: m\n[fix]\nfix\n",
+         ["--model", "{path}", "rank", "--ccp", "0.2"]),
+    ],
+    ids=["series-csv", "env-config", "ndjson-log", "term-model"],
+)
+def test_a_leading_byte_order_mark_is_not_part_of_the_text(
+    capsys, tmp_path, monkeypatch, name, content, argv
+):
+    path = tmp_path / name
+    if name == "miner.cfg":
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
+    results = []
+    for bom in (b"", "\ufeff".encode()):
+        path.write_bytes(bom + content)
+        results.append(run(capsys, *(a.format(path=path) for a in argv)))
+    assert results[0][0] == EXIT_OK
+    assert results[1] == results[0]
 
 
 @pytest.mark.parametrize("content", [NO_HIT_CORPUS, ALL_POSITIVE_CORPUS],

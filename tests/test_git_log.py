@@ -99,9 +99,20 @@ def test_analyze_and_classify_read_what_git_records(tmp_path):
     git("merge", "-q", "--no-ff", "-m", "Merge branch 'feature'", "feature",
         date="2020-02-01T00:00:00+00:00")
     git.commit("2020-03-01T00:00:00+00:00", "bump CI")
+    # History only a remote-tracking branch holds is exported.
+    git("checkout", "-q", "-b", "side")
+    git.commit("2020-04-01T00:00:00+00:00", "fix leak on the side branch", {"b.c": "b\n"})
+    git("update-ref", "refs/remotes/origin/side", "side")
+    git("checkout", "-q", "main")
+    git("branch", "-q", "-D", "side")
+    # A stash and a note are not history: their commits are not exported.
+    (git.path / "a.c").write_text("a\nb\nstashed\n", encoding="utf-8")
+    git("stash", "-q", date="2020-05-01T00:00:00+00:00")
+    git("notes", "add", "-m", "reviewed", "HEAD", date="2020-05-02T00:00:00+00:00")
     log = str(git.export())
 
-    hashes = git("rev-list", "--all").split()
+    assert len(git("rev-list", "--all").split()) == 9  # the stash's two and the note's
+    hashes = git("rev-list", "--branches", "--tags", "--remotes").split()
     expected = {}
     for commit_hash in hashes:
         parents, stamp, author, date, message = git(
@@ -114,10 +125,10 @@ def test_analyze_and_classify_read_what_git_records(tmp_path):
             "msg": message.rstrip("\n"), "files": files, "merge": len(parents.split()) > 1,
             "year": datetime.fromtimestamp(int(stamp), timezone.utc).year,
         }
-    assert len(hashes) == 5
+    assert len(hashes) == 6
     assert sum(c["merge"] for c in expected.values()) == 1
     assert sum(not c["files"] for c in expected.values()) == 2  # the merge and the empty commit
-    assert sorted(c["year"] for c in expected.values()) == [2018, 2019, 2020, 2020, 2020]
+    assert sorted(c["year"] for c in expected.values()) == [2018, 2019, 2020, 2020, 2020, 2020]
     # git C-quotes a non-ASCII path, in the log and in ``git show`` alike.
     assert {("a.c", "with space.txt"), ('"caf\\303\\251.c"',)} < {
         c["files"] for c in expected.values()

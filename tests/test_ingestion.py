@@ -59,6 +59,16 @@ class TestParseGitLog:
         assert files == ("x.py",)
         assert not is_merge
 
+    def test_z_timestamp_counts_in_its_utc_year(self):
+        line = (
+            '{"repo": "r", "hash": "h1", "author": "a@x", "ts": "2019-12-31T23:30:00Z", '
+            '"msg": "fix bug"}'
+        )
+        result = parse_git_log([line])
+        assert result.skipped == 0
+        [(_, _, year, _, _, _)] = result.records
+        assert year == 2019
+
     def test_malformed_lines_skipped_and_counted(self):
         with open(FIXTURES / "log_malformed.ndjson", encoding="utf-8") as fh:
             result = parse_git_log(fh)

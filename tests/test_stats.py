@@ -1,11 +1,10 @@
-"""Cross-project inference tests: co-change, twin analysis, series loaders."""
+"""Cross-project inference tests: co-change, twin analysis, the series loader."""
 
 import pytest
 
 from ccp_miner.errors import InputError
 from ccp_miner.stats import (
     co_change,
-    load_developer_series_csv,
     load_series_csv,
     twin_analysis,
 )
@@ -175,11 +174,14 @@ class TestLoadSeriesCsv:
             load_series_csv(path)
 
 
+DEVELOPER = ("developer", "project")
+
+
 class TestLoadDeveloperSeriesCsv:
     def test_round_values(self, tmp_path):
         path = tmp_path / "dev.csv"
         path.write_text("developer,project,year,value\nd1,p1,2019,0.1\nd1,p2,2019,0.5\n")
-        assert load_developer_series_csv(path) == {
+        assert load_series_csv(path, DEVELOPER) == {
             ("d1", "p1"): {2019: 0.1},
             ("d1", "p2"): {2019: 0.5},
         }
@@ -190,7 +192,14 @@ class TestLoadDeveloperSeriesCsv:
             "developer,project,year,value\nd1,p1,2019,0.1\nd1,p1,2019,0.9\nd1,p2,2019,0.5\n"
         )
         with pytest.raises(InputError) as caught:
-            load_developer_series_csv(path)
+            load_series_csv(path, DEVELOPER)
         message = str(caught.value)
         assert str(path) in message
         assert "'d1'" in message and "'p1'" in message and "2019" in message
+
+    def test_non_finite_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "dev.csv"
+        path.write_text("developer,project,year,value\nd1,p1,2019,0.1\nd1,p2,2019,nan\n")
+        with pytest.raises(InputError) as caught:
+            load_series_csv(path, DEVELOPER)
+        assert str(caught.value) == f"{path}, line 3: metric value 'nan' is not finite"
