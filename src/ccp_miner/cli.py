@@ -349,12 +349,13 @@ def _bootstrap(
 
 def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = classifier.load_labeled_corpus(args.corpus)
-    matrix = classifier.evaluate_model(corpus, config.term_model)
-    with ingestion.naming(args.corpus, InputError):
+    # The study's resamples are drawn on a thread while the corpus is classified.
+    resamples = estimator.resample_stream(len(corpus), config.seed, args.iterations)
+    with ingestion.naming(args.corpus, InputError), resamples:
         report = {
             "meta": config.meta(),
             "report_type": "validate-model",
-            "confusion_matrix": matrix.as_dict(),
+            "confusion_matrix": classifier.evaluate_model(corpus, config.term_model).as_dict(),
             "bootstrap": _bootstrap(args, config, corpus),
         }
     _emit(report, config)
@@ -363,8 +364,11 @@ def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = classifier.load_labeled_corpus(args.corpus)
-    # Both studies start with the same draw from the seed: make it once.
-    with estimator.shared_draws(), ingestion.naming(args.corpus, InputError):
+    # Both studies read one stream of resamples, drawn on a thread while they
+    # classify and count; the rows both read are drawn once.
+    ahead = args.iterations * (2 if args.sensitivity else 1)
+    resamples = estimator.resample_stream(len(corpus), config.seed, ahead)
+    with ingestion.naming(args.corpus, InputError), resamples:
         report = {
             "meta": config.meta(),
             "report_type": "bootstrap",

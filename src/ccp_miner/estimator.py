@@ -14,6 +14,8 @@ they use numpy, and they import it when called.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -127,75 +129,158 @@ RESAMPLE_BLOCK = 1 << 19
 # Three counts of up to n share one int64 code, in fields of n.bit_length() bits.
 MAX_RESAMPLE_ITEMS = (1 << 21) - 1
 
-# The last draw of `_resample_counts`, kept only inside `shared_draws()`.
-_kept_draw: ContextVar[list | None] = ContextVar("kept_draw", default=None)
+# Blocks of indices the drawing thread may hold ready ahead of the gather.
+QUEUED_BLOCKS = 2
+
+# The resample stream of the running command, set within `resample_stream()`.
+_open_stream: ContextVar[_ResampleStream | None] = ContextVar("resample_stream", default=None)
+
+
+class _ResampleStream:
+    """The resamples of an ``n``-item corpus from ``seed``, as packed counts in draw order.
+
+    Row i is row i of one ``default_rng(seed).integers(0, n, size=(rows, n))``
+    draw, drawn in blocks of whole rows, about RESAMPLE_BLOCK indices each.
+    One thread draws the blocks of rows [0, ``ahead``) into a queue of
+    QUEUED_BLOCKS blocks; it calls numpy only. Later rows are drawn when
+    read, on the reader's thread. Each drawn index gathers one code holding
+    its item's label, hit and true positive in separate bit fields, so one
+    row sum gives all three counts; this limits the corpus to
+    MAX_RESAMPLE_ITEMS items. The sums are kept as they are made, so rows
+    read again are not drawn again. Used as a context manager, the stream
+    joins its thread on exit.
+    """
+
+    def __init__(self, n: int, seed: int, ahead: int = 0):
+        import numpy as np
+
+        if n > MAX_RESAMPLE_ITEMS:
+            raise InputError(
+                f"resampling takes at most {MAX_RESAMPLE_ITEMS:,} corpus items, got {n:,}"
+            )
+        self.n = n
+        self.seed = seed
+        self._step = max(1, RESAMPLE_BLOCK // max(n, 1))
+        self._rng = np.random.default_rng(seed)
+        self._ahead = ahead if n else 0
+        self._codes = None
+        self._sums = np.empty(self._ahead, dtype=np.int64)
+        self._made = 0  # rows summed
+        self._error = None
+        self._thread = None
+        if self._ahead:
+            import queue
+            import threading
+
+            self._blocks = queue.Queue(QUEUED_BLOCKS)
+            self._stop = threading.Event()
+            self._thread = threading.Thread(target=self._draw_ahead, name="resample", daemon=True)
+            self._thread.start()
+
+    def __enter__(self) -> _ResampleStream:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._thread is None:
+            return
+        self._stop.set()
+        # After the stop, the thread puts at most one more block: room for it.
+        while not self._blocks.empty():
+            self._blocks.get_nowait()
+        self._thread.join()
+        self._thread = None
+        if self._error is not None and exc_info[0] is None:
+            raise self._error
+
+    def _draw(self, rows: int) -> np.ndarray:
+        return self._rng.integers(0, self.n, size=(rows, self.n))
+
+    def _draw_ahead(self) -> None:
+        try:
+            for start in range(0, self._ahead, self._step):
+                if self._stop.is_set():
+                    return
+                self._blocks.put(self._draw(min(self._step, self._ahead - start)))
+        except BaseException as exc:  # raised again on the reader's thread
+            self._error = exc
+            self._blocks.put(None)
+
+    def bind(self, labels: np.ndarray, hits: np.ndarray) -> bool:
+        """Count these labels and hits; False if the stream counts others already."""
+        import numpy as np
+
+        if len(labels) != self.n:
+            return False
+        width = self.n.bit_length()
+        codes = labels.astype(np.int64)
+        codes |= hits.astype(np.int64) << width
+        codes |= (labels & hits).astype(np.int64) << 2 * width
+        if self._codes is None:
+            self._codes = codes
+        return np.array_equal(codes, self._codes)
+
+    def counts(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positives, hits and true positives of the resamples in rows [start, stop)."""
+        import numpy as np
+
+        while self._made < stop:
+            if self._made < self._ahead:
+                block = self._blocks.get()
+                if block is None:  # the thread failed; so does every later read
+                    self._blocks.put(None)
+                    raise self._error
+            else:
+                block = self._draw(min(self._step, stop - self._made))
+            rows = len(block)
+            end = self._made + rows
+            if end > len(self._sums):
+                grown = np.empty(max(end, 2 * len(self._sums)), dtype=np.int64)
+                grown[: self._made] = self._sums[: self._made]
+                self._sums = grown
+            # The codes overwrite the block's indices, each read before its own
+            # place is written. The indices are in range, so mode="wrap" changes
+            # none; it only spares the copy that the default mode makes of ``out``.
+            np.take(self._codes, block, out=block, mode="wrap")
+            block.sum(axis=1, out=self._sums[self._made : end])
+            self._made = end
+        width = self.n.bit_length()
+        mask = (1 << width) - 1
+        sums = self._sums[start:stop]
+        return sums & mask, (sums >> width) & mask, sums >> 2 * width
+
+
+def _one_cpu() -> bool:
+    try:
+        return len(os.sched_getaffinity(0)) == 1
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() == 1
 
 
 @contextmanager
-def shared_draws():
-    """Make a draw that repeats the last one only once, within this scope.
+def resample_stream(n: int, seed: int, ahead: int) -> Iterator[_ResampleStream]:
+    """Within this scope, studies of an ``n``-item corpus from ``seed`` read one stream.
 
-    Inside the scope, `_resample_counts` keeps its last draw, keyed on the
-    labels, hits, row count and generator state it started from. A call with
-    the same key returns the kept counts and moves the generator to the
-    state the draw left it in, as drawing again would. Nothing is kept once
-    the scope ends.
+    Its thread starts drawing rows [0, ``ahead``) at once, so the draw runs
+    while the studies classify and count; on a single CPU there is no thread,
+    and every row is drawn when read. Each study reads from row 0 with its own
+    cursor, so a row that two studies read is drawn once. The thread is joined
+    when the scope ends, whatever the exit, and nothing is kept.
     """
-    token = _kept_draw.set([])
-    try:
-        yield
-    finally:
-        _kept_draw.reset(token)
+    with _ResampleStream(n, seed, 0 if _one_cpu() else ahead) as stream:
+        token = _open_stream.set(stream)
+        try:
+            yield stream
+        finally:
+            _open_stream.reset(token)
 
 
-def _resample_counts(
-    labels: np.ndarray, hits: np.ndarray, rows: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positives, hits and true positives of ``rows`` resamples with replacement.
-
-    The ``rows x n`` index matrix is drawn in blocks of whole rows, about
-    RESAMPLE_BLOCK indices each. The generator's stream is the same as for
-    one ``rows x n`` draw, and so are the counts. Each drawn index gathers
-    one code holding its item's label, hit and true positive in separate
-    bit fields, so one row sum gives all three counts; this limits the
-    corpus to MAX_RESAMPLE_ITEMS items.
-    """
-    import numpy as np
-
-    n = len(labels)
-    if n > MAX_RESAMPLE_ITEMS:
-        raise InputError(f"resampling takes at most {MAX_RESAMPLE_ITEMS:,} corpus items, got {n:,}")
-    kept = _kept_draw.get()
-    if kept is not None:
-        key = (labels.tobytes(), hits.tobytes(), rows, rng.bit_generator.state)
-        if kept and kept[0][0] == key:
-            _, counts, end_state = kept[0]
-            rng.bit_generator.state = end_state
-            return counts
-
-    width = n.bit_length()
-    mask = (1 << width) - 1
-    codes = labels.astype(np.int64)
-    codes |= hits.astype(np.int64) << width
-    codes |= (labels & hits).astype(np.int64) << 2 * width
-    step = max(1, RESAMPLE_BLOCK // n)
-    sums = np.empty(rows, dtype=np.int64)
-    # One gather buffer for all blocks: fresh pages per block cost more than
-    # the gather. The indices are in range, so mode="wrap" changes none; it
-    # only spares the copy that the default mode makes of ``out``.
-    gathered = np.empty((min(step, rows), n), dtype=np.int64)
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        block = gathered[: stop - start]
-        np.take(codes, rng.integers(0, n, size=(stop - start, n)), out=block, mode="wrap")
-        block.sum(axis=1, out=sums[start:stop])
-    counts = (sums & mask, (sums >> width) & mask, sums >> 2 * width)
-
-    if kept is not None:
-        for count in counts:
-            count.flags.writeable = False
-        kept[:] = [(key, counts, rng.bit_generator.state)]
-    return counts
+def _resamples(labels: np.ndarray, hits: np.ndarray, seed: int) -> _ResampleStream:
+    """The open stream of ``seed`` if it counts these labels and hits, else a stream of their own."""
+    stream = _open_stream.get()
+    if stream is None or stream.seed != seed or not stream.bind(labels, hits):
+        stream = _ResampleStream(len(labels), seed)
+        stream.bind(labels, hits)
+    return stream
 
 
 def load_performance_config(path: str | Path) -> ModelPerformance:
@@ -267,8 +352,7 @@ def bootstrap_difference_distribution(
     if perf is None:
         perf = fit_performance(labels, hits)
     n = len(corpus)
-    rng = np.random.default_rng(seed)
-    positives, hit_counts, _ = _resample_counts(labels, hits, iterations, rng)
+    positives, hit_counts, _ = _resamples(labels, hits, seed).counts(0, iterations)
     estimates = (hit_counts / n - perf.fpr) / (perf.recall - perf.fpr)
     diffs = estimates - positives / n
     # Empirical quantiles, nearest-rank (lower): trim (1-coverage)/2 per tail.
@@ -338,18 +422,20 @@ def estimator_sensitivity(
             "no resample of this corpus has recall > fpr"
         )
     n = len(corpus)
-    rng = np.random.default_rng(seed)
+    stream = _resamples(labels, hits, seed)
+    row = 0  # this study's cursor in the stream
     redraws = 0
     max_redraws = MAX_REDRAWS_PER_ITERATION * iterations
 
     def draw(count: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw `count` (recall, fpr) pairs from valid resamples."""
-        nonlocal redraws
+        nonlocal row, redraws
         recall = np.empty(count)
         fpr = np.empty(count)
         pending = np.arange(count)
         while pending.size:
-            pos, hit, true_pos = _resample_counts(labels, hits, pending.size, rng)
+            pos, hit, true_pos = stream.counts(row, row + pending.size)
+            row += pending.size
             neg = n - pos
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = true_pos / pos

@@ -45,7 +45,8 @@ def _opened(path: str | Path, error: type[CcpMinerError]) -> Iterator[TextIO]:
 
     A byte-order mark at the start is not part of the text. An unreadable
     file or bytes that are not UTF-8 raise ``error`` naming the file and,
-    read again as bytes, the offset of the first bad byte in the file.
+    read again as bytes in blocks of RECORD_BLOCK, the offset of the first
+    bad byte in the file.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -53,12 +54,23 @@ def _opened(path: str | Path, error: type[CcpMinerError]) -> Iterator[TextIO]:
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
+        import codecs
+
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        fed = 0  # bytes given to the decoder
         try:
             with open(path, "rb") as raw:
-                data = raw.read()
-            data.decode("utf-8")
+                while True:
+                    block = raw.read(RECORD_BLOCK)
+                    # The decoder holds back the start of a character cut by the last block.
+                    held = len(decoder.getstate()[0])
+                    decoder.decode(block, final=not block)
+                    if not block:
+                        break
+                    fed += len(block)
         except UnicodeDecodeError as bad:
-            raise error(f"{path} is not UTF-8: byte {bad.start} is {data[bad.start]:#04x}") from exc
+            offset = fed - held + bad.start
+            raise error(f"{path} is not UTF-8: byte {offset} is {bad.object[bad.start]:#04x}") from exc
         except OSError:
             pass
         raise error(f"{path} is not UTF-8") from exc
@@ -79,7 +91,7 @@ def naming(path: str | Path, error: type[CcpMinerError]) -> Iterator[None]:
         raise error(f"{path}: {exc}") from exc
 
 
-# Characters read_records reads at a time.
+# Characters read_records reads at a time (bytes, where _opened looks for a bad byte).
 RECORD_BLOCK = 1 << 16
 
 
@@ -179,7 +191,7 @@ def read_config(
 
 GIT_LOG_RECIPE = r"""Export a repository's history for ccp-miner:
 
-    git log --branches --tags --remotes --no-color \
+    git log --branches --tags --remotes=origin --no-color \
         --pretty=format:'%x1e%H%x1f%ae%x1f%aI%x1f%P%x1f%B%x1f' \
         --name-only > history.gitlog
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from ccp_miner.cli import (
     CONFIG_ENV_VAR,
     EXIT_CONFIG,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     _parse_segments,
     build_parser,
@@ -343,7 +345,7 @@ class TestSharedFirstDraw:
 
     def test_nothing_is_kept_after_the_command(self, capsys, rows_drawn, monkeypatch):
         run(capsys, *self.ARGS, "--sensitivity")
-        assert estimator._kept_draw.get() is None
+        assert estimator._open_stream.get() is None
         once = sum(rows_drawn)
         run(capsys, *self.ARGS, "--sensitivity")
         assert sum(rows_drawn) == 2 * once
@@ -355,10 +357,115 @@ class TestSharedFirstDraw:
             patch.setattr(estimator, "estimator_sensitivity", fail)
             code, _, _ = run(capsys, *self.ARGS, "--sensitivity")
         assert code == EXIT_INPUT
-        assert estimator._kept_draw.get() is None
+        assert estimator._open_stream.get() is None
         rows_drawn.clear()
         run(capsys, *self.ARGS, "--sensitivity")
         assert sum(rows_drawn) == once
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """An affinity of two CPUs, whatever the host's, so the resample stream starts its thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The names of the threads started, in order."""
+    import threading
+
+    names = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return names
+
+
+class TestResampleThread:
+    """The resample stream's thread ends with the command, whatever the exit."""
+
+    ARGS = ("--seed", "3", "bootstrap", GOLD, "--iterations", "300", "--sensitivity")
+
+    def _run(self, capsys, *argv):
+        import threading
+
+        before = threading.active_count()
+        result = run(capsys, *argv)
+        assert threading.active_count() == before
+        return result
+
+    def test_after_a_normal_run(self, capsys, two_cpus, started):
+        code, out, _ = self._run(capsys, *self.ARGS)
+        assert code == EXIT_OK
+        code, _, _ = self._run(capsys, "validate-model", GOLD, "--iterations", "300")
+        assert code == EXIT_OK
+        assert started == ["resample", "resample"]
+
+    def test_after_the_redraw_cap(self, capsys, tmp_path, two_cpus, started):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(
+            CELL_LINES["TP"] + CELL_LINES["TN"] + 200 * CELL_LINES["FN"] + 200 * CELL_LINES["FP"]
+        )
+        code, _, err = self._run(
+            capsys, "bootstrap", str(corpus), "--sensitivity", "--perf-source", "config",
+            "--iterations", "10",
+        )
+        assert code == EXIT_INPUT
+        assert "too few valid resamples" in err
+        assert started == ["resample"]
+
+    def test_after_a_study_that_raises(self, capsys, monkeypatch, two_cpus, started):
+        def fail(*args, **kwargs):
+            # 40,000 rows of 44 items are four blocks: the thread waits on a full queue.
+            blocks = estimator._open_stream.get()._blocks
+            while not blocks.full():
+                time.sleep(0.001)
+            raise RuntimeError("the study failed")
+
+        monkeypatch.setattr(estimator, "bootstrap_difference_distribution", fail)
+        code, _, err = self._run(
+            capsys, "bootstrap", GOLD, "--iterations", "20000", "--sensitivity"
+        )
+        assert (code, err) == (EXIT_INTERNAL, "internal error: the study failed\n")
+        assert started == ["resample"]
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_a_failing_generator_fails_the_command(self, capsys, monkeypatch, cpus):
+        import numpy as np
+
+        class Failing:
+            def __init__(self, seed):
+                pass
+
+            def integers(self, *args, **kwargs):
+                raise RuntimeError("no random numbers")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(np.random, "default_rng", Failing)
+        code, out, err = self._run(capsys, *self.ARGS)
+        assert (code, out, err) == (EXIT_INTERNAL, "", "internal error: no random numbers\n")
+
+    def test_one_cpu_draws_every_row_on_demand(self, capsys, monkeypatch, started):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code, out, _ = self._run(capsys, *self.ARGS)
+        assert code == EXIT_OK
+        assert started == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert self._run(capsys, *self.ARGS)[1] == out
+        assert started == ["resample"]
+
+    def test_an_oversized_corpus_starts_no_thread(
+        self, capsys, monkeypatch, two_cpus, started, rows_drawn
+    ):
+        monkeypatch.setattr(estimator, "MAX_RESAMPLE_ITEMS", 10)
+        code, _, err = self._run(capsys, *self.ARGS)
+        assert code == EXIT_INPUT
+        assert err.startswith(f"input error: {GOLD}: resampling takes at most 10 corpus items, got ")
+        assert started == rows_drawn == []
 
 
 class TestCochangeAndTwin:

@@ -132,10 +132,11 @@ class TestBootstrap:
         with pytest.raises(InputError):
             bootstrap_difference_distribution([], term_model, iterations=10, seed=0)
 
-    def test_blocked_resampling_draws_the_stream_of_one_draw(self):
+    @pytest.mark.parametrize("ahead", [0, 1000], ids=["on-demand", "drawn-ahead"])
+    def test_blocked_resampling_draws_the_stream_of_one_draw(self, ahead):
         import numpy as np
 
-        from ccp_miner.estimator import RESAMPLE_BLOCK, _resample_counts
+        from ccp_miner.estimator import RESAMPLE_BLOCK, _ResampleStream
 
         n = 1000
         step = RESAMPLE_BLOCK // n
@@ -147,30 +148,25 @@ class TestBootstrap:
         expected = (
             labels[idx].sum(axis=1), hits[idx].sum(axis=1), (labels[idx] & hits[idx]).sum(axis=1)
         )
-        blocked = np.random.default_rng(7)
-        for got, want in zip(_resample_counts(labels, hits, rows, blocked), expected):
-            np.testing.assert_array_equal(got, want)
+        with _ResampleStream(n, 7, ahead) as stream:
+            assert stream.bind(labels, hits)
+            for got, want in zip(stream.counts(0, rows), expected):
+                np.testing.assert_array_equal(got, want)
         # the generator is left where one draw leaves it
-        assert blocked.integers(0, 2**32) == one_shot.integers(0, 2**32)
+        assert stream._rng.integers(0, 2**32) == one_shot.integers(0, 2**32)
 
 
-def _direct_counts(labels, hits, rows, rng):
-    """Counts of _resample_counts from gathering each bool array on its own."""
+def _direct_counts(labels, hits, rows, seed):
+    """Positives, hits and true positives of one ``rows x n`` draw, each array gathered apart."""
     import numpy as np
 
-    from ccp_miner.estimator import RESAMPLE_BLOCK
-
-    n = len(labels)
-    step = max(1, RESAMPLE_BLOCK // n)
-    idx = np.concatenate(
-        [rng.integers(0, n, size=(min(step, rows - start), n)) for start in range(0, rows, step)]
-    )
+    idx = np.random.default_rng(seed).integers(0, len(labels), size=(rows, len(labels)))
     return labels[idx].sum(1), hits[idx].sum(1), (labels & hits)[idx].sum(1)
 
 
 @st.composite
-def _resample_cases(draw):
-    """Labels, hits, a row count up to two blocks and one row, and a seed."""
+def _stream_cases(draw):
+    """Labels, hits, a seed, two cursors' steps, and ``ahead`` below, at or past the rows read."""
     import numpy as np
 
     from ccp_miner.estimator import RESAMPLE_BLOCK
@@ -180,47 +176,62 @@ def _resample_cases(draw):
     labels = items.random(n) < draw(st.floats(0.0, 1.0))
     hits = items.random(n) < draw(st.floats(0.0, 1.0))
     step = max(1, RESAMPLE_BLOCK // n)
-    rows = draw(st.integers(1, min(2 * step + 1, 20_000)))
-    return labels, hits, rows, draw(st.integers(0, 2**32))
+    steps = st.lists(st.integers(1, min(step + 1, 5000)), min_size=1, max_size=4)
+    first, second = draw(steps), draw(steps)
+    rows = max(sum(first), sum(second))
+    ahead = draw(
+        st.sampled_from(
+            [0, draw(st.integers(0, rows - 1)), rows, rows + draw(st.integers(1, min(2 * step, 5000)))]
+        )
+    )
+    return labels, hits, draw(st.integers(0, 2**32)), first, second, ahead
 
 
 class TestPackedCounts:
     @settings(max_examples=60, deadline=None)
-    @given(case=_resample_cases())
+    @given(case=_stream_cases())
     def test_equal_counting_each_array(self, case):
+        """Two cursors, each stepping through the stream its own way, read one direct draw."""
         import numpy as np
 
-        from ccp_miner.estimator import _resample_counts
+        from ccp_miner.estimator import _ResampleStream
 
-        labels, hits, rows, seed = case
-        packed, direct = np.random.default_rng(seed), np.random.default_rng(seed)
-        for got, want in zip(
-            _resample_counts(labels, hits, rows, packed), _direct_counts(labels, hits, rows, direct)
-        ):
-            np.testing.assert_array_equal(got, want)
-        assert packed.bit_generator.state == direct.bit_generator.state
+        labels, hits, seed, first, second, ahead = case
+        with _ResampleStream(len(labels), seed, ahead) as stream:
+            assert stream.bind(labels, hits)
+            for steps in (first, second):
+                row, read = 0, []
+                for count in steps:
+                    read.append(stream.counts(row, row + count))
+                    row += count
+                for got, want in zip(zip(*read), _direct_counts(labels, hits, row, seed)):
+                    np.testing.assert_array_equal(np.concatenate(got), want)
 
     def test_every_field_full_at_the_largest_corpus(self):
         import numpy as np
 
-        from ccp_miner.estimator import MAX_RESAMPLE_ITEMS, _resample_counts
+        from ccp_miner.estimator import MAX_RESAMPLE_ITEMS, _ResampleStream
 
         assert MAX_RESAMPLE_ITEMS == 2_097_151
         every = np.ones(MAX_RESAMPLE_ITEMS, dtype=bool)
-        counts = _resample_counts(every, every, 1, np.random.default_rng(0))
-        assert [c.tolist() for c in counts] == [[MAX_RESAMPLE_ITEMS]] * 3
+        stream = _ResampleStream(MAX_RESAMPLE_ITEMS, 0)
+        assert stream.bind(every, every)
+        assert [c.tolist() for c in stream.counts(0, 1)] == [[MAX_RESAMPLE_ITEMS]] * 3
 
-    def test_larger_corpus_is_an_input_error_before_any_draw(self):
+    def test_larger_corpus_is_an_input_error_before_any_draw(self, monkeypatch):
+        import threading
+
         import numpy as np
 
-        from ccp_miner.estimator import MAX_RESAMPLE_ITEMS, _resample_counts
+        from ccp_miner.estimator import MAX_RESAMPLE_ITEMS, resample_stream
 
-        every = np.ones(MAX_RESAMPLE_ITEMS + 1, dtype=bool)
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
+        made = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append("generator"))
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: made.append("thread"))
         with pytest.raises(InputError, match="2,097,151.*2,097,152"):
-            _resample_counts(every, every, 1, rng)
-        assert rng.bit_generator.state == before
+            with resample_stream(MAX_RESAMPLE_ITEMS + 1, 0, ahead=10):
+                pass
+        assert made == []
 
 
 class TestSensitivity:

@@ -105,14 +105,24 @@ def test_analyze_and_classify_read_what_git_records(tmp_path):
     git("update-ref", "refs/remotes/origin/side", "side")
     git("checkout", "-q", "main")
     git("branch", "-q", "-D", "side")
+    # A fork's clone with the upstream project fetched: upstream's own commit
+    # is another project's history, and is not exported.
+    git("remote", "add", "upstream", "../upstream.git")
+    git("checkout", "-q", "-b", "theirs")
+    git.commit("2020-04-15T00:00:00+00:00", "fix upstream regression", {"u.c": "u\n"})
+    git("update-ref", "refs/remotes/upstream/main", "theirs")
+    git("checkout", "-q", "main")
+    git("branch", "-q", "-D", "theirs")
     # A stash and a note are not history: their commits are not exported.
     (git.path / "a.c").write_text("a\nb\nstashed\n", encoding="utf-8")
     git("stash", "-q", date="2020-05-01T00:00:00+00:00")
     git("notes", "add", "-m", "reviewed", "HEAD", date="2020-05-02T00:00:00+00:00")
     log = str(git.export())
 
-    assert len(git("rev-list", "--all").split()) == 9  # the stash's two and the note's
-    hashes = git("rev-list", "--branches", "--tags", "--remotes").split()
+    # the stash's two, the note's and upstream's
+    assert len(git("rev-list", "--all").split()) == 10
+    assert len(git("rev-list", "--branches", "--tags", "--remotes").split()) == 7
+    hashes = git("rev-list", "--branches", "--tags", "--remotes=origin").split()
     expected = {}
     for commit_hash in hashes:
         parents, stamp, author, date, message = git(

@@ -208,6 +208,59 @@ class TestReadRecords:
             read()
         assert str(caught.value) == f"{path} is not UTF-8: byte {len(head) + 3} is 0xe9"
 
+    def test_non_utf8_byte_past_a_mebibyte_is_named_at_its_offset(self, tmp_path):
+        head = "é,1\n".encode() * (1_200_000 // 5)
+        path = tmp_path / "listing.csv"
+        path.write_bytes(b"path,size_bytes\n" + head + b"caf\xe9.py,2\n")
+        assert len(head) > 1 << 20
+        with pytest.raises(InputError) as caught:
+            list(read_records(path, "\n"))
+        assert str(caught.value) == f"{path} is not UTF-8: byte {16 + len(head) + 3} is 0xe9"
+
+    # A character of 2, 3 or 4 bytes cut by the end of the first block of
+    # bytes, then a bad byte; a lead byte cut off by that end; a bad byte
+    # that ends the file; a character that the file's end cuts short.
+    @pytest.mark.parametrize(
+        "tail, cut, bad",
+        [
+            ("é".encode() + b"x\xff", 1, 3),
+            ("€".encode() + b"\xfe", 1, 3),
+            ("€".encode() + b"\xfe", 2, 3),
+            ("𝄞".encode() + b"ab\x80", 1, 6),
+            ("𝄞".encode() + b"ab\x80", 3, 6),
+            (b"\xc3(", 1, 0),
+            (b"\xc3(", 0, 0),
+            (b"ok\xf5", 0, 2),
+            ("€".encode()[:2], 1, 0),
+        ],
+    )
+    def test_bad_byte_after_a_character_cut_by_the_decoding_block(self, tmp_path, tail, cut, bad):
+        head = b"x" * (ingestion.RECORD_BLOCK - cut)
+        path = tmp_path / "log.ndjson"
+        path.write_bytes(head + tail)
+        with pytest.raises(InputError) as caught:
+            list(read_records(path, "\n"))
+        value = tail[bad]
+        assert str(caught.value) == f"{path} is not UTF-8: byte {len(head) + bad} is {value:#04x}"
+
+    def test_finding_the_bad_byte_holds_a_block_not_the_file(self, tmp_path):
+        path = tmp_path / "log.ndjson"
+        with open(path, "wb") as fh:
+            for _ in range(128):
+                fh.write(b'{"repo": "r", "msg": "x"}\n' * 2048)
+            fh.write(b"\xe9\n")
+        size = path.stat().st_size
+        assert size > 6 << 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=f"byte {size - 2} is 0xe9"):
+                for _ in read_records(path, "\n"):
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 8
+
     @pytest.mark.parametrize(
         "text",
         [
