@@ -334,29 +334,34 @@ def cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _bootstrap(
-    args: argparse.Namespace, config: RunConfig, corpus: list[classifier.LabeledCommit]
+    args: argparse.Namespace,
+    config: RunConfig,
+    corpus: list[classifier.LabeledCommit],
+    resamples: estimator.Resamples,
 ) -> estimator.BootstrapReport:
     """The bootstrap difference report of ``validate-model`` and ``bootstrap``."""
     return estimator.bootstrap_difference_distribution(
         corpus,
         config.term_model,
+        resamples,
         perf=None if args.perf_source == "corpus" else config.performance,
         iterations=args.iterations,
         coverage=args.coverage,
-        seed=config.seed,
     )
 
 
 def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = classifier.load_labeled_corpus(args.corpus)
-    # The study's resamples are drawn on a thread while the corpus is classified.
-    resamples = estimator.resample_stream(len(corpus), config.seed, args.iterations)
-    with ingestion.naming(args.corpus, InputError), resamples:
+    # The study's resamples are drawn on a worker while the corpus is classified.
+    with (
+        ingestion.naming(args.corpus, InputError),
+        estimator.Resamples(len(corpus), config.seed, args.iterations) as resamples,
+    ):
         report = {
             "meta": config.meta(),
             "report_type": "validate-model",
             "confusion_matrix": classifier.evaluate_model(corpus, config.term_model).as_dict(),
-            "bootstrap": _bootstrap(args, config, corpus),
+            "bootstrap": _bootstrap(args, config, corpus, resamples),
         }
     _emit(report, config)
     return EXIT_OK
@@ -364,23 +369,25 @@ def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = classifier.load_labeled_corpus(args.corpus)
-    # Both studies read one stream of resamples, drawn on a thread while they
+    # Both studies read one stream of resamples, drawn on a worker while they
     # classify and count; the rows both read are drawn once.
     ahead = args.iterations * (2 if args.sensitivity else 1)
-    resamples = estimator.resample_stream(len(corpus), config.seed, ahead)
-    with ingestion.naming(args.corpus, InputError), resamples:
+    with (
+        ingestion.naming(args.corpus, InputError),
+        estimator.Resamples(len(corpus), config.seed, ahead) as resamples,
+    ):
         report = {
             "meta": config.meta(),
             "report_type": "bootstrap",
-            "difference": _bootstrap(args, config, corpus),
+            "difference": _bootstrap(args, config, corpus, resamples),
         }
         if args.sensitivity:
             report["sensitivity"] = estimator.estimator_sensitivity(
                 corpus,
                 config.term_model,
+                resamples,
                 iterations=args.iterations,
                 eval_segments=args.segments,
-                seed=config.seed,
             )
     _emit(report, config)
     return EXIT_OK
@@ -439,7 +446,9 @@ def _bounded(kind: type, accept, rule: str):
 _threshold = _bounded(float, lambda v: v >= 0, ">= 0")  # the --delta-* flags
 _probability = _bounded(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _coverage = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
-_iterations = _bounded(int, lambda v: v >= 1, ">= 1")
+_iterations = _bounded(
+    int, lambda v: 1 <= v <= estimator.MAX_ITERATIONS, f"in [1, {estimator.MAX_ITERATIONS}]"
+)
 _seed = _bounded(int, lambda v: v >= 0, ">= 0")  # also the config file's seed
 _output_format = _bounded(str, FORMATS.__contains__, "json or csv")  # the config file's format
 

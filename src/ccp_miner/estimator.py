@@ -15,9 +15,6 @@ they use numpy, and they import it when called.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -129,26 +126,23 @@ RESAMPLE_BLOCK = 1 << 19
 # Three counts of up to n share one int64 code, in fields of n.bit_length() bits.
 MAX_RESAMPLE_ITEMS = (1 << 21) - 1
 
-# Blocks of indices the drawing thread may hold ready ahead of the gather.
-QUEUED_BLOCKS = 2
-
-# The resample stream of the running command, set within `resample_stream()`.
-_open_stream: ContextVar[_ResampleStream | None] = ContextVar("resample_stream", default=None)
+# Blocks of indices the worker may have drawn, or be drawing, ahead of the gather.
+QUEUED_BLOCKS = 3
 
 
-class _ResampleStream:
+class Resamples:
     """The resamples of an ``n``-item corpus from ``seed``, as packed counts in draw order.
 
     Row i is row i of one ``default_rng(seed).integers(0, n, size=(rows, n))``
-    draw, drawn in blocks of whole rows, about RESAMPLE_BLOCK indices each.
-    One thread draws the blocks of rows [0, ``ahead``) into a queue of
-    QUEUED_BLOCKS blocks; it calls numpy only. Later rows are drawn when
-    read, on the reader's thread. Each drawn index gathers one code holding
-    its item's label, hit and true positive in separate bit fields, so one
-    row sum gives all three counts; this limits the corpus to
-    MAX_RESAMPLE_ITEMS items. The sums are kept as they are made, so rows
-    read again are not drawn again. Used as a context manager, the stream
-    joins its thread on exit.
+    draw, drawn in blocks of whole rows, about RESAMPLE_BLOCK indices each. A
+    one-worker executor draws the blocks of rows [0, ``ahead``), at most
+    QUEUED_BLOCKS of them outstanding; it calls numpy only. Later rows, and
+    every row on a single CPU, are drawn when read, on the reader's thread.
+    Each index gathers one code holding its item's label, hit and true
+    positive in separate bit fields, so one row sum gives all three counts;
+    hence at most MAX_RESAMPLE_ITEMS items. The sums are kept, so a row that
+    two studies read is drawn once. As a context manager, the stream shuts
+    its worker down on exit, whatever the exit.
     """
 
     def __init__(self, n: int, seed: int, ahead: int = 0):
@@ -162,77 +156,63 @@ class _ResampleStream:
         self.seed = seed
         self._step = max(1, RESAMPLE_BLOCK // max(n, 1))
         self._rng = np.random.default_rng(seed)
-        self._ahead = ahead if n else 0
+        self._ahead = ahead if n and ahead and not _one_cpu() else 0
         self._codes = None
         self._sums = np.empty(self._ahead, dtype=np.int64)
         self._made = 0  # rows summed
-        self._error = None
-        self._thread = None
+        self._sent = 0  # rows handed to the worker
+        self._blocks = []  # the worker's blocks not yet taken, in row order
+        self._pool = None
         if self._ahead:
-            import queue
-            import threading
+            from concurrent.futures import ThreadPoolExecutor
 
-            self._blocks = queue.Queue(QUEUED_BLOCKS)
-            self._stop = threading.Event()
-            self._thread = threading.Thread(target=self._draw_ahead, name="resample", daemon=True)
-            self._thread.start()
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="resample")
+            for _ in range(QUEUED_BLOCKS):
+                self._send()
 
-    def __enter__(self) -> _ResampleStream:
+    def __enter__(self) -> Resamples:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        # After the stop, the thread puts at most one more block: room for it.
-        while not self._blocks.empty():
-            self._blocks.get_nowait()
-        self._thread.join()
-        self._thread = None
-        if self._error is not None and exc_info[0] is None:
-            raise self._error
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
     def _draw(self, rows: int) -> np.ndarray:
         return self._rng.integers(0, self.n, size=(rows, self.n))
 
-    def _draw_ahead(self) -> None:
-        try:
-            for start in range(0, self._ahead, self._step):
-                if self._stop.is_set():
-                    return
-                self._blocks.put(self._draw(min(self._step, self._ahead - start)))
-        except BaseException as exc:  # raised again on the reader's thread
-            self._error = exc
-            self._blocks.put(None)
+    def _send(self) -> None:
+        if self._sent < self._ahead:  # the worker draws the next block below ``ahead``
+            rows = min(self._step, self._ahead - self._sent)
+            self._blocks.append(self._pool.submit(self._draw, rows))
+            self._sent += rows
 
-    def bind(self, labels: np.ndarray, hits: np.ndarray) -> bool:
-        """Count these labels and hits; False if the stream counts others already."""
+    def bind(self, labels: np.ndarray, hits: np.ndarray) -> None:
+        """Count these labels and hits; ValueError if the stream counts others already."""
         import numpy as np
 
         if len(labels) != self.n:
-            return False
+            raise ValueError(f"a stream of {self.n} items cannot count {len(labels)}")
         width = self.n.bit_length()
         codes = labels.astype(np.int64)
         codes |= hits.astype(np.int64) << width
         codes |= (labels & hits).astype(np.int64) << 2 * width
         if self._codes is None:
             self._codes = codes
-        return np.array_equal(codes, self._codes)
+        elif not np.array_equal(codes, self._codes):
+            raise ValueError("the stream counts the labels and hits of another corpus")
 
     def counts(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positives, hits and true positives of the resamples in rows [start, stop)."""
         import numpy as np
 
         while self._made < stop:
-            if self._made < self._ahead:
-                block = self._blocks.get()
-                if block is None:  # the thread failed; so does every later read
-                    self._blocks.put(None)
-                    raise self._error
+            if self._blocks:
+                block = self._blocks[0].result()  # raises the worker's error here
+                del self._blocks[0]
+                self._send()
             else:
                 block = self._draw(min(self._step, stop - self._made))
-            rows = len(block)
-            end = self._made + rows
+            end = self._made + len(block)
             if end > len(self._sums):
                 grown = np.empty(max(end, 2 * len(self._sums)), dtype=np.int64)
                 grown[: self._made] = self._sums[: self._made]
@@ -254,33 +234,6 @@ def _one_cpu() -> bool:
         return len(os.sched_getaffinity(0)) == 1
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() == 1
-
-
-@contextmanager
-def resample_stream(n: int, seed: int, ahead: int) -> Iterator[_ResampleStream]:
-    """Within this scope, studies of an ``n``-item corpus from ``seed`` read one stream.
-
-    Its thread starts drawing rows [0, ``ahead``) at once, so the draw runs
-    while the studies classify and count; on a single CPU there is no thread,
-    and every row is drawn when read. Each study reads from row 0 with its own
-    cursor, so a row that two studies read is drawn once. The thread is joined
-    when the scope ends, whatever the exit, and nothing is kept.
-    """
-    with _ResampleStream(n, seed, 0 if _one_cpu() else ahead) as stream:
-        token = _open_stream.set(stream)
-        try:
-            yield stream
-        finally:
-            _open_stream.reset(token)
-
-
-def _resamples(labels: np.ndarray, hits: np.ndarray, seed: int) -> _ResampleStream:
-    """The open stream of ``seed`` if it counts these labels and hits, else a stream of their own."""
-    stream = _open_stream.get()
-    if stream is None or stream.seed != seed or not stream.bind(labels, hits):
-        stream = _ResampleStream(len(labels), seed)
-        stream.bind(labels, hits)
-    return stream
 
 
 def load_performance_config(path: str | Path) -> ModelPerformance:
@@ -323,27 +276,30 @@ class BootstrapReport:
 DEFAULT_ITERATIONS = 10_000
 DEFAULT_COVERAGE = 0.95
 
+# 100 times the paper's 10,000: the arrays of iterations stay near 130 MB at the cap.
+MAX_ITERATIONS = 1_000_000
+
 
 def bootstrap_difference_distribution(
     corpus: list[LabeledCommit],
     model: TermModel,
+    resamples: Resamples,
     perf: ModelPerformance | None = None,
     iterations: int = DEFAULT_ITERATIONS,
     coverage: float = DEFAULT_COVERAGE,
-    seed: int = 0,
 ) -> BootstrapReport:
     """Distribution of (CCP estimate - true rate) under corpus resampling.
 
-    Each iteration resamples the corpus with replacement, computes the
-    resample's true positive rate and the MLE estimate of its hit rate, and
-    records the difference. When ``perf`` is None the classifier performance
-    is measured once on the full corpus, so the report isolates sampling
-    noise from any mismatch between shipped constants and the corpus.
+    Iteration i takes row i of ``resamples``, a resample of the corpus with
+    replacement, and records the MLE estimate from its hit rate minus its
+    true positive rate. When ``perf`` is None the classifier performance is
+    measured once on the full corpus, so the report isolates sampling noise
+    from any mismatch between shipped constants and the corpus.
     """
     if not corpus:
         raise InputError("bootstrap requires a non-empty corpus")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    if not 1 <= iterations <= MAX_ITERATIONS:
+        raise ValueError(f"iterations must be in [1, {MAX_ITERATIONS}]")
     if not 0.0 < coverage < 1.0:
         raise ValueError("coverage must be in (0, 1)")
     import numpy as np
@@ -352,7 +308,8 @@ def bootstrap_difference_distribution(
     if perf is None:
         perf = fit_performance(labels, hits)
     n = len(corpus)
-    positives, hit_counts, _ = _resamples(labels, hits, seed).counts(0, iterations)
+    resamples.bind(labels, hits)
+    positives, hit_counts, _ = resamples.counts(0, iterations)
     estimates = (hit_counts / n - perf.fpr) / (perf.recall - perf.fpr)
     diffs = estimates - positives / n
     # Empirical quantiles, nearest-rank (lower): trim (1-coverage)/2 per tail.
@@ -360,7 +317,7 @@ def bootstrap_difference_distribution(
     low, high = np.percentile(diffs, [100.0 * tail, 100.0 * (1.0 - tail)], method="lower")
     return BootstrapReport(
         iterations=iterations,
-        seed=seed,
+        seed=resamples.seed,
         coverage=coverage,
         mean_difference=float(diffs.mean()),
         interval_low=float(low),
@@ -392,14 +349,15 @@ MAX_REDRAWS_PER_ITERATION = 100
 def estimator_sensitivity(
     corpus: list[LabeledCommit],
     model: TermModel,
+    resamples: Resamples,
     iterations: int = DEFAULT_ITERATIONS,
     eval_segments: tuple[tuple[float, float], ...] = DEFAULT_SENSITIVITY_SEGMENTS,
-    seed: int = 0,
 ) -> SensitivityReport:
     """Sensitivity of the estimator to re-measured classifier performance.
 
-    Per iteration, draw two resamples of the corpus, measure (recall, fpr)
-    on each, and build the two linear estimators. Their difference is linear
+    Per iteration, take two resamples of the corpus from ``resamples``, read
+    from row 0 with this study's own cursor, measure (recall, fpr) on each,
+    and build the two linear estimators. Their difference is linear
     in the hit rate, so its extremes over a segment are at the endpoints;
     report the max and p95 of the max absolute difference per segment.
     Degenerate resamples (no positives, no negatives, or recall <= fpr) are
@@ -410,6 +368,8 @@ def estimator_sensitivity(
     """
     if not corpus:
         raise InputError("estimator_sensitivity requires a non-empty corpus")
+    if not 1 <= iterations <= MAX_ITERATIONS:
+        raise ValueError(f"iterations must be in [1, {MAX_ITERATIONS}]")
     for low, high in eval_segments:
         if not (0.0 <= low <= high <= 1.0):
             raise ValueError(f"eval segment [{low}, {high}] outside [0, 1]")
@@ -422,7 +382,7 @@ def estimator_sensitivity(
             "no resample of this corpus has recall > fpr"
         )
     n = len(corpus)
-    stream = _resamples(labels, hits, seed)
+    resamples.bind(labels, hits)
     row = 0  # this study's cursor in the stream
     redraws = 0
     max_redraws = MAX_REDRAWS_PER_ITERATION * iterations
@@ -434,7 +394,7 @@ def estimator_sensitivity(
         fpr = np.empty(count)
         pending = np.arange(count)
         while pending.size:
-            pos, hit, true_pos = stream.counts(row, row + pending.size)
+            pos, hit, true_pos = resamples.counts(row, row + pending.size)
             row += pending.size
             neg = n - pos
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -470,7 +430,7 @@ def estimator_sensitivity(
         )
     return SensitivityReport(
         iterations=iterations,
-        seed=seed,
+        seed=resamples.seed,
         redraws=redraws,
         segments=tuple(segments),
     )

@@ -12,6 +12,7 @@ import pytest
 from ccp_miner.classifier import classify_message, evaluate_model
 from ccp_miner.estimator import (
     ModelPerformance,
+    Resamples,
     bootstrap_difference_distribution,
     ccp_from_hit_rate,
     estimate_ccp,
@@ -78,7 +79,11 @@ class TestAcceptance:
     def test_04_bootstrap_difference_interval(self, term_model, validation_corpus):
         start = time.perf_counter()
         report = bootstrap_difference_distribution(
-            validation_corpus, term_model, perf=None, iterations=10_000, seed=0
+            validation_corpus,
+            term_model,
+            Resamples(len(validation_corpus), 0),
+            perf=None,
+            iterations=10_000,
         )
         elapsed = time.perf_counter() - start
         ok = (
@@ -97,9 +102,9 @@ class TestAcceptance:
         report = estimator_sensitivity(
             validation_corpus,
             term_model,
+            Resamples(len(validation_corpus), 0),
             iterations=10_000,
             eval_segments=((0.06, 0.39),),
-            seed=0,
         )
         elapsed = time.perf_counter() - start
         [segment] = report.segments

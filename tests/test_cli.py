@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-import time
+from concurrent.futures import wait
 from dataclasses import asdict
 from pathlib import Path
 
@@ -327,11 +327,12 @@ class TestSharedFirstDraw:
         code, out, _ = run(capsys, *self.ARGS, "--sensitivity")
         assert code == EXIT_OK
         _, plain, _ = run(capsys, *self.ARGS)
+        corpus = classifier.load_labeled_corpus(GOLD)
         sensitivity = estimator.estimator_sensitivity(
-            classifier.load_labeled_corpus(GOLD),
+            corpus,
             classifier.load_default_term_model(),
+            estimator.Resamples(len(corpus), 3),
             iterations=300,
-            seed=3,
         )
         report = json.loads(out)
         assert report["difference"] == json.loads(plain)["difference"]
@@ -344,8 +345,18 @@ class TestSharedFirstDraw:
         assert sum(rows_drawn) == 300 + redraws + 300
 
     def test_nothing_is_kept_after_the_command(self, capsys, rows_drawn, monkeypatch):
+        import gc
+        import weakref
+
+        streams = []
+
+        class Recorded(estimator.Resamples):
+            def __init__(self, *args):
+                super().__init__(*args)
+                streams.append(weakref.ref(self))
+
+        monkeypatch.setattr(estimator, "Resamples", Recorded)
         run(capsys, *self.ARGS, "--sensitivity")
-        assert estimator._open_stream.get() is None
         once = sum(rows_drawn)
         run(capsys, *self.ARGS, "--sensitivity")
         assert sum(rows_drawn) == 2 * once
@@ -357,36 +368,16 @@ class TestSharedFirstDraw:
             patch.setattr(estimator, "estimator_sensitivity", fail)
             code, _, _ = run(capsys, *self.ARGS, "--sensitivity")
         assert code == EXIT_INPUT
-        assert estimator._open_stream.get() is None
         rows_drawn.clear()
         run(capsys, *self.ARGS, "--sensitivity")
         assert sum(rows_drawn) == once
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """An affinity of two CPUs, whatever the host's, so the resample stream starts its thread."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """The names of the threads started, in order."""
-    import threading
-
-    names = []
-    start = threading.Thread.start
-
-    def recording(thread):
-        names.append(thread.name)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", recording)
-    return names
+        gc.collect()
+        assert len(streams) == 4
+        assert [stream() for stream in streams] == [None] * 4
 
 
 class TestResampleThread:
-    """The resample stream's thread ends with the command, whatever the exit."""
+    """The resample stream's worker ends with the command, whatever the exit."""
 
     ARGS = ("--seed", "3", "bootstrap", GOLD, "--iterations", "300", "--sensitivity")
 
@@ -403,7 +394,7 @@ class TestResampleThread:
         assert code == EXIT_OK
         code, _, _ = self._run(capsys, "validate-model", GOLD, "--iterations", "300")
         assert code == EXIT_OK
-        assert started == ["resample", "resample"]
+        assert started == ["resample_0", "resample_0"]
 
     def test_after_the_redraw_cap(self, capsys, tmp_path, two_cpus, started):
         corpus = tmp_path / "corpus.tsv"
@@ -416,14 +407,12 @@ class TestResampleThread:
         )
         assert code == EXIT_INPUT
         assert "too few valid resamples" in err
-        assert started == ["resample"]
+        assert started == ["resample_0"]
 
     def test_after_a_study_that_raises(self, capsys, monkeypatch, two_cpus, started):
-        def fail(*args, **kwargs):
-            # 40,000 rows of 44 items are four blocks: the thread waits on a full queue.
-            blocks = estimator._open_stream.get()._blocks
-            while not blocks.full():
-                time.sleep(0.001)
+        def fail(corpus, model, resamples, **kwargs):
+            # 40,000 rows of 44 items are four blocks: the worker holds three, drawn.
+            assert not wait(resamples._blocks, timeout=30).not_done
             raise RuntimeError("the study failed")
 
         monkeypatch.setattr(estimator, "bootstrap_difference_distribution", fail)
@@ -431,7 +420,7 @@ class TestResampleThread:
             capsys, "bootstrap", GOLD, "--iterations", "20000", "--sensitivity"
         )
         assert (code, err) == (EXIT_INTERNAL, "internal error: the study failed\n")
-        assert started == ["resample"]
+        assert started == ["resample_0"]
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
     def test_a_failing_generator_fails_the_command(self, capsys, monkeypatch, cpus):
@@ -456,7 +445,7 @@ class TestResampleThread:
         assert started == []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert self._run(capsys, *self.ARGS)[1] == out
-        assert started == ["resample"]
+        assert started == ["resample_0"]
 
     def test_an_oversized_corpus_starts_no_thread(
         self, capsys, monkeypatch, two_cpus, started, rows_drawn
@@ -742,6 +731,29 @@ def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
         main(argv)
     assert caught.value.code == EXIT_CONFIG
     assert f"argument {flag}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize(
+    "command", [["bootstrap", "--sensitivity"], ["validate-model"]], ids=["bootstrap", "validate"]
+)
+@pytest.mark.parametrize("iterations", [1_000_001, 10**12])
+def test_iterations_above_the_cap_are_a_usage_error(
+    capsys, monkeypatch, started, cpus, command, iterations
+):
+    """Refused alike whatever the affinity, before a worker starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    with pytest.raises(SystemExit) as caught:
+        main([*command, GOLD, "--iterations", str(iterations)])
+    assert caught.value.code == EXIT_CONFIG
+    rule = f"argument --iterations: must be in [1, {estimator.MAX_ITERATIONS}], got '{iterations}'"
+    assert rule in capsys.readouterr().err
+    assert started == []
+
+
+def test_iterations_at_the_cap_are_accepted():
+    args = build_parser().parse_args(["bootstrap", GOLD, "--iterations", "1000000"])
+    assert args.iterations == estimator.MAX_ITERATIONS == 1_000_000
 
 
 # Good inputs of `cochange` and `twin`; each case below replaces one of them.
@@ -1047,16 +1059,17 @@ def _subprocess_env() -> dict:
 
 def test_importing_the_cli_does_not_load_numpy(tmp_path):
     env = _subprocess_env()
+    # Nor the resample stream's executor and its queue: set-up imports neither.
     probe = (
         "import sys, ccp_miner.cli as cli;"
         "cli.RunConfig(cli.build_parser().parse_args(['rank', '--ccp', '0.2']));"
-        "print('numpy' in sys.modules)"
+        "print(*(m in sys.modules for m in ('numpy', 'concurrent.futures', 'queue')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False False"
 
     # The stats commands need no numpy either, so they must not pay for importing it.
     series = tmp_path / "series.csv"

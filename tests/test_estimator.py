@@ -1,8 +1,11 @@
 """Estimator unit tests: MLE inversion, validity domain, bootstrap, ranking."""
 
 import itertools
+import os
 import re
+import threading
 from collections import Counter
+from concurrent.futures import wait
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +13,11 @@ from hypothesis import strategies as st
 
 from ccp_miner.errors import ConfigError, InputError
 from ccp_miner.estimator import (
+    MAX_ITERATIONS,
     DistributionTable,
     EstimateStatus,
     ModelPerformance,
+    Resamples,
     bootstrap_difference_distribution,
     ccp_from_hit_rate,
     estimate_ccp,
@@ -111,7 +116,8 @@ class TestBootstrap:
     def test_perfect_classifier_all_differences_zero(self, term_model):
         corpus = build_corpus(tp=30, fn=0, fp=0, tn=30)
         report = bootstrap_difference_distribution(
-            corpus, term_model, perf=ModelPerformance(1.0, 0.0), iterations=200, seed=3
+            corpus, term_model, Resamples(len(corpus), 3), perf=ModelPerformance(1.0, 0.0),
+            iterations=200,
         )
         assert report.mean_difference == 0.0
         assert report.interval_low == 0.0
@@ -119,24 +125,29 @@ class TestBootstrap:
 
     def test_single_iteration_collapses(self, term_model, validation_corpus):
         report = bootstrap_difference_distribution(
-            validation_corpus, term_model, iterations=1, seed=5
+            validation_corpus, term_model, Resamples(len(validation_corpus), 5), iterations=1
         )
         assert report.interval_low == report.interval_high == report.mean_difference
 
     def test_deterministic_given_seed(self, term_model, validation_corpus):
-        a = bootstrap_difference_distribution(validation_corpus, term_model, iterations=300, seed=11)
-        b = bootstrap_difference_distribution(validation_corpus, term_model, iterations=300, seed=11)
+        a, b = (
+            bootstrap_difference_distribution(
+                validation_corpus, term_model, Resamples(len(validation_corpus), 11), iterations=300
+            )
+            for _ in range(2)
+        )
         assert a == b
+        assert a.seed == 11
 
     def test_empty_corpus_rejected(self, term_model):
         with pytest.raises(InputError):
-            bootstrap_difference_distribution([], term_model, iterations=10, seed=0)
+            bootstrap_difference_distribution([], term_model, Resamples(0, 0), iterations=10)
 
     @pytest.mark.parametrize("ahead", [0, 1000], ids=["on-demand", "drawn-ahead"])
-    def test_blocked_resampling_draws_the_stream_of_one_draw(self, ahead):
+    def test_blocked_resampling_draws_the_stream_of_one_draw(self, ahead, two_cpus):
         import numpy as np
 
-        from ccp_miner.estimator import RESAMPLE_BLOCK, _ResampleStream
+        from ccp_miner.estimator import RESAMPLE_BLOCK
 
         n = 1000
         step = RESAMPLE_BLOCK // n
@@ -148,8 +159,8 @@ class TestBootstrap:
         expected = (
             labels[idx].sum(axis=1), hits[idx].sum(axis=1), (labels[idx] & hits[idx]).sum(axis=1)
         )
-        with _ResampleStream(n, 7, ahead) as stream:
-            assert stream.bind(labels, hits)
+        with Resamples(n, 7, ahead) as stream:
+            stream.bind(labels, hits)
             for got, want in zip(stream.counts(0, rows), expected):
                 np.testing.assert_array_equal(got, want)
         # the generator is left where one draw leaves it
@@ -194,11 +205,12 @@ class TestPackedCounts:
         """Two cursors, each stepping through the stream its own way, read one direct draw."""
         import numpy as np
 
-        from ccp_miner.estimator import _ResampleStream
-
         labels, hits, seed, first, second, ahead = case
-        with _ResampleStream(len(labels), seed, ahead) as stream:
-            assert stream.bind(labels, hits)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            stream = Resamples(len(labels), seed, ahead)
+        with stream:
+            stream.bind(labels, hits)
             for steps in (first, second):
                 row, read = 0, []
                 for count in steps:
@@ -210,28 +222,75 @@ class TestPackedCounts:
     def test_every_field_full_at_the_largest_corpus(self):
         import numpy as np
 
-        from ccp_miner.estimator import MAX_RESAMPLE_ITEMS, _ResampleStream
+        from ccp_miner.estimator import MAX_RESAMPLE_ITEMS
 
         assert MAX_RESAMPLE_ITEMS == 2_097_151
         every = np.ones(MAX_RESAMPLE_ITEMS, dtype=bool)
-        stream = _ResampleStream(MAX_RESAMPLE_ITEMS, 0)
-        assert stream.bind(every, every)
+        stream = Resamples(MAX_RESAMPLE_ITEMS, 0)
+        stream.bind(every, every)
         assert [c.tolist() for c in stream.counts(0, 1)] == [[MAX_RESAMPLE_ITEMS]] * 3
 
-    def test_larger_corpus_is_an_input_error_before_any_draw(self, monkeypatch):
-        import threading
-
+    def test_larger_corpus_is_an_input_error_before_any_draw(self, monkeypatch, two_cpus, started):
         import numpy as np
 
-        from ccp_miner.estimator import MAX_RESAMPLE_ITEMS, resample_stream
+        from ccp_miner.estimator import MAX_RESAMPLE_ITEMS
 
         made = []
         monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append("generator"))
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: made.append("thread"))
         with pytest.raises(InputError, match="2,097,151.*2,097,152"):
-            with resample_stream(MAX_RESAMPLE_ITEMS + 1, 0, ahead=10):
+            with Resamples(MAX_RESAMPLE_ITEMS + 1, 0, ahead=10):
                 pass
-        assert made == []
+        assert made == started == []
+
+
+def _arrays(n: int, seed: int):
+    import numpy as np
+
+    items = np.random.default_rng(seed)
+    return items.random(n) < 0.3, items.random(n) < 0.4
+
+
+class TestResamples:
+    def test_bind_refuses_another_corpus(self):
+        labels, hits = _arrays(50, 1)
+        stream = Resamples(50, 0)
+        stream.bind(labels, hits)
+        stream.bind(labels.copy(), hits.copy())  # the same codes again
+        with pytest.raises(ValueError, match="another corpus"):
+            stream.bind(labels, ~hits)
+        with pytest.raises(ValueError, match="a stream of 50 items cannot count 49"):
+            stream.bind(labels[:49], hits[:49])
+        with pytest.raises(ValueError, match="cannot count 50"):
+            Resamples(49, 0).bind(labels, hits)
+
+    def test_no_ahead_starts_no_thread(self, two_cpus, started):
+        stream = Resamples(1000, 0)
+        stream.bind(*_arrays(1000, 1))
+        stream.counts(0, 2000)
+        assert started == []
+        with Resamples(1000, 0, ahead=2000) as ahead:
+            ahead.bind(*_arrays(1000, 1))
+            ahead.counts(0, 2000)
+        assert started == ["resample_0"]
+
+    def test_no_thread_is_left_after_a_block_that_raised(self, two_cpus, started):
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="the block failed"):
+            with Resamples(1000, 0, ahead=10_000) as stream:
+                # the worker holds finished blocks, and more are to come
+                assert not wait(stream._blocks, timeout=30).not_done
+                raise RuntimeError("the block failed")
+        assert started == ["resample_0"]
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("iterations", [0, MAX_ITERATIONS + 1], ids=["zero", "above-the-cap"])
+def test_both_studies_refuse_iterations_out_of_bounds(term_model, validation_corpus, iterations):
+    # A stream of another length: a study that reached its resamples would fail on it instead.
+    resamples = Resamples(len(validation_corpus) - 1, 0)
+    for study in (bootstrap_difference_distribution, estimator_sensitivity):
+        with pytest.raises(ValueError, match=rf"iterations must be in \[1, {MAX_ITERATIONS}\]"):
+            study(validation_corpus, term_model, resamples, iterations=iterations)
 
 
 class TestSensitivity:
@@ -261,28 +320,37 @@ class TestSensitivity:
                 assert exists == ("tp" in kinds and "tn" in kinds), kinds
                 corpus = [cells[kind] for kind in kinds]
                 if exists:
-                    estimator_sensitivity(corpus, term_model, iterations=2, seed=n)
+                    estimator_sensitivity(corpus, term_model, Resamples(n, n), iterations=2)
                 else:
                     with pytest.raises(InputError, match="a true positive and a true negative"):
-                        estimator_sensitivity(corpus, term_model, iterations=2, seed=n)
+                        estimator_sensitivity(corpus, term_model, Resamples(n, n), iterations=2)
 
     def test_zero_variance_corpus(self, term_model):
         # duplicates of one always-hit positive and one never-hit negative:
         # every resample measures recall=1, fpr=0, so estimators never differ
         corpus = build_corpus(tp=25, fn=0, fp=0, tn=25)
-        report = estimator_sensitivity(corpus, term_model, iterations=100, seed=2)
+        report = estimator_sensitivity(corpus, term_model, Resamples(len(corpus), 2), iterations=100)
         for segment in report.segments:
             assert segment.max_abs_difference == 0.0
 
     def test_deterministic(self, term_model, validation_corpus):
-        a = estimator_sensitivity(validation_corpus, term_model, iterations=100, seed=9)
-        b = estimator_sensitivity(validation_corpus, term_model, iterations=100, seed=9)
+        a, b = (
+            estimator_sensitivity(
+                validation_corpus, term_model, Resamples(len(validation_corpus), 9), iterations=100
+            )
+            for _ in range(2)
+        )
         assert a == b
+        assert a.seed == 9
 
     def test_rejects_bad_segment(self, term_model, validation_corpus):
         with pytest.raises(ValueError):
             estimator_sensitivity(
-                validation_corpus, term_model, iterations=10, eval_segments=((0.5, 1.5),)
+                validation_corpus,
+                term_model,
+                Resamples(len(validation_corpus), 0),
+                iterations=10,
+                eval_segments=((0.5, 1.5),),
             )
 
 
