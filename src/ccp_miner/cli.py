@@ -139,8 +139,11 @@ def _read_commits(
 ) -> Iterator[ingestion.ParseResult]:
     """Parse each input file into ``by_repo`` and yield its result, one file at a time.
 
-    A commit read from an earlier file is a repeat, as within one.
+    A commit read from an earlier file is a repeat, as within one. ``--repo``
+    without ``--input-format git`` is refused before the first file is opened.
     """
+    if args.repo is not None and args.input_format != "git":
+        raise ConfigError("--repo requires --input-format git")
     for path in args.input:
         with ingestion.naming(path, InputError):
             if args.input_format == "git":
@@ -238,6 +241,8 @@ def _file_size(text: str) -> int:
 def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     if config.enforce_selection and config.year is None:
         raise ConfigError("--enforce-selection requires --year")
+    if args.projects and not config.enforce_selection:
+        raise ConfigError("--projects requires --enforce-selection")
     by_repo: ingestion.CommitTable = {}
     skipped = sum(parsed.skipped for parsed in _read_commits(args, by_repo))
 
@@ -355,7 +360,7 @@ def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
     # The study's resamples are drawn on a worker while the corpus is classified.
     with (
         ingestion.naming(args.corpus, InputError),
-        estimator.Resamples(len(corpus), config.seed, args.iterations) as resamples,
+        estimator.Resamples(len(corpus), config.seed) as resamples,
     ):
         report = {
             "meta": config.meta(),
@@ -368,13 +373,14 @@ def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.segments is not None and not args.sensitivity:
+        raise ConfigError("--segments requires --sensitivity")
     corpus = classifier.load_labeled_corpus(args.corpus)
     # Both studies read one stream of resamples, drawn on a worker while they
     # classify and count; the rows both read are drawn once.
-    ahead = args.iterations * (2 if args.sensitivity else 1)
     with (
         ingestion.naming(args.corpus, InputError),
-        estimator.Resamples(len(corpus), config.seed, ahead) as resamples,
+        estimator.Resamples(len(corpus), config.seed) as resamples,
     ):
         report = {
             "meta": config.meta(),
@@ -387,7 +393,7 @@ def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
                 config.term_model,
                 resamples,
                 iterations=args.iterations,
-                eval_segments=args.segments,
+                eval_segments=args.segments or estimator.DEFAULT_SENSITIVITY_SEGMENTS,
             )
     _emit(report, config)
     return EXIT_OK
@@ -530,9 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bootstrap", parents=[corpus_args], help="estimate-vs-truth bootstrap distribution"
     )
     p.add_argument("--sensitivity", action="store_true", help="add sensitivity analysis")
-    p.add_argument(
-        "--segments", type=_parse_segments, default=estimator.DEFAULT_SENSITIVITY_SEGMENTS
-    )
+    p.add_argument("--segments", type=_parse_segments, help="requires --sensitivity")
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("cochange", help="co-change precision and lift of two metrics")

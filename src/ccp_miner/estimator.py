@@ -14,7 +14,6 @@ they use numpy, and they import it when called.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -134,57 +133,45 @@ class Resamples:
     """The resamples of an ``n``-item corpus from ``seed``, as packed counts in draw order.
 
     Row i is row i of one ``default_rng(seed).integers(0, n, size=(rows, n))``
-    draw, drawn in blocks of whole rows, about RESAMPLE_BLOCK indices each. A
-    one-worker executor draws the blocks of rows [0, ``ahead``), at most
-    QUEUED_BLOCKS of them outstanding; it calls numpy only. Later rows, and
-    every row on a single CPU, are drawn when read, on the reader's thread.
-    Each index gathers one code holding its item's label, hit and true
-    positive in separate bit fields, so one row sum gives all three counts;
-    hence at most MAX_RESAMPLE_ITEMS items. The sums are kept, so a row that
-    two studies read is drawn once. As a context manager, the stream shuts
-    its worker down on exit, whatever the exit.
+    draw, drawn in blocks of whole rows, about RESAMPLE_BLOCK indices each.
+    A one-worker executor draws every block; it calls numpy only. From
+    construction it keeps QUEUED_BLOCKS blocks drawn or being drawn past the
+    last one read. Each index gathers one code holding its item's label, hit
+    and true positive in separate bit fields, so one row sum gives all three
+    counts; hence at most MAX_RESAMPLE_ITEMS items. The sums are kept, so a
+    row that two studies read is drawn once. As a context manager, the
+    stream shuts its worker down on exit, whatever the exit: blocks not yet
+    begun are cancelled and the one being drawn is waited for.
     """
 
-    def __init__(self, n: int, seed: int, ahead: int = 0):
+    def __init__(self, n: int, seed: int):
         import numpy as np
 
         if n > MAX_RESAMPLE_ITEMS:
             raise InputError(
                 f"resampling takes at most {MAX_RESAMPLE_ITEMS:,} corpus items, got {n:,}"
             )
+        from concurrent.futures import ThreadPoolExecutor
+
         self.n = n
         self.seed = seed
         self._step = max(1, RESAMPLE_BLOCK // max(n, 1))
         self._rng = np.random.default_rng(seed)
-        self._ahead = ahead if n and ahead and not _one_cpu() else 0
         self._codes = None
-        self._sums = np.empty(self._ahead, dtype=np.int64)
+        self._sums = np.empty(0, dtype=np.int64)
         self._made = 0  # rows summed
-        self._sent = 0  # rows handed to the worker
-        self._blocks = []  # the worker's blocks not yet taken, in row order
-        self._pool = None
-        if self._ahead:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(1, thread_name_prefix="resample")
-            for _ in range(QUEUED_BLOCKS):
-                self._send()
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="resample")
+        # the worker's blocks not yet taken, in row order
+        self._blocks = [self._pool.submit(self._draw) for _ in range(QUEUED_BLOCKS)]
 
     def __enter__(self) -> Resamples:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
+        self._pool.shutdown(cancel_futures=True)
 
-    def _draw(self, rows: int) -> np.ndarray:
-        return self._rng.integers(0, self.n, size=(rows, self.n))
-
-    def _send(self) -> None:
-        if self._sent < self._ahead:  # the worker draws the next block below ``ahead``
-            rows = min(self._step, self._ahead - self._sent)
-            self._blocks.append(self._pool.submit(self._draw, rows))
-            self._sent += rows
+    def _draw(self) -> np.ndarray:
+        return self._rng.integers(0, self.n, size=(self._step, self.n))
 
     def bind(self, labels: np.ndarray, hits: np.ndarray) -> None:
         """Count these labels and hits; ValueError if the stream counts others already."""
@@ -206,12 +193,10 @@ class Resamples:
         import numpy as np
 
         while self._made < stop:
-            if self._blocks:
-                block = self._blocks[0].result()  # raises the worker's error here
-                del self._blocks[0]
-                self._send()
-            else:
-                block = self._draw(min(self._step, stop - self._made))
+            # A failed block stays first, so its error is raised on every later read too.
+            block = self._blocks[0].result()
+            del self._blocks[0]
+            self._blocks.append(self._pool.submit(self._draw))
             end = self._made + len(block)
             if end > len(self._sums):
                 grown = np.empty(max(end, 2 * len(self._sums)), dtype=np.int64)
@@ -227,13 +212,6 @@ class Resamples:
         mask = (1 << width) - 1
         sums = self._sums[start:stop]
         return sums & mask, (sums >> width) & mask, sums >> 2 * width
-
-
-def _one_cpu() -> bool:
-    try:
-        return len(os.sched_getaffinity(0)) == 1
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() == 1
 
 
 def load_performance_config(path: str | Path) -> ModelPerformance:

@@ -1,6 +1,5 @@
 """Shared fixtures: bundled models, fixture paths, synthetic corpora."""
 
-import os
 import threading
 from pathlib import Path
 
@@ -65,12 +64,6 @@ def gold_corpus() -> list[classifier.LabeledCommit]:
 def validation_corpus() -> list[classifier.LabeledCommit]:
     """400-commit synthetic corpus with confusion counts 91/18/34/257."""
     return build_corpus(tp=91, fn=18, fp=34, tn=257)
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """An affinity of two CPUs, whatever the host's, so a resample stream may draw ahead."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.fixture

@@ -78,13 +78,10 @@ class TestAcceptance:
 
     def test_04_bootstrap_difference_interval(self, term_model, validation_corpus):
         start = time.perf_counter()
-        report = bootstrap_difference_distribution(
-            validation_corpus,
-            term_model,
-            Resamples(len(validation_corpus), 0),
-            perf=None,
-            iterations=10_000,
-        )
+        with Resamples(len(validation_corpus), 0) as resamples:
+            report = bootstrap_difference_distribution(
+                validation_corpus, term_model, resamples, perf=None, iterations=10_000
+            )
         elapsed = time.perf_counter() - start
         ok = (
             -0.059 <= report.interval_low
@@ -99,13 +96,14 @@ class TestAcceptance:
 
     def test_05_estimator_sensitivity(self, term_model, validation_corpus):
         start = time.perf_counter()
-        report = estimator_sensitivity(
-            validation_corpus,
-            term_model,
-            Resamples(len(validation_corpus), 0),
-            iterations=10_000,
-            eval_segments=((0.06, 0.39),),
-        )
+        with Resamples(len(validation_corpus), 0) as resamples:
+            report = estimator_sensitivity(
+                validation_corpus,
+                term_model,
+                resamples,
+                iterations=10_000,
+                eval_segments=((0.06, 0.39),),
+            )
         elapsed = time.perf_counter() - start
         [segment] = report.segments
         ok = segment.p95_abs_difference <= 0.10 and elapsed < 120.0

@@ -721,7 +721,8 @@ def _check(files: list[str], metadata, mode: tuple, extra: tuple, namespace: dic
         except InputError as exc:
             expected = expected_lines = f"input error: {exc}\n"
 
-        after = [*extra, *(["--projects", projects] if projects else [])]
+        selecting = projects and "--enforce-selection" in mode  # else --projects is refused
+        after = [*extra, *(["--projects", projects] if selecting else [])]
         code, out, err, analysed = _run([*mode, "analyze", *paths, *after])
         if isinstance(expected, str):
             assert (code, err) == (3, expected)

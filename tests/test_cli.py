@@ -282,8 +282,9 @@ class TestBootstrapCommand:
         args = build_parser().parse_args(["bootstrap", GOLD])
         assert args.iterations == estimator.DEFAULT_ITERATIONS
         assert args.coverage == estimator.DEFAULT_COVERAGE
-        assert args.segments == estimator.DEFAULT_SENSITIVITY_SEGMENTS
-        assert _parse_segments("0.0:1.0,0.042:0.84,0.06:0.39") == args.segments
+        assert args.segments is None  # the command resolves it; see test_with_sensitivity
+        segments = _parse_segments("0.0:1.0,0.042:0.84,0.06:0.39")
+        assert segments == estimator.DEFAULT_SENSITIVITY_SEGMENTS
 
     def test_malformed_segments(self, capsys):
         with pytest.raises(SystemExit) as caught:
@@ -320,6 +321,12 @@ def rows_drawn(monkeypatch):
 
 class TestSharedFirstDraw:
     ARGS = ("--seed", "3", "bootstrap", GOLD, "--iterations", "300")
+    STEP = 50  # rows per block, with RESAMPLE_BLOCK set to 50 rows of the 44-item gold corpus
+
+    def _blocks_read(self, out: str) -> int:
+        """The blocks that the two studies of a report read, rows [0, 600 + redraws)."""
+        rows = 300 + json.loads(out)["sensitivity"]["redraws"] + 300
+        return -(-rows // self.STEP)
 
     def test_report_equals_the_two_studies_run_apart(self, capsys):
         from ccp_miner import classifier
@@ -328,23 +335,25 @@ class TestSharedFirstDraw:
         assert code == EXIT_OK
         _, plain, _ = run(capsys, *self.ARGS)
         corpus = classifier.load_labeled_corpus(GOLD)
-        sensitivity = estimator.estimator_sensitivity(
-            corpus,
-            classifier.load_default_term_model(),
-            estimator.Resamples(len(corpus), 3),
-            iterations=300,
-        )
+        with estimator.Resamples(len(corpus), 3) as resamples:
+            sensitivity = estimator.estimator_sensitivity(
+                corpus, classifier.load_default_term_model(), resamples, iterations=300
+            )
         report = json.loads(out)
         assert report["difference"] == json.loads(plain)["difference"]
         assert report["sensitivity"] == json.loads(json.dumps(asdict(sensitivity)))
 
-    def test_first_draw_is_made_once(self, capsys, rows_drawn):
+    def test_first_draw_is_made_once(self, capsys, monkeypatch, rows_drawn):
+        """The blocks read and at most QUEUED_BLOCKS more; drawing 300 rows twice adds six."""
+        monkeypatch.setattr(estimator, "RESAMPLE_BLOCK", 44 * self.STEP)
         code, out, _ = run(capsys, *self.ARGS, "--sensitivity")
         assert code == EXIT_OK
-        redraws = json.loads(out)["sensitivity"]["redraws"]
-        assert sum(rows_drawn) == 300 + redraws + 300
+        assert set(rows_drawn) == {self.STEP}
+        read = self._blocks_read(out)
+        assert read <= len(rows_drawn) <= read + estimator.QUEUED_BLOCKS
 
     def test_nothing_is_kept_after_the_command(self, capsys, rows_drawn, monkeypatch):
+        """Each run draws every block it reads, after a failed run too; no stream outlives it."""
         import gc
         import weakref
 
@@ -356,10 +365,18 @@ class TestSharedFirstDraw:
                 streams.append(weakref.ref(self))
 
         monkeypatch.setattr(estimator, "Resamples", Recorded)
-        run(capsys, *self.ARGS, "--sensitivity")
-        once = sum(rows_drawn)
-        run(capsys, *self.ARGS, "--sensitivity")
-        assert sum(rows_drawn) == 2 * once
+        monkeypatch.setattr(estimator, "RESAMPLE_BLOCK", 44 * self.STEP)
+
+        def blocks_drawn() -> tuple[int, int]:
+            """The blocks that one run reads, and those that it draws."""
+            rows_drawn.clear()
+            code, out, _ = run(capsys, *self.ARGS, "--sensitivity")
+            assert code == EXIT_OK
+            return self._blocks_read(out), len(rows_drawn)
+
+        for _ in range(2):
+            read, drawn = blocks_drawn()
+            assert drawn >= read
 
         def fail(*args, **kwargs):
             raise InputError("fails after the bootstrap's draw")
@@ -368,9 +385,8 @@ class TestSharedFirstDraw:
             patch.setattr(estimator, "estimator_sensitivity", fail)
             code, _, _ = run(capsys, *self.ARGS, "--sensitivity")
         assert code == EXIT_INPUT
-        rows_drawn.clear()
-        run(capsys, *self.ARGS, "--sensitivity")
-        assert sum(rows_drawn) == once
+        read, drawn = blocks_drawn()
+        assert drawn >= read
         gc.collect()
         assert len(streams) == 4
         assert [stream() for stream in streams] == [None] * 4
@@ -389,14 +405,14 @@ class TestResampleThread:
         assert threading.active_count() == before
         return result
 
-    def test_after_a_normal_run(self, capsys, two_cpus, started):
+    def test_after_a_normal_run(self, capsys, started):
         code, out, _ = self._run(capsys, *self.ARGS)
         assert code == EXIT_OK
         code, _, _ = self._run(capsys, "validate-model", GOLD, "--iterations", "300")
         assert code == EXIT_OK
         assert started == ["resample_0", "resample_0"]
 
-    def test_after_the_redraw_cap(self, capsys, tmp_path, two_cpus, started):
+    def test_after_the_redraw_cap(self, capsys, tmp_path, started):
         corpus = tmp_path / "corpus.tsv"
         corpus.write_text(
             CELL_LINES["TP"] + CELL_LINES["TN"] + 200 * CELL_LINES["FN"] + 200 * CELL_LINES["FP"]
@@ -409,21 +425,18 @@ class TestResampleThread:
         assert "too few valid resamples" in err
         assert started == ["resample_0"]
 
-    def test_after_a_study_that_raises(self, capsys, monkeypatch, two_cpus, started):
+    def test_after_a_study_that_raises(self, capsys, monkeypatch, started):
         def fail(corpus, model, resamples, **kwargs):
-            # 40,000 rows of 44 items are four blocks: the worker holds three, drawn.
+            # the worker holds the blocks queued at the start, drawn
             assert not wait(resamples._blocks, timeout=30).not_done
             raise RuntimeError("the study failed")
 
         monkeypatch.setattr(estimator, "bootstrap_difference_distribution", fail)
-        code, _, err = self._run(
-            capsys, "bootstrap", GOLD, "--iterations", "20000", "--sensitivity"
-        )
+        code, _, err = self._run(capsys, *self.ARGS)
         assert (code, err) == (EXIT_INTERNAL, "internal error: the study failed\n")
         assert started == ["resample_0"]
 
-    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-    def test_a_failing_generator_fails_the_command(self, capsys, monkeypatch, cpus):
+    def test_a_failing_generator_fails_the_command(self, capsys, monkeypatch, started):
         import numpy as np
 
         class Failing:
@@ -433,23 +446,12 @@ class TestResampleThread:
             def integers(self, *args, **kwargs):
                 raise RuntimeError("no random numbers")
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         monkeypatch.setattr(np.random, "default_rng", Failing)
         code, out, err = self._run(capsys, *self.ARGS)
         assert (code, out, err) == (EXIT_INTERNAL, "", "internal error: no random numbers\n")
-
-    def test_one_cpu_draws_every_row_on_demand(self, capsys, monkeypatch, started):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        code, out, _ = self._run(capsys, *self.ARGS)
-        assert code == EXIT_OK
-        assert started == []
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert self._run(capsys, *self.ARGS)[1] == out
         assert started == ["resample_0"]
 
-    def test_an_oversized_corpus_starts_no_thread(
-        self, capsys, monkeypatch, two_cpus, started, rows_drawn
-    ):
+    def test_an_oversized_corpus_starts_no_thread(self, capsys, monkeypatch, started, rows_drawn):
         monkeypatch.setattr(estimator, "MAX_RESAMPLE_ITEMS", 10)
         code, _, err = self._run(capsys, *self.ARGS)
         assert code == EXIT_INPUT
@@ -733,16 +735,33 @@ def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
     assert f"argument {flag}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize(
+    "argv, rule",
+    [
+        (["analyze", "{log}", "--projects", "{csv}"], "--projects requires --enforce-selection"),
+        (["--year", "2019", "analyze", "{log}", "--projects", "{csv}"],
+         "--projects requires --enforce-selection"),
+        (["classify", "{log}", "--repo", "acme/widget"], "--repo requires --input-format git"),
+        (["analyze", "{log}", "--input-format", "ndjson", "--repo", "acme/widget"],
+         "--repo requires --input-format git"),
+        (["bootstrap", "{tsv}", "--segments", "0:1"], "--segments requires --sensitivity"),
+    ],
+    ids=["projects", "projects-with-year", "repo-classify", "repo-analyze", "segments"],
+)
+def test_a_flag_that_would_be_ignored_is_a_usage_error(capsys, tmp_path, argv, rule):
+    """Refused before any input is read: none of the named files exists."""
+    names = {"log": tmp_path / "missing.ndjson", "csv": tmp_path / "missing.csv",
+             "tsv": tmp_path / "missing.tsv"}
+    code, out, err = run(capsys, *(arg.format_map(names) for arg in argv))
+    assert (code, out, err) == (EXIT_CONFIG, "", f"configuration error: {rule}\n")
+
+
 @pytest.mark.parametrize(
     "command", [["bootstrap", "--sensitivity"], ["validate-model"]], ids=["bootstrap", "validate"]
 )
 @pytest.mark.parametrize("iterations", [1_000_001, 10**12])
-def test_iterations_above_the_cap_are_a_usage_error(
-    capsys, monkeypatch, started, cpus, command, iterations
-):
-    """Refused alike whatever the affinity, before a worker starts."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+def test_iterations_above_the_cap_are_a_usage_error(capsys, started, command, iterations):
+    """Refused before a worker starts."""
     with pytest.raises(SystemExit) as caught:
         main([*command, GOLD, "--iterations", str(iterations)])
     assert caught.value.code == EXIT_CONFIG

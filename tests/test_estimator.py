@@ -1,7 +1,6 @@
 """Estimator unit tests: MLE inversion, validity domain, bootstrap, ranking."""
 
 import itertools
-import os
 import re
 import threading
 from collections import Counter
@@ -115,56 +114,66 @@ class TestValidDomain:
 class TestBootstrap:
     def test_perfect_classifier_all_differences_zero(self, term_model):
         corpus = build_corpus(tp=30, fn=0, fp=0, tn=30)
-        report = bootstrap_difference_distribution(
-            corpus, term_model, Resamples(len(corpus), 3), perf=ModelPerformance(1.0, 0.0),
-            iterations=200,
-        )
+        with Resamples(len(corpus), 3) as resamples:
+            report = bootstrap_difference_distribution(
+                corpus, term_model, resamples, perf=ModelPerformance(1.0, 0.0), iterations=200
+            )
         assert report.mean_difference == 0.0
         assert report.interval_low == 0.0
         assert report.interval_high == 0.0
 
     def test_single_iteration_collapses(self, term_model, validation_corpus):
-        report = bootstrap_difference_distribution(
-            validation_corpus, term_model, Resamples(len(validation_corpus), 5), iterations=1
-        )
+        with Resamples(len(validation_corpus), 5) as resamples:
+            report = bootstrap_difference_distribution(
+                validation_corpus, term_model, resamples, iterations=1
+            )
         assert report.interval_low == report.interval_high == report.mean_difference
 
     def test_deterministic_given_seed(self, term_model, validation_corpus):
-        a, b = (
-            bootstrap_difference_distribution(
-                validation_corpus, term_model, Resamples(len(validation_corpus), 11), iterations=300
-            )
-            for _ in range(2)
-        )
+        reports = []
+        for _ in range(2):
+            with Resamples(len(validation_corpus), 11) as resamples:
+                reports.append(
+                    bootstrap_difference_distribution(
+                        validation_corpus, term_model, resamples, iterations=300
+                    )
+                )
+        a, b = reports
         assert a == b
         assert a.seed == 11
 
     def test_empty_corpus_rejected(self, term_model):
-        with pytest.raises(InputError):
-            bootstrap_difference_distribution([], term_model, Resamples(0, 0), iterations=10)
+        with Resamples(0, 0) as resamples, pytest.raises(InputError):
+            bootstrap_difference_distribution([], term_model, resamples, iterations=10)
 
-    @pytest.mark.parametrize("ahead", [0, 1000], ids=["on-demand", "drawn-ahead"])
-    def test_blocked_resampling_draws_the_stream_of_one_draw(self, ahead, two_cpus):
+    def test_blocked_resampling_draws_the_stream_of_one_draw(self):
+        """Two cursors reading past the QUEUED_BLOCKS blocks queued at the start read one draw.
+
+        The first reads as the bootstrap does, rows [0, iterations) at once.
+        The second reads as the sensitivity study does: the same rows in
+        uneven steps, then rows past them, as its redraws and second draw do.
+        """
         import numpy as np
 
-        from ccp_miner.estimator import RESAMPLE_BLOCK
+        from ccp_miner.estimator import QUEUED_BLOCKS, RESAMPLE_BLOCK
 
         n = 1000
         step = RESAMPLE_BLOCK // n
-        rows = 3 * step + step // 2  # three whole blocks and part of a fourth
+        iterations = (QUEUED_BLOCKS + 1) * step + step // 2
         labels = np.random.default_rng(1).random(n) < 0.3
         hits = np.random.default_rng(2).random(n) < 0.4
-        one_shot = np.random.default_rng(7)
-        idx = one_shot.integers(0, n, size=(rows, n))
-        expected = (
-            labels[idx].sum(axis=1), hits[idx].sum(axis=1), (labels[idx] & hits[idx]).sum(axis=1)
-        )
-        with Resamples(n, 7, ahead) as stream:
+        steps = (step // 3, iterations - step // 3, 7, iterations)  # first draw, redraws, second
+        expected = _direct_counts(labels, hits, sum(steps), 7)
+        with Resamples(n, 7) as stream:
             stream.bind(labels, hits)
-            for got, want in zip(stream.counts(0, rows), expected):
-                np.testing.assert_array_equal(got, want)
-        # the generator is left where one draw leaves it
-        assert stream._rng.integers(0, 2**32) == one_shot.integers(0, 2**32)
+            for got, want in zip(stream.counts(0, iterations), expected):
+                np.testing.assert_array_equal(got, want[:iterations])
+            row, read = 0, []
+            for count in steps:
+                read.append(stream.counts(row, row + count))
+                row += count
+            for got, want in zip(zip(*read), expected):
+                np.testing.assert_array_equal(np.concatenate(got), want)
 
 
 def _direct_counts(labels, hits, rows, seed):
@@ -177,7 +186,7 @@ def _direct_counts(labels, hits, rows, seed):
 
 @st.composite
 def _stream_cases(draw):
-    """Labels, hits, a seed, two cursors' steps, and ``ahead`` below, at or past the rows read."""
+    """Labels, hits, a seed, and two cursors' steps."""
     import numpy as np
 
     from ccp_miner.estimator import RESAMPLE_BLOCK
@@ -188,14 +197,7 @@ def _stream_cases(draw):
     hits = items.random(n) < draw(st.floats(0.0, 1.0))
     step = max(1, RESAMPLE_BLOCK // n)
     steps = st.lists(st.integers(1, min(step + 1, 5000)), min_size=1, max_size=4)
-    first, second = draw(steps), draw(steps)
-    rows = max(sum(first), sum(second))
-    ahead = draw(
-        st.sampled_from(
-            [0, draw(st.integers(0, rows - 1)), rows, rows + draw(st.integers(1, min(2 * step, 5000)))]
-        )
-    )
-    return labels, hits, draw(st.integers(0, 2**32)), first, second, ahead
+    return labels, hits, draw(st.integers(0, 2**32)), draw(steps), draw(steps)
 
 
 class TestPackedCounts:
@@ -205,11 +207,8 @@ class TestPackedCounts:
         """Two cursors, each stepping through the stream its own way, read one direct draw."""
         import numpy as np
 
-        labels, hits, seed, first, second, ahead = case
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-            stream = Resamples(len(labels), seed, ahead)
-        with stream:
+        labels, hits, seed, first, second = case
+        with Resamples(len(labels), seed) as stream:
             stream.bind(labels, hits)
             for steps in (first, second):
                 row, read = 0, []
@@ -226,11 +225,11 @@ class TestPackedCounts:
 
         assert MAX_RESAMPLE_ITEMS == 2_097_151
         every = np.ones(MAX_RESAMPLE_ITEMS, dtype=bool)
-        stream = Resamples(MAX_RESAMPLE_ITEMS, 0)
-        stream.bind(every, every)
-        assert [c.tolist() for c in stream.counts(0, 1)] == [[MAX_RESAMPLE_ITEMS]] * 3
+        with Resamples(MAX_RESAMPLE_ITEMS, 0) as stream:
+            stream.bind(every, every)
+            assert [c.tolist() for c in stream.counts(0, 1)] == [[MAX_RESAMPLE_ITEMS]] * 3
 
-    def test_larger_corpus_is_an_input_error_before_any_draw(self, monkeypatch, two_cpus, started):
+    def test_larger_corpus_is_an_input_error_before_any_draw(self, monkeypatch, started):
         import numpy as np
 
         from ccp_miner.estimator import MAX_RESAMPLE_ITEMS
@@ -238,7 +237,7 @@ class TestPackedCounts:
         made = []
         monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append("generator"))
         with pytest.raises(InputError, match="2,097,151.*2,097,152"):
-            with Resamples(MAX_RESAMPLE_ITEMS + 1, 0, ahead=10):
+            with Resamples(MAX_RESAMPLE_ITEMS + 1, 0):
                 pass
         assert made == started == []
 
@@ -253,45 +252,153 @@ def _arrays(n: int, seed: int):
 class TestResamples:
     def test_bind_refuses_another_corpus(self):
         labels, hits = _arrays(50, 1)
-        stream = Resamples(50, 0)
-        stream.bind(labels, hits)
-        stream.bind(labels.copy(), hits.copy())  # the same codes again
-        with pytest.raises(ValueError, match="another corpus"):
-            stream.bind(labels, ~hits)
-        with pytest.raises(ValueError, match="a stream of 50 items cannot count 49"):
-            stream.bind(labels[:49], hits[:49])
-        with pytest.raises(ValueError, match="cannot count 50"):
-            Resamples(49, 0).bind(labels, hits)
+        with Resamples(50, 0) as stream, Resamples(49, 0) as shorter:
+            stream.bind(labels, hits)
+            stream.bind(labels.copy(), hits.copy())  # the same codes again
+            with pytest.raises(ValueError, match="another corpus"):
+                stream.bind(labels, ~hits)
+            with pytest.raises(ValueError, match="a stream of 50 items cannot count 49"):
+                stream.bind(labels[:49], hits[:49])
+            with pytest.raises(ValueError, match="cannot count 50"):
+                shorter.bind(labels, hits)
 
-    def test_no_ahead_starts_no_thread(self, two_cpus, started):
-        stream = Resamples(1000, 0)
-        stream.bind(*_arrays(1000, 1))
-        stream.counts(0, 2000)
-        assert started == []
-        with Resamples(1000, 0, ahead=2000) as ahead:
-            ahead.bind(*_arrays(1000, 1))
-            ahead.counts(0, 2000)
-        assert started == ["resample_0"]
+    def test_every_stream_starts_one_worker_and_none_is_left_after_with(
+        self, monkeypatch, started
+    ):
+        """Whether nothing is read, rows are read, the body raises or a draw fails."""
+        import numpy as np
 
-    def test_no_thread_is_left_after_a_block_that_raised(self, two_cpus, started):
+        arrays = _arrays(1000, 1)
         before = threading.active_count()
+        with Resamples(1000, 0):
+            pass
+        assert threading.active_count() == before
+        with Resamples(1000, 0) as stream:
+            stream.bind(*arrays)
+            stream.counts(0, 2000)
+        assert threading.active_count() == before
         with pytest.raises(RuntimeError, match="the block failed"):
-            with Resamples(1000, 0, ahead=10_000) as stream:
+            with Resamples(1000, 0) as stream:
                 # the worker holds finished blocks, and more are to come
                 assert not wait(stream._blocks, timeout=30).not_done
                 raise RuntimeError("the block failed")
-        assert started == ["resample_0"]
         assert threading.active_count() == before
+
+        class FailingFirst:
+            """A generator whose first draw fails and whose later draws succeed."""
+
+            def __init__(self, seed, default_rng=np.random.default_rng):
+                self._rng = default_rng(seed)
+                self._failed = False
+
+            def integers(self, *args, **kwargs):
+                if not self._failed:
+                    self._failed = True
+                    raise RuntimeError("no random numbers")
+                return self._rng.integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", FailingFirst)
+        with pytest.raises(RuntimeError, match="no random numbers"):
+            with Resamples(1000, 0) as stream:
+                stream.bind(*arrays)
+                with pytest.raises(RuntimeError, match="no random numbers"):
+                    stream.counts(0, 1)
+                stream.counts(0, 1)  # the failed block stays first: no later block is read instead
+        assert threading.active_count() == before
+        assert started == ["resample_0"] * 4
 
 
 @pytest.mark.parametrize("iterations", [0, MAX_ITERATIONS + 1], ids=["zero", "above-the-cap"])
 def test_both_studies_refuse_iterations_out_of_bounds(term_model, validation_corpus, iterations):
     # A stream of another length: a study that reached its resamples would fail on it instead.
-    resamples = Resamples(len(validation_corpus) - 1, 0)
-    for study in (bootstrap_difference_distribution, estimator_sensitivity):
-        with pytest.raises(ValueError, match=rf"iterations must be in \[1, {MAX_ITERATIONS}\]"):
-            study(validation_corpus, term_model, resamples, iterations=iterations)
+    with Resamples(len(validation_corpus) - 1, 0) as resamples:
+        for study in (bootstrap_difference_distribution, estimator_sensitivity):
+            with pytest.raises(ValueError, match=rf"iterations must be in \[1, {MAX_ITERATIONS}\]"):
+                study(validation_corpus, term_model, resamples, iterations=iterations)
 
+
+
+class TestBootstrapClosedForm:
+    """The bootstrap report against the closed form of one iteration's difference.
+
+    Let the corpus have n items, item i with label y_i and hit h_i, and let
+    (r, f) be the recall and fpr the study inverts with: measured on the
+    whole corpus (``perf=None``, the CLI's ``--perf-source corpus``) or the
+    bundled constants (``--perf-source config``). An iteration draws n items
+    with replacement and records (hr* - f)/(r - f) - p*, with hr* its hit
+    rate and p* its positive rate. That is the mean over the n draws of the
+    item score s_i = (h_i - f)/(r - f) - y_i, so one difference is a mean of
+    n independent draws from the four cells, each weighted by its count:
+
+    - its mean is mu = (hr - f)/(r - f) - p, exactly 0 when (r, f) are the
+      corpus's own, since then hr = r p + f (1 - p);
+    - its variance is sigma^2 = Var(s)/n, n times the variance of one
+      draw's share s/n; its skewness is g = skew(s)/sqrt(n).
+
+    Over B iterations the reported mean is normal to within the central
+    limit theorem, with standard error sigma/sqrt(B). The interval end at
+    tail q is a sample q-quantile of B draws: its standard error is
+    sigma sqrt(q(1 - q)/B)/phi(z_q), and its centre, to first order in the
+    Cornish-Fisher expansion, mu + sigma (z_q + (z_q^2 - 1) g/6). With
+    z = 4.5 each of the 54 checks below fails by chance with probability
+    below 1e-5. What the bounds leave out is under 0.004 sigma against
+    tolerances of at least 0.12 sigma: the expansion's next terms (at most
+    0.002 sigma for these corpora) and the nearest-rank rule's rank offset
+    (q moves by at most 1/B, 0.002 sigma). The tolerances were fixed from
+    this derivation before the program's reports were looked at.
+
+    The first corpus has the cells of the benchmark's seed-1
+    ``model-validation`` corpus, where sigma = 0.00842.
+    """
+
+    CELLS = [(547, 125, 67, 1261), (91, 18, 34, 257), (300, 150, 120, 430)]
+    Z = 4.5
+    TAIL_Z = 1.959963984540054  # z at 0.975, the tails of coverage 0.95
+
+    @staticmethod
+    def _moments(cells, perf):
+        """mu, sigma and skewness of one iteration's difference."""
+        import math
+
+        tp, fn, fp, tn = cells
+        n = sum(cells)
+        if perf is None:
+            perf = ModelPerformance(tp / (tp + fn), fp / (fp + tn))
+        weighted = [
+            (count / n, (hit - perf.fpr) / (perf.recall - perf.fpr) - label)
+            for count, hit, label in ((tp, 1, 1), (fn, 0, 1), (fp, 1, 0), (tn, 0, 0))
+        ]
+        mu = sum(w * s for w, s in weighted)
+        var, third = (sum(w * (s - mu) ** k for w, s in weighted) for k in (2, 3))
+        return mu, math.sqrt(var / n), third / var**1.5 / math.sqrt(n)
+
+    def test_sigma_of_the_model_validation_corpus(self):
+        mu, sigma, _ = self._moments(self.CELLS[0], None)
+        assert abs(mu) < 1e-15
+        assert sigma == pytest.approx(0.00842, abs=5e-6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("perf_source", ["corpus", "config"])
+    @pytest.mark.parametrize("cells", CELLS, ids=lambda cells: "-".join(map(str, cells)))
+    def test_mean_and_interval_ends(self, term_model, default_perf, cells, perf_source, seed):
+        import math
+
+        perf = None if perf_source == "corpus" else default_perf
+        mu, sigma, skew = self._moments(cells, perf)
+        corpus = build_corpus(*cells)
+        iterations = 10_000
+        with Resamples(len(corpus), seed) as resamples:
+            report = bootstrap_difference_distribution(
+                corpus, term_model, resamples, perf=perf, iterations=iterations
+            )
+        assert report.coverage == 0.95
+        assert abs(report.mean_difference - mu) <= self.Z * sigma / math.sqrt(iterations)
+        z, tail = self.TAIL_Z, 0.025
+        density = math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+        tolerance = self.Z * sigma * math.sqrt(tail * (1 - tail) / iterations) / density
+        shift = (z * z - 1) * skew / 6
+        assert abs(report.interval_low - (mu + sigma * (-z + shift))) <= tolerance
+        assert abs(report.interval_high - (mu + sigma * (z + shift))) <= tolerance
 
 class TestSensitivity:
     def test_refused_exactly_when_no_resample_is_valid(self, term_model):
@@ -319,36 +426,39 @@ class TestSensitivity:
                 )
                 assert exists == ("tp" in kinds and "tn" in kinds), kinds
                 corpus = [cells[kind] for kind in kinds]
-                if exists:
-                    estimator_sensitivity(corpus, term_model, Resamples(n, n), iterations=2)
-                else:
-                    with pytest.raises(InputError, match="a true positive and a true negative"):
-                        estimator_sensitivity(corpus, term_model, Resamples(n, n), iterations=2)
+                with Resamples(n, n) as resamples:
+                    if exists:
+                        estimator_sensitivity(corpus, term_model, resamples, iterations=2)
+                    else:
+                        with pytest.raises(InputError, match="a true positive and a true negative"):
+                            estimator_sensitivity(corpus, term_model, resamples, iterations=2)
 
     def test_zero_variance_corpus(self, term_model):
         # duplicates of one always-hit positive and one never-hit negative:
         # every resample measures recall=1, fpr=0, so estimators never differ
         corpus = build_corpus(tp=25, fn=0, fp=0, tn=25)
-        report = estimator_sensitivity(corpus, term_model, Resamples(len(corpus), 2), iterations=100)
+        with Resamples(len(corpus), 2) as resamples:
+            report = estimator_sensitivity(corpus, term_model, resamples, iterations=100)
         for segment in report.segments:
             assert segment.max_abs_difference == 0.0
 
     def test_deterministic(self, term_model, validation_corpus):
-        a, b = (
-            estimator_sensitivity(
-                validation_corpus, term_model, Resamples(len(validation_corpus), 9), iterations=100
-            )
-            for _ in range(2)
-        )
+        reports = []
+        for _ in range(2):
+            with Resamples(len(validation_corpus), 9) as resamples:
+                reports.append(
+                    estimator_sensitivity(validation_corpus, term_model, resamples, iterations=100)
+                )
+        a, b = reports
         assert a == b
         assert a.seed == 9
 
     def test_rejects_bad_segment(self, term_model, validation_corpus):
-        with pytest.raises(ValueError):
+        with Resamples(len(validation_corpus), 0) as resamples, pytest.raises(ValueError):
             estimator_sensitivity(
                 validation_corpus,
                 term_model,
-                Resamples(len(validation_corpus), 0),
+                resamples,
                 iterations=10,
                 eval_segments=((0.5, 1.5),),
             )

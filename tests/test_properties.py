@@ -230,6 +230,123 @@ class TestCoChangeProperties:
             assert abs(forward.lift - backward.lift) <= 1e-9
 
 
+# Metric series for the relations of `cochange` and `twin`: few names and years,
+# so that entities overlap, and values from a small set besides any float, so
+# that ties and gaps of exactly a threshold occur. A series is keyed by a tuple
+# of names: (entity,) or (developer, project).
+_NAMES = ("e0", "e1", "e2", "e3", "e4")
+_DEVS = ("ann", "bob", "cy")
+_value = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0]) | st.floats(-1e3, 1e3)
+_points = st.dictionaries(st.integers(2017, 2019), _value, min_size=2)
+_entity = st.tuples(st.sampled_from(_NAMES))
+
+
+def _rows(series: dict[tuple, dict[int, float]]) -> list[tuple]:
+    """The CSV rows ``(*key, year, value)`` of the series."""
+    return [(*key, year, value) for key, points in series.items() for year, value in points.items()]
+
+
+_entity_rows = st.dictionaries(_entity, _points, min_size=3).map(_rows)
+# Two series of the same entities, so that adjacent-year pairs overlap.
+_paired_rows = st.dictionaries(_entity, st.tuples(_points, _points), min_size=1).map(
+    lambda series: tuple(_rows({key: pair[k] for key, pair in series.items()}) for k in (0, 1))
+)
+# Each developer in two projects or more, so that project pairs occur.
+_dev_rows = st.dictionaries(
+    st.sampled_from(_DEVS), st.dictionaries(st.sampled_from(_NAMES), _points, min_size=2),
+    min_size=1,
+).map(lambda devs: _rows({(d, p): points for d, ps in devs.items() for p, points in ps.items()}))
+_stats_flags = st.fixed_dictionaries(
+    {"delta": st.sampled_from([0.0, 0.1, 0.5]), "comparator": st.sampled_from(
+        ["auto", "strict", "inclusive"]), "sign": st.sampled_from([-1, 1])}
+)
+
+
+def _stats_run(files: dict[str, list[tuple]], argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``argv``, with the CSV files of ``files`` written.
+
+    Each file is a header and rows; the files are written under the same
+    names every time, so a report may name them and stay comparable.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (header, *rows) in files.items():
+            lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
+            (Path(tmp) / name).write_text("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.format(tmp=tmp) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestStatsRelations:
+    """Three relations that leave a `cochange` or `twin` report byte-identical.
+
+    Negating every value while flipping each improvement sign, permuting
+    the CSV rows, and renaming entities one to one (developers and projects
+    apart) change no comparison the studies make.
+    """
+
+    @staticmethod
+    def _negated(rows: list[tuple]) -> list[tuple]:
+        return [(*row[:-1], -row[-1]) for row in rows]
+
+    @given(_paired_rows, _stats_flags, st.sampled_from([-1, 1]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_cochange(self, rows, flags, sign_j, data):
+        header = ("entity", "year", "value")
+        rows_i, rows_j = rows
+
+        def run(rows_i, rows_j, sign_i, sign_j):
+            return _stats_run(
+                {"i.csv": [header, *rows_i], "j.csv": [header, *rows_j]},
+                ["cochange", "--series-i", "{tmp}/i.csv", "--series-j", "{tmp}/j.csv",
+                 "--delta-i", str(flags["delta"]), "--delta-j", "0.1",
+                 "--comparator", flags["comparator"],
+                 "--sign-i", str(sign_i), "--sign-j", str(sign_j)],
+            )
+
+        sign_i = flags["sign"]
+        report = run(rows_i, rows_j, sign_i, sign_j)
+        assert report[0] in (0, 3), report[2]
+        negated = run(self._negated(rows_i), self._negated(rows_j), -sign_i, -sign_j)
+        assert negated == report
+        permuted = run(data.draw(st.permutations(rows_i)), data.draw(st.permutations(rows_j)),
+                       sign_i, sign_j)
+        assert permuted == report
+        names = dict(zip(_NAMES, data.draw(st.permutations([f"r{n}" for n in _NAMES]))))
+        renamed = run([(names[e], *rest) for e, *rest in rows_i],
+                      [(names[e], *rest) for e, *rest in rows_j], sign_i, sign_j)
+        assert renamed == report
+
+    @given(_dev_rows, _entity_rows, _stats_flags, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_twin(self, dev_rows, project_rows, flags, data):
+        dev_header, project_header = ("developer", "project", "year", "value"), (
+            "entity", "year", "value")
+
+        def run(dev_rows, project_rows, sign):
+            return _stats_run(
+                {"dev.csv": [dev_header, *dev_rows], "proj.csv": [project_header, *project_rows]},
+                ["twin", "--dev-series", "{tmp}/dev.csv", "--project-series", "{tmp}/proj.csv",
+                 "--delta-project", str(flags["delta"]), "--delta-dev", "0.1",
+                 "--comparator", flags["comparator"], "--sign", str(sign)],
+            )
+
+        sign = flags["sign"]
+        report = run(dev_rows, project_rows, sign)
+        assert report[0] in (0, 3), report[2]
+        negated = run(self._negated(dev_rows), self._negated(project_rows), -sign)
+        assert negated == report
+        permuted = run(data.draw(st.permutations(dev_rows)),
+                       data.draw(st.permutations(project_rows)), sign)
+        assert permuted == report
+        devs = dict(zip(_DEVS, data.draw(st.permutations([f"d{d}" for d in _DEVS]))))
+        projects = dict(zip(_NAMES, data.draw(st.permutations([f"p{n}" for n in _NAMES]))))
+        renamed = run([(devs[d], projects[p], *rest) for d, p, *rest in dev_rows],
+                      [(projects[p], *rest) for p, *rest in project_rows], sign)
+        assert renamed == report
+
+
 class TestDeterminism:
     def test_report_bytes_stable(self, capsys):
         argv = ["--seed", "5", "validate-model", str(FIXTURES / "gold_corpus.tsv"),
