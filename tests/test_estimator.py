@@ -1,6 +1,7 @@
 """Estimator unit tests: MLE inversion, validity domain, bootstrap, ranking."""
 
 import itertools
+import math
 import re
 import threading
 from collections import Counter
@@ -317,7 +318,6 @@ def test_both_studies_refuse_iterations_out_of_bounds(term_model, validation_cor
                 study(validation_corpus, term_model, resamples, iterations=iterations)
 
 
-
 class TestBootstrapClosedForm:
     """The bootstrap report against the closed form of one iteration's difference.
 
@@ -358,8 +358,6 @@ class TestBootstrapClosedForm:
     @staticmethod
     def _moments(cells, perf):
         """mu, sigma and skewness of one iteration's difference."""
-        import math
-
         tp, fn, fp, tn = cells
         n = sum(cells)
         if perf is None:
@@ -381,8 +379,6 @@ class TestBootstrapClosedForm:
     @pytest.mark.parametrize("perf_source", ["corpus", "config"])
     @pytest.mark.parametrize("cells", CELLS, ids=lambda cells: "-".join(map(str, cells)))
     def test_mean_and_interval_ends(self, term_model, default_perf, cells, perf_source, seed):
-        import math
-
         perf = None if perf_source == "corpus" else default_perf
         mu, sigma, skew = self._moments(cells, perf)
         corpus = build_corpus(*cells)
