@@ -4,7 +4,7 @@ The caller classifies the commits and estimates the CCP; this module takes
 a corrective flag per commit, the involved authors' commit counts and the
 estimate as given. All distributions are capped (one-sided winsorizing at a
 corpus quantile) before averaging, so a handful of outliers cannot dominate
-a project mean.
+a project mean. Every mean is ``math.fsum(values) / len(values)``.
 Improvement-direction conventions: lower CCP is better, higher speed,
 retention and onboarding are better.
 """
@@ -15,7 +15,6 @@ import math
 from collections import Counter
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
-from statistics import fmean
 
 from .errors import InputError
 from .estimator import CcpEstimate
@@ -76,7 +75,7 @@ def coupling(capped: list[tuple[tuple[str, ...], float]]) -> float | None:
     """Mean capped files per commit of ``capped_sizes``; None when it is empty."""
     if not capped:
         return None
-    return fmean(size for _, size in capped)
+    return math.fsum(size for _, size in capped) / len(capped)
 
 
 def coupling_by_file(capped: list[tuple[tuple[str, ...], float]]) -> float | None:
@@ -87,15 +86,16 @@ def coupling_by_file(capped: list[tuple[tuple[str, ...], float]]) -> float | Non
             sizes_by_file.setdefault(path, []).append(size)
     if not sizes_by_file:
         return None
-    # fsum / len is how fmean averages a list, without its per-call overhead.
-    return fmean(math.fsum(sizes) / len(sizes) for sizes in sizes_by_file.values())
+    means = [math.fsum(sizes) / len(sizes) for sizes in sizes_by_file.values()]
+    return math.fsum(means) / len(means)
 
 
 def file_length_stats(head_listing: list[tuple[str, int]]) -> float:
     """Mean file size in KB over a HEAD snapshot listing, winsorized at CAP_QUANTILE."""
     if not head_listing:
         raise InputError("file_length_stats requires a non-empty listing")
-    return fmean(winsorize([float(size) for _, size in head_listing])) / 1024.0
+    sizes = winsorize([float(size) for _, size in head_listing])
+    return math.fsum(sizes) / len(sizes) / 1024.0
 
 
 def developer_speed(involved: Mapping[str, int]) -> float | None:
@@ -106,7 +106,7 @@ def developer_speed(involved: Mapping[str, int]) -> float | None:
     """
     if not involved:
         return None
-    return fmean(min(n, SPEED_CAP) for n in involved.values())
+    return math.fsum(min(n, SPEED_CAP) for n in involved.values()) / len(involved)
 
 
 def retention(year_t_involved: Set[str], year_t1_authors: set[str]) -> float | None:

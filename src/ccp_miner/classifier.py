@@ -70,10 +70,13 @@ def _compile_patterns(
                 )
             try:
                 regex = re.compile(pat, re.IGNORECASE)
-            except re.error as exc:
+            except (re.error, OverflowError, ValueError) as exc:
+                # A repeat count above the engine's bound is an OverflowError, and one
+                # of over 4,300 digits a ValueError. Raised from None: ``naming`` leaves
+                # an error caused by a ValueError to name its own file, as readers do.
                 raise ModelLoadError(
                     f"pattern {pat!r} in [{list_name}] does not compile: {exc}"
-                ) from exc
+                ) from None
             groups.setdefault(_leading_literal(pat), []).append((slot, regex))
     return tuple((literal, tuple(group)) for literal, group in groups.items())
 
@@ -141,65 +144,40 @@ class LabeledCommit:
                 )
 
 
-class UndefinedRateError(ValueError):
-    """A confusion-matrix rate was requested with a zero denominator."""
-
-
 @dataclass(frozen=True)
 class ConfusionMatrix:
+    """Counts of (label, verdict) pairs, and their rates: None where the denominator is 0."""
+
     tp: int
     fn: int
     fp: int
     tn: int
+    accuracy: float | None = field(init=False)
+    precision: float | None = field(init=False)
+    recall: float | None = field(init=False)
+    fpr: float | None = field(init=False)
+    hit_rate: float | None = field(init=False)
+    positive_rate: float | None = field(init=False)
 
     def __post_init__(self):
         if min(self.tp, self.fn, self.fp, self.tn) < 0:
             raise ValueError("confusion matrix counts must be non-negative")
-        if self.total == 0:
+        total = self.total
+        if total == 0:
             raise ValueError("confusion matrix must contain at least one count")
+        for name, num, den in (
+            ("accuracy", self.tp + self.tn, total),
+            ("precision", self.tp, self.tp + self.fp),
+            ("recall", self.tp, self.tp + self.fn),
+            ("fpr", self.fp, self.fp + self.tn),
+            ("hit_rate", self.tp + self.fp, total),
+            ("positive_rate", self.tp + self.fn, total),
+        ):
+            object.__setattr__(self, name, num / den if den else None)
 
     @property
     def total(self) -> int:
         return self.tp + self.fn + self.fp + self.tn
-
-    @staticmethod
-    def _rate(num: int, den: int, name: str) -> float:
-        if den == 0:
-            raise UndefinedRateError(f"{name} is undefined: zero denominator")
-        return num / den
-
-    @property
-    def accuracy(self) -> float:
-        return self._rate(self.tp + self.tn, self.total, "accuracy")
-
-    @property
-    def precision(self) -> float:
-        return self._rate(self.tp, self.tp + self.fp, "precision")
-
-    @property
-    def recall(self) -> float:
-        return self._rate(self.tp, self.tp + self.fn, "recall")
-
-    @property
-    def fpr(self) -> float:
-        return self._rate(self.fp, self.fp + self.tn, "fpr")
-
-    @property
-    def hit_rate(self) -> float:
-        return self._rate(self.tp + self.fp, self.total, "hit_rate")
-
-    @property
-    def positive_rate(self) -> float:
-        return self._rate(self.tp + self.fn, self.total, "positive_rate")
-
-    def as_dict(self) -> dict:
-        out = {"tp": self.tp, "fn": self.fn, "fp": self.fp, "tn": self.tn}
-        for name in ("accuracy", "precision", "recall", "fpr", "hit_rate", "positive_rate"):
-            try:
-                out[name] = getattr(self, name)
-            except UndefinedRateError:
-                out[name] = None
-        return out
 
 
 @dataclass(frozen=True)

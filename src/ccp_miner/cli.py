@@ -59,6 +59,7 @@ class RunConfig:
     """Resolved models, constants and output settings for one command run."""
 
     def __init__(self, args: argparse.Namespace):
+        # An empty CCP_MINER_CONFIG, like an unset one, names no config file.
         env_path = os.environ.get(CONFIG_ENV_VAR)
         env = ingestion.read_config(env_path, CONFIG_KEYS, ConfigError) if env_path else {}
 
@@ -73,29 +74,22 @@ class RunConfig:
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"{env_path}: bad value for {name}: {env[name]!r}") from exc
 
-        model_path = pick("model")
-        self.term_model = (
-            classifier.load_term_model(model_path)
-            if model_path
-            else classifier.load_default_term_model()
+        def load(name: str, read, read_default):
+            # A path that is given is read, also an empty one: its reader refuses it.
+            path = pick(name)
+            return read_default() if path is None else read(path)
+
+        self.term_model = load(
+            "model", classifier.load_term_model, classifier.load_default_term_model
         )
-        english_path = pick("english_model")
-        self.english_model = (
-            classifier.load_english_model(english_path)
-            if english_path
-            else classifier.load_default_english_model()
+        self.english_model = load(
+            "english_model", classifier.load_english_model, classifier.load_default_english_model
         )
-        perf_path = pick("perf")
-        self.performance = (
-            estimator.load_performance_config(perf_path)
-            if perf_path
-            else estimator.load_default_performance()
+        self.performance = load(
+            "perf", estimator.load_performance_config, estimator.load_default_performance
         )
-        table_path = pick("table")
-        self.table = (
-            estimator.load_distribution_table(table_path)
-            if table_path
-            else estimator.load_default_distribution_table()
+        self.table = load(
+            "table", estimator.load_distribution_table, estimator.load_default_distribution_table
         )
         self.year = pick("year", int)
         self.seed = pick("seed", _seed, 0)
@@ -144,11 +138,13 @@ def _read_commits(
     """
     if args.repo is not None and args.input_format != "git":
         raise ConfigError("--repo requires --input-format git")
+    if args.repo == "":
+        raise ConfigError("--repo must not be empty")
     for path in args.input:
         with ingestion.naming(path, InputError):
             if args.input_format == "git":
                 records = ingestion.read_records(path, "\x1e")
-                repo = args.repo or Path(path).stem
+                repo = Path(path).stem if args.repo is None else args.repo
                 result = ingestion.parse_raw_git_log(records, repo_id=repo, by_repo=by_repo)
             else:
                 result = ingestion.parse_git_log(ingestion.read_records(path, "\n"), by_repo)
@@ -241,13 +237,13 @@ def _file_size(text: str) -> int:
 def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     if config.enforce_selection and config.year is None:
         raise ConfigError("--enforce-selection requires --year")
-    if args.projects and not config.enforce_selection:
+    if args.projects is not None and not config.enforce_selection:
         raise ConfigError("--projects requires --enforce-selection")
     by_repo: ingestion.CommitTable = {}
     skipped = sum(parsed.skipped for parsed in _read_commits(args, by_repo))
 
     language = avg_kb = None
-    if args.head_listing:
+    if args.head_listing is not None:
         head_listing = list(
             ingestion.read_csv(args.head_listing, {"path": str, "size_bytes": _file_size})
         )
@@ -260,7 +256,7 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     exclusions: list[dict] = []
     if config.enforce_selection:
         metadata = (
-            ingestion.load_project_metadata(args.projects) if args.projects else {}
+            ingestion.load_project_metadata(args.projects) if args.projects is not None else {}
         )
         descriptors = [
             ingestion.ProjectDescriptor.from_commits(
@@ -365,7 +361,7 @@ def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
         report = {
             "meta": config.meta(),
             "report_type": "validate-model",
-            "confusion_matrix": classifier.evaluate_model(corpus, config.term_model).as_dict(),
+            "confusion_matrix": classifier.evaluate_model(corpus, config.term_model),
             "bootstrap": _bootstrap(args, config, corpus, resamples),
         }
     _emit(report, config)
@@ -400,28 +396,36 @@ def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_cochange(args: argparse.Namespace, config: RunConfig) -> int:
-    report = stats.co_change(
-        stats.load_series_csv(args.series_i),
-        stats.load_series_csv(args.series_j),
-        delta_i=args.delta_i,
-        delta_j=args.delta_j,
-        improvement_sign_i=args.sign_i,
-        improvement_sign_j=args.sign_j,
-        comparator=args.comparator,
-    )
+    series_i = stats.load_series_csv(args.series_i)
+    series_j = stats.load_series_csv(args.series_j)
+    # Series without a pair in common: the error names both files.
+    with ingestion.naming(f"{args.series_i} and {args.series_j}", InputError):
+        report = stats.co_change(
+            series_i,
+            series_j,
+            delta_i=args.delta_i,
+            delta_j=args.delta_j,
+            improvement_sign_i=args.sign_i,
+            improvement_sign_j=args.sign_j,
+            comparator=args.comparator,
+        )
     _emit({"meta": config.meta(), "report_type": "cochange", "cochange": report}, config)
     return EXIT_OK
 
 
 def cmd_twin(args: argparse.Namespace, config: RunConfig) -> int:
-    report = stats.twin_analysis(
-        stats.load_series_csv(args.dev_series, ("developer", "project")),
-        stats.load_series_csv(args.project_series),
-        delta_project=args.delta_project,
-        delta_dev=args.delta_dev,
-        improvement_sign=args.sign,
-        comparator=args.comparator,
-    )
+    dev_series = stats.load_series_csv(args.dev_series, ("developer", "project"))
+    project_series = stats.load_series_csv(args.project_series)
+    # Series without a qualifying pair: the error names both files.
+    with ingestion.naming(f"{args.dev_series} and {args.project_series}", InputError):
+        report = stats.twin_analysis(
+            dev_series,
+            project_series,
+            delta_project=args.delta_project,
+            delta_dev=args.delta_dev,
+            improvement_sign=args.sign,
+            comparator=args.comparator,
+        )
     _emit({"meta": config.meta(), "report_type": "twin", "twin": report}, config)
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .classifier import LabeledCommit, TermModel, classify_message
+from .classifier import ConfusionMatrix, LabeledCommit, TermModel, classify_message
 from .errors import ConfigError, InputError
 from .ingestion import read_config, read_csv
 
@@ -93,30 +93,26 @@ def estimate_ccp(k: int, n: int, perf: ModelPerformance) -> CcpEstimate:
 # ---------------------------------------------------------------------------
 # Performance measurement and config
 
-def fit_performance(labels: np.ndarray, hits: np.ndarray) -> ModelPerformance:
-    """Measure (recall, fpr) from parallel boolean label/hit arrays."""
-    import numpy as np
-
-    labels = np.asarray(labels, dtype=bool)
-    hits = np.asarray(hits, dtype=bool)
-    positives = int(labels.sum())
-    negatives = int((~labels).sum())
-    if positives == 0 or negatives == 0:
+def fit_performance(matrix: ConfusionMatrix) -> ModelPerformance:
+    """The (recall, fpr) measured on a labeled corpus, from its confusion matrix."""
+    if matrix.recall is None or matrix.fpr is None:
         raise InputError("performance measurement requires both positives and negatives")
-    recall = float((labels & hits).sum() / positives)
-    fpr = float((~labels & hits).sum() / negatives)
     try:
-        return ModelPerformance(recall=recall, fpr=fpr)
+        return ModelPerformance(recall=matrix.recall, fpr=matrix.fpr)
     except ConfigError as exc:  # the corpus is at fault, not a setting
         raise InputError(f"measured {exc}") from exc
 
 
-def _corpus_arrays(corpus: list[LabeledCommit], model: TermModel) -> tuple[np.ndarray, np.ndarray]:
+def _corpus_arrays(
+    corpus: list[LabeledCommit], model: TermModel
+) -> tuple[np.ndarray, np.ndarray, ConfusionMatrix]:
+    """The corpus's labels and classifier hits, and the confusion matrix they count."""
     import numpy as np
 
     labels = np.array([c.label for c in corpus], dtype=bool)
     hits = np.array([classify_message(c.message, model).corrective for c in corpus], dtype=bool)
-    return labels, hits
+    tn, fp, fn, tp = np.bincount(2 * labels + hits, minlength=4).tolist()
+    return labels, hits, ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
 
 
 # Indices per block of resamples: memory stays flat whatever the row count.
@@ -282,9 +278,9 @@ def bootstrap_difference_distribution(
         raise ValueError("coverage must be in (0, 1)")
     import numpy as np
 
-    labels, hits = _corpus_arrays(corpus, model)
+    labels, hits, matrix = _corpus_arrays(corpus, model)
     if perf is None:
-        perf = fit_performance(labels, hits)
+        perf = fit_performance(matrix)
     n = len(corpus)
     resamples.bind(labels, hits)
     positives, hit_counts, _ = resamples.counts(0, iterations)
@@ -353,8 +349,8 @@ def estimator_sensitivity(
             raise ValueError(f"eval segment [{low}, {high}] outside [0, 1]")
     import numpy as np
 
-    labels, hits = _corpus_arrays(corpus, model)
-    if not ((labels & hits).any() and (~labels & ~hits).any()):
+    labels, hits, matrix = _corpus_arrays(corpus, model)
+    if not (matrix.tp and matrix.tn):
         raise InputError(
             "sensitivity needs a true positive and a true negative: "
             "no resample of this corpus has recall > fpr"

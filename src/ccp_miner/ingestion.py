@@ -74,19 +74,21 @@ def _opened(path: str | Path, error: type[CcpMinerError]) -> Iterator[TextIO]:
         except OSError:
             pass
         raise error(f"{path} is not UTF-8") from exc
+    except ValueError as exc:  # open() refuses a path with a NUL in it
+        raise error(f"cannot read {path!r}: {exc}") from exc
 
 
 @contextmanager
 def naming(path: str | Path, error: type[CcpMinerError]) -> Iterator[None]:
     """Put ``path`` in front of an ``error`` raised inside, unless a reader raised it.
 
-    A reader's own error comes from an OSError or a UnicodeDecodeError and
-    names the file already.
+    A reader's own error comes from an OSError or a ValueError (bytes that
+    are not UTF-8, or a NUL in the path) and names the file already.
     """
     try:
         yield
     except error as exc:
-        if isinstance(exc.__cause__, (OSError, UnicodeDecodeError)):
+        if isinstance(exc.__cause__, (OSError, ValueError)):
             raise
         raise error(f"{path}: {exc}") from exc
 

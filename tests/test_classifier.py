@@ -12,7 +12,6 @@ from ccp_miner.classifier import (
     EnglishModel,
     LabeledCommit,
     TermModel,
-    UndefinedRateError,
     classify_message,
     english_hit_rate,
     evaluate_model,
@@ -334,8 +333,10 @@ class TestConfusionMatrix:
 
     def test_undefined_rate(self):
         matrix = ConfusionMatrix(tp=0, fn=0, fp=0, tn=5)
-        with pytest.raises(UndefinedRateError):
-            _ = matrix.recall
+        assert (matrix.recall, matrix.precision) == (None, None)
+        assert (matrix.accuracy, matrix.fpr, matrix.hit_rate, matrix.positive_rate) == (
+            1.0, 0.0, 0.0, 0.0
+        )
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):

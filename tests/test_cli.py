@@ -756,6 +756,66 @@ def test_a_flag_that_would_be_ignored_is_a_usage_error(capsys, tmp_path, argv, r
     assert (code, out, err) == (EXIT_CONFIG, "", f"configuration error: {rule}\n")
 
 
+# Each reads as a file that cannot be opened, whatever the kind of file.
+UNREADABLE_EMPTY = "cannot read : No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, err",
+    [
+        (["analyze", LOG, "--projects", ""], None, EXIT_CONFIG,
+         "configuration error: --projects requires --enforce-selection\n"),
+        (["--year", "2019", "analyze", LOG, "--projects", ""], None, EXIT_CONFIG,
+         "configuration error: --projects requires --enforce-selection\n"),
+        (["--year", "2019", "--enforce-selection", "analyze", LOG, "--projects", ""], None,
+         EXIT_INPUT, "input error: " + UNREADABLE_EMPTY),
+        (["analyze", LOG, "--head-listing", ""], None, EXIT_INPUT,
+         "input error: " + UNREADABLE_EMPTY),
+        (["--model", "", "rank", "--ccp", "0.2"], None, EXIT_CONFIG,
+         "configuration error: " + UNREADABLE_EMPTY),
+        (["--english-model", "", "rank", "--ccp", "0.2"], None, EXIT_CONFIG,
+         "configuration error: " + UNREADABLE_EMPTY),
+        (["--perf", "", "rank", "--ccp", "0.2"], None, EXIT_CONFIG,
+         "configuration error: " + UNREADABLE_EMPTY),
+        (["--table", "", "rank", "--ccp", "0.2"], None, EXIT_CONFIG,
+         "configuration error: " + UNREADABLE_EMPTY),
+        (["rank", "--ccp", "0.2"], "model=\n", EXIT_CONFIG,
+         "configuration error: " + UNREADABLE_EMPTY),
+        (["rank", "--ccp", "0.2"], "english_model=\n", EXIT_CONFIG,
+         "configuration error: " + UNREADABLE_EMPTY),
+        (["rank", "--ccp", "0.2"], "perf=\n", EXIT_CONFIG,
+         "configuration error: " + UNREADABLE_EMPTY),
+        (["rank", "--ccp", "0.2"], "table=\n", EXIT_CONFIG,
+         "configuration error: " + UNREADABLE_EMPTY),
+        (["rank", "--ccp", "0.2"], "model=a\0b\n", EXIT_CONFIG,
+         "configuration error: cannot read 'a\\x00b': embedded null byte\n"),
+        (["analyze", "{raw}", "--input-format", "git", "--repo", ""], None, EXIT_CONFIG,
+         "configuration error: --repo must not be empty\n"),
+    ],
+    ids=["projects", "projects-with-year", "projects-with-selection", "head-listing",
+         "model", "english-model", "perf", "table", "config-model", "config-english-model",
+         "config-perf", "config-table", "config-path-with-nul", "repo"],
+)
+def test_an_empty_path_that_is_given_is_refused(
+    capsys, tmp_path, monkeypatch, argv, config, code, err
+):
+    """A given path is read, so an empty one is an error, never the bundled file or none."""
+    raw = tmp_path / "H.gitlog"
+    raw.write_text("\x1eaaa\x1fann@x\x1f2019-01-01T00:00:00+00:00\x1fp\x1ffix crash\x1f\n")
+    if config is not None:
+        (tmp_path / "miner.cfg").write_text(config)
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(tmp_path / "miner.cfg"))
+    assert run(capsys, *(arg.format(raw=raw) for arg in argv)) == (code, "", err)
+
+
+def test_an_empty_config_variable_names_no_config_file(capsys, monkeypatch):
+    monkeypatch.setenv(CONFIG_ENV_VAR, "")
+    with_empty = run(capsys, "rank", "--ccp", "0.2")
+    monkeypatch.delenv(CONFIG_ENV_VAR)
+    assert with_empty == run(capsys, "rank", "--ccp", "0.2")
+    assert with_empty[0] == EXIT_OK
+
+
 @pytest.mark.parametrize(
     "command", [["bootstrap", "--sensitivity"], ["validate-model"]], ids=["bootstrap", "validate"]
 )
@@ -853,6 +913,10 @@ DEEP = b"".join(
          EXIT_CONFIG),
         ("model.terms", b"model_id: m\n[fix]\nfix(\n",
          ["--model", "{path}", "rank", "--ccp", "0.2"], EXIT_CONFIG),
+        ("model.terms", b"model_id: m\n[fix]\na{99999999999}\n",
+         ["--model", "{path}", "rank", "--ccp", "0.2"], EXIT_CONFIG),
+        ("model.terms", b"model_id: m\n[fix]\na{" + b"9" * 5000 + b"}\n",
+         ["--model", "{path}", "rank", "--ccp", "0.2"], EXIT_CONFIG),
         ("english.txt", b"the\nab\n", ["--english-model", "{path}", "rank", "--ccp", "0.2"],
          EXIT_CONFIG),
         ("table.csv", b"percentile,ccp\n10,0.3\n50,nan\n",
@@ -871,6 +935,7 @@ DEEP = b"".join(
          "env-config-latin1",
          "perf-latin1", "model-latin1", "raw-git-log-latin1", "ndjson-no-record",
          "ndjson-latin1", "raw-git-log-no-chunk", "model-outside-section", "model-bad-pattern",
+         "model-repeat-above-the-bound", "model-repeat-of-5000-digits",
          "english-model-short-word", "table-nan-threshold", "head-listing-negative",
          "validate-no-hit-corpus", "bootstrap-no-hit-corpus", "validate-all-positive-corpus",
          "bootstrap-all-positive-corpus", "perf-recall-not-above-fpr"],
@@ -1078,17 +1143,19 @@ def _subprocess_env() -> dict:
 
 def test_importing_the_cli_does_not_load_numpy(tmp_path):
     env = _subprocess_env()
-    # Nor the resample stream's executor and its queue: set-up imports neither.
+    # Nor the resample stream's executor and its queue: set-up imports neither. Nor
+    # statistics: analytics averages with math.fsum.
     probe = (
         "import sys, ccp_miner.cli as cli;"
         "cli.RunConfig(cli.build_parser().parse_args(['rank', '--ccp', '0.2']));"
-        "print(*(m in sys.modules for m in ('numpy', 'concurrent.futures', 'queue')))"
+        "print(*(m in sys.modules for m in ('numpy', 'concurrent.futures', 'queue', "
+        "'statistics')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False False"
+    assert proc.stdout.strip() == "False False False False"
 
     # The stats commands need no numpy either, so they must not pay for importing it.
     series = tmp_path / "series.csv"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccp_miner.classifier import ConfusionMatrix, evaluate_model
 from ccp_miner.errors import ConfigError, InputError
 from ccp_miner.estimator import (
     MAX_ITERATIONS,
@@ -464,14 +465,23 @@ class TestFitPerformance:
     def test_validation_counts(self, validation_corpus, term_model):
         from ccp_miner.estimator import _corpus_arrays
 
-        labels, hits = _corpus_arrays(validation_corpus, term_model)
-        perf = fit_performance(labels, hits)
-        assert perf.recall == pytest.approx(91 / 109)
-        assert perf.fpr == pytest.approx(34 / 291)
+        labels, hits, matrix = _corpus_arrays(validation_corpus, term_model)
+        assert matrix == evaluate_model(validation_corpus, term_model)
+        assert int(labels.sum()) == matrix.tp + matrix.fn
+        assert int(hits.sum()) == matrix.tp + matrix.fp
+        perf = fit_performance(matrix)
+        assert (perf.recall, perf.fpr) == (91 / 109, 34 / 291)
 
-    def test_requires_both_classes(self):
-        with pytest.raises(InputError):
-            fit_performance([True, True], [True, False])
+    @pytest.mark.parametrize(
+        "cells", [(1, 1, 0, 0), (0, 0, 1, 1)], ids=["no-negative", "no-positive"]
+    )
+    def test_requires_both_classes(self, cells):
+        with pytest.raises(InputError, match="requires both positives and negatives"):
+            fit_performance(ConfusionMatrix(*cells))
+
+    def test_recall_not_above_fpr_is_an_input_error(self):
+        with pytest.raises(InputError, match="^measured model performance requires"):
+            fit_performance(ConfusionMatrix(tp=1, fn=1, fp=1, tn=1))
 
 
 class TestRankOnScale:

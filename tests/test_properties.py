@@ -1,12 +1,16 @@
 """Property-based invariants over classification, estimation and analytics."""
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import random
+import re
 import tempfile
 import time
 from datetime import datetime, timedelta, timezone
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 from ccp_miner.analytics import winsorize
 from ccp_miner.classifier import classify_message, english_hit_rate
 from ccp_miner.cli import main
+from ccp_miner.errors import InputError
 from ccp_miner.estimator import (
     ModelPerformance,
     estimate_ccp,
@@ -30,7 +35,7 @@ from ccp_miner.ingestion import (
     _raw_record,
     select_projects,
 )
-from ccp_miner.stats import co_change
+from ccp_miner.stats import co_change, load_series_csv, twin_analysis
 
 from conftest import CELL_LINES, FIXTURES
 from test_analyze_reference import REPO_IDS, YEAR, _project, _project_commits
@@ -123,6 +128,101 @@ class TestLabeledCorpusExits:
                 ])
         assert code in (0, 3), err.getvalue()
         assert (code == 0) == (err.getvalue() == "")
+
+
+def _bundled(name: str) -> str:
+    return resources.files("ccp_miner.data").joinpath(name).read_text(encoding="utf-8")
+
+
+_LOG = str(FIXTURES / "log_small.ndjson")
+_ENTITY_SERIES = "entity,year,value\np,2018,0.5\np,2019,0.3\nq,2018,1.0\nq,2019,2.0\n"
+_DEVELOPER_SERIES = (
+    "developer,project,year,value\nann,p,2019,0.1\nann,q,2019,0.4\nbob,p,2019,0.2\n"
+    "bob,q,2019,0.3\n"
+)
+_RAW_LOG = (
+    "\x1eaaa\x1fann@x\x1f2019-01-01T00:00:00+00:00\x1fp\x1ffix crash\x1f\nsrc/a.c\n"
+    "\x1ebbb\x1fbob@x\x1f2019-02-01T10:00:00+02:00\x1fp q\x1fadd feature\n\nbody\x1f\n"
+    "src/b.c\nsrc/c.c\n"
+)
+# A good file of each input kind, and a command that reads it from "{path}"; a
+# CCP_MINER_CONFIG file is named by the variable.
+_INPUT_KINDS = {
+    "projects-csv": (
+        "repo_id,owner,name,is_fork\nacme/widget,acme,widget,no\nacme/gadget,acme,gadget,yes\n",
+        ["--year", "2019", "--enforce-selection", "analyze", _LOG, "--projects", "{path}"],
+    ),
+    "head-listing": (
+        "path,size_bytes\nsrc/main.c,1200\nsrc/auth.c,800\nsrc/auth.h,300\nREADME.md,90\n",
+        ["analyze", _LOG, "--head-listing", "{path}"],
+    ),
+    "entity-series": (
+        _ENTITY_SERIES, ["cochange", "--series-i", "{path}", "--series-j", "{good}"]
+    ),
+    "developer-series": (
+        _DEVELOPER_SERIES, ["twin", "--dev-series", "{path}", "--project-series", "{good}"]
+    ),
+    "term-model": (_bundled("default_model.terms"), ["--model", "{path}", "classify", _LOG]),
+    "english-model": (
+        _bundled("english_top100.txt"), ["--english-model", "{path}", "analyze", _LOG]
+    ),
+    "perf-config": (_bundled("performance.cfg"), ["--perf", "{path}", "analyze", _LOG]),
+    "distribution-table": (
+        _bundled("ccp_distribution.csv"), ["--table", "{path}", "rank", "--ccp", "0.2"]
+    ),
+    "config-file": ("seed=3\nyear=2019\nformat=json\nenforce_selection=no\n", ["analyze", _LOG]),
+    "ndjson-log": (Path(_LOG).read_text(encoding="utf-8"), ["analyze", "{path}"]),
+    "raw-log": (_RAW_LOG, ["analyze", "{path}", "--input-format", "git", "--repo", "widget"]),
+}
+# Tokens an edit may insert: bytes and numbers readers must refuse or survive,
+# regex metacharacters, line and field separators, and section headers.
+_FUZZ_TOKENS = [
+    "\x00", "nan", "NaN", "inf", "-inf", "1e400", "9" * 5000, "-1", "0", "(", ")", "[", "]",
+    "{", "}", "*", "+", "?", "\\", "|", "^", "$", ".", "\ufeff", "\x85", "\x1c", "\x1d",
+    "\x1e", "\x1f", "\n", "\r", ",", "=", ":", '"', "[fix]", "[negation]", "[other]",
+    "model_id:",
+]
+
+
+@st.composite
+def _mutated(draw, text: str) -> str:
+    """``text`` after one to four edits, each inserting or deleting one token."""
+    tokens = re.findall(r"\w+|\W", text)
+    own = st.sampled_from(sorted(set(tokens)))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(tokens)))
+        if i < len(tokens) and draw(st.booleans()):
+            del tokens[i]
+        else:
+            tokens.insert(i, draw(st.sampled_from(_FUZZ_TOKENS) | own))
+    return "".join(tokens)
+
+
+class TestInputKindExits:
+    @pytest.mark.parametrize("kind", sorted(_INPUT_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_mutated_input_ends_with_a_report_or_an_error_naming_it(self, kind, data):
+        """Exit 0, or 2 or 3 with a message naming the file; never exit 4."""
+        good, argv = _INPUT_KINDS[kind]
+        text = data.draw(_mutated(good), label="text")
+        with tempfile.TemporaryDirectory() as tmp:
+            path, other = Path(tmp) / "input", Path(tmp) / "good.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            other.write_text(_ENTITY_SERIES)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.ExitStack() as stack:
+                if kind == "config-file":
+                    stack.enter_context(pytest.MonkeyPatch.context()).setenv(
+                        "CCP_MINER_CONFIG", str(path)
+                    )
+                stack.enter_context(contextlib.redirect_stdout(out))
+                stack.enter_context(contextlib.redirect_stderr(err))
+                code = main([arg.format(path=path, good=other) for arg in argv])
+        assert code in (0, 2, 3), err.getvalue()
+        assert (code == 0) == (err.getvalue() == ""), err.getvalue()
+        if code:
+            assert str(path) in err.getvalue()
 
 
 class TestWinsorizeProperties:
@@ -236,7 +336,7 @@ class TestCoChangeProperties:
 # of names: (entity,) or (developer, project).
 _NAMES = ("e0", "e1", "e2", "e3", "e4")
 _DEVS = ("ann", "bob", "cy")
-_value = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0]) | st.floats(-1e3, 1e3)
+_value = st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 1.0]) | st.floats(-1e3, 1e3)
 _points = st.dictionaries(st.integers(2017, 2019), _value, min_size=2)
 _entity = st.tuples(st.sampled_from(_NAMES))
 
@@ -266,7 +366,8 @@ def _stats_run(files: dict[str, list[tuple]], argv: list[str]) -> tuple[int, str
     """Exit code, stdout and stderr of ``argv``, with the CSV files of ``files`` written.
 
     Each file is a header and rows; the files are written under the same
-    names every time, so a report may name them and stay comparable.
+    names every time, and stderr reads their directory as ``{tmp}``, so a
+    report or an error may name them and stay comparable.
     """
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -275,7 +376,7 @@ def _stats_run(files: dict[str, list[tuple]], argv: list[str]) -> tuple[int, str
             (Path(tmp) / name).write_text("\n".join(lines) + "\n")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([arg.format(tmp=tmp) for arg in argv])
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue().replace(tmp, "{tmp}")
 
 
 class TestStatsRelations:
@@ -345,6 +446,75 @@ class TestStatsRelations:
         renamed = run([(devs[d], projects[p], *rest) for d, p, *rest in dev_rows],
                       [(projects[p], *rest) for p, *rest in project_rows], sign)
         assert renamed == report
+
+
+def _twin_oracle(dev_rows, project_rows, delta_project, delta_dev, sign, comparator):
+    """The `twin_analysis` report of these CSV rows, by brute force from its docstring.
+
+    A case is a developer, a year and two projects, each with a row of the
+    developer's in that year and a project row in that year. It qualifies when
+    one project is better than the other by more than ``delta_project``, and
+    succeeds when the developer's own value is better in the better project by
+    more than ``delta_dev``. "Better by more than" compares ``sign`` times the
+    difference with the threshold: strictly, or inclusively for ``inclusive``
+    and for ``auto`` at a positive threshold. Each ordered pair of the
+    developer's rows is tried as (better, worse), so a pair of projects counts
+    once. None when no case qualifies.
+    """
+
+    def beats(gap, delta):
+        inclusive = comparator == "inclusive" or (comparator == "auto" and delta > 0)
+        return gap >= delta if inclusive else gap > delta
+
+    def project_value(project, year):
+        values = [v for p, y, v in project_rows if (p, y) == (project, year)]
+        return values[0] if values else None
+
+    qualifying = successes = 0
+    for dev_a, project_a, year_a, value_a in dev_rows:
+        for dev_b, project_b, year_b, value_b in dev_rows:
+            if (dev_a, year_a) != (dev_b, year_b) or project_a == project_b:
+                continue
+            better, worse = project_value(project_a, year_a), project_value(project_b, year_b)
+            if better is None or worse is None:
+                continue
+            gap = sign * (better - worse)
+            if gap > 0 and beats(gap, delta_project):
+                qualifying += 1
+                successes += beats(sign * (value_a - value_b), delta_dev)
+    if not qualifying:
+        return None
+    return {
+        "n_developer_pairs": qualifying,
+        "precision": successes / qualifying,
+        "delta_project": delta_project,
+        "delta_dev": delta_dev,
+        "comparator": ("strict" if delta_project == 0 else "inclusive")
+        if comparator == "auto" else comparator,
+    }
+
+
+class TestTwinOracle:
+    @given(_dev_rows, _entity_rows)
+    @settings(max_examples=40, deadline=None)
+    def test_twin_analysis_reports_the_brute_force_count(self, dev_rows, project_rows):
+        """Every sign, comparator and pair of thresholds, on the series the CSV loader reads."""
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {"dev.csv": [("developer", "project", "year", "value"), *dev_rows],
+                     "proj.csv": [("entity", "year", "value"), *project_rows]}
+            for name, rows in files.items():
+                (Path(tmp) / name).write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+            dev_series = load_series_csv(Path(tmp) / "dev.csv", ("developer", "project"))
+            project_series = load_series_csv(Path(tmp) / "proj.csv")
+        for flags in itertools.product(
+            [0.0, 0.25, 0.5], [0.0, 0.25, 0.5], [-1, 1], ["auto", "strict", "inclusive"]
+        ):
+            expected = _twin_oracle(dev_rows, project_rows, *flags)
+            try:
+                report = dataclasses.asdict(twin_analysis(dev_series, project_series, *flags))
+            except InputError:
+                report = None
+            assert report == expected, flags
 
 
 class TestDeterminism:
