@@ -72,11 +72,10 @@ def _compile_patterns(
                 regex = re.compile(pat, re.IGNORECASE)
             except (re.error, OverflowError, ValueError) as exc:
                 # A repeat count above the engine's bound is an OverflowError, and one
-                # of over 4,300 digits a ValueError. Raised from None: ``naming`` leaves
-                # an error caused by a ValueError to name its own file, as readers do.
+                # of over 4,300 digits a ValueError.
                 raise ModelLoadError(
                     f"pattern {pat!r} in [{list_name}] does not compile: {exc}"
-                ) from None
+                ) from exc
             groups.setdefault(_leading_literal(pat), []).append((slot, regex))
     return tuple((literal, tuple(group)) for literal, group in groups.items())
 
@@ -236,8 +235,8 @@ def load_term_model(path: str | Path) -> TermModel:
     Malformed patterns raise ModelLoadError here, never mid-classification;
     every ModelLoadError names the file.
     """
-    with naming(path, ModelLoadError):
-        return parse_term_model(read_records(path, "\n", ModelLoadError))
+    with naming(path, error=ModelLoadError):
+        return parse_term_model(read_records(path, "\n"))
 
 
 def load_default_term_model() -> TermModel:
@@ -247,8 +246,8 @@ def load_default_term_model() -> TermModel:
 
 def load_english_model(path: str | Path) -> EnglishModel:
     """Load an english model file: one lowercase word per line. Its errors name the file."""
-    with naming(path, ModelLoadError):
-        words = (w.strip() for w in read_records(path, "\n", ModelLoadError))
+    with naming(path, error=ModelLoadError):
+        words = (w.strip() for w in read_records(path, "\n"))
         return EnglishModel(words=frozenset(filter(None, words)))
 
 
@@ -266,26 +265,27 @@ def load_labeled_corpus(path: str | Path) -> list[LabeledCommit]:
     Only LF, CR or CRLF ends a line; a form feed or U+2028 is message text.
     """
     corpus = []
-    for lineno, raw in enumerate(read_records(path, "\n"), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        votes = parts[2].strip().split(",") if len(parts) == 3 and parts[2].strip() else []
-        if (
-            len(parts) not in (2, 3)
-            or parts[0] not in ("0", "1")
-            or any(v not in ("0", "1") for v in votes)
-        ):
-            raise InputError(f"{path}, line {lineno}: malformed corpus line {raw!r}")
-        votes = tuple(v == "1" for v in votes) or None
-        try:
-            corpus.append(
-                LabeledCommit(message=parts[1], label=parts[0] == "1", annotator_labels=votes)
-            )
-        except ValueError as exc:
-            raise InputError(f"{path}, line {lineno}: {exc}") from exc
-    if not corpus:
-        raise InputError(f"corpus {path} contains no records")
+    with naming(path, error=InputError):
+        for lineno, raw in enumerate(read_records(path, "\n"), start=1):
+            if not raw.strip():
+                continue
+            parts = raw.split("\t")
+            votes = parts[2].strip().split(",") if len(parts) == 3 and parts[2].strip() else []
+            if (
+                len(parts) not in (2, 3)
+                or parts[0] not in ("0", "1")
+                or any(v not in ("0", "1") for v in votes)
+            ):
+                raise InputError(f"line {lineno}: malformed corpus line {raw!r}")
+            votes = tuple(v == "1" for v in votes) or None
+            try:
+                corpus.append(
+                    LabeledCommit(message=parts[1], label=parts[0] == "1", annotator_labels=votes)
+                )
+            except ValueError as exc:
+                raise InputError(f"line {lineno}: {exc}") from exc
+        if not corpus:
+            raise InputError("the corpus contains no records")
     return corpus
 
 

@@ -59,25 +59,21 @@ class RunConfig:
     """Resolved models, constants and output settings for one command run."""
 
     def __init__(self, args: argparse.Namespace):
+        # A flag wins over the config file; each file value a flag leaves is converted here.
+        picked = {name: getattr(args, name, None) for name in CONFIG_KEYS}
         # An empty CCP_MINER_CONFIG, like an unset one, names no config file.
-        env_path = os.environ.get(CONFIG_ENV_VAR)
-        env = ingestion.read_config(env_path, CONFIG_KEYS, ConfigError) if env_path else {}
-
-        def pick(name: str, convert=str, default=None):
-            value = getattr(args, name, None)
-            if value is not None:
-                return value
-            if name not in env:
-                return default
-            try:
-                return convert(env[name])
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"{env_path}: bad value for {name}: {env[name]!r}") from exc
+        if env_path := os.environ.get(CONFIG_ENV_VAR):
+            with ingestion.naming(env_path, error=ConfigError):
+                for name, text in ingestion.read_config(env_path, CONFIG_KEYS).items():
+                    if picked[name] is None:
+                        try:
+                            picked[name] = _CONFIG_VALUES.get(name, str)(text)
+                        except (ValueError, argparse.ArgumentTypeError) as exc:
+                            raise ConfigError(f"bad value for {name}: {text!r}") from exc
 
         def load(name: str, read, read_default):
             # A path that is given is read, also an empty one: its reader refuses it.
-            path = pick(name)
-            return read_default() if path is None else read(path)
+            return read_default() if picked[name] is None else read(picked[name])
 
         self.term_model = load(
             "model", classifier.load_term_model, classifier.load_default_term_model
@@ -91,10 +87,10 @@ class RunConfig:
         self.table = load(
             "table", estimator.load_distribution_table, estimator.load_default_distribution_table
         )
-        self.year = pick("year", int)
-        self.seed = pick("seed", _seed, 0)
-        self.output_format = pick("format", _output_format, "json")
-        self.enforce_selection = pick("enforce_selection", ingestion.read_flag, False)
+        self.year = picked["year"]
+        self.seed = picked["seed"] or 0
+        self.output_format = picked["format"] or "json"
+        self.enforce_selection = bool(picked["enforce_selection"])
 
         fingerprint = {
             "tool_version": __version__,
@@ -141,7 +137,7 @@ def _read_commits(
     if args.repo == "":
         raise ConfigError("--repo must not be empty")
     for path in args.input:
-        with ingestion.naming(path, InputError):
+        with ingestion.naming(path, error=InputError):
             if args.input_format == "git":
                 records = ingestion.read_records(path, "\x1e")
                 repo = Path(path).stem if args.repo is None else args.repo
@@ -244,9 +240,10 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
 
     language = avg_kb = None
     if args.head_listing is not None:
-        head_listing = list(
-            ingestion.read_csv(args.head_listing, {"path": str, "size_bytes": _file_size})
-        )
+        with ingestion.naming(args.head_listing, error=InputError):
+            head_listing = list(
+                ingestion.read_csv(args.head_listing, {"path": str, "size_bytes": _file_size})
+            )
         if head_listing:
             language = analytics.dominant_language(head_listing)
             avg_kb = analytics.file_length_stats(head_listing)
@@ -355,7 +352,7 @@ def cmd_validate_model(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = classifier.load_labeled_corpus(args.corpus)
     # The study's resamples are drawn on a worker while the corpus is classified.
     with (
-        ingestion.naming(args.corpus, InputError),
+        ingestion.naming(args.corpus, error=InputError),
         estimator.Resamples(len(corpus), config.seed) as resamples,
     ):
         report = {
@@ -375,7 +372,7 @@ def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
     # Both studies read one stream of resamples, drawn on a worker while they
     # classify and count; the rows both read are drawn once.
     with (
-        ingestion.naming(args.corpus, InputError),
+        ingestion.naming(args.corpus, error=InputError),
         estimator.Resamples(len(corpus), config.seed) as resamples,
     ):
         report = {
@@ -399,7 +396,7 @@ def cmd_cochange(args: argparse.Namespace, config: RunConfig) -> int:
     series_i = stats.load_series_csv(args.series_i)
     series_j = stats.load_series_csv(args.series_j)
     # Series without a pair in common: the error names both files.
-    with ingestion.naming(f"{args.series_i} and {args.series_j}", InputError):
+    with ingestion.naming(args.series_i, args.series_j, error=InputError):
         report = stats.co_change(
             series_i,
             series_j,
@@ -417,7 +414,7 @@ def cmd_twin(args: argparse.Namespace, config: RunConfig) -> int:
     dev_series = stats.load_series_csv(args.dev_series, ("developer", "project"))
     project_series = stats.load_series_csv(args.project_series)
     # Series without a qualifying pair: the error names both files.
-    with ingestion.naming(f"{args.dev_series} and {args.project_series}", InputError):
+    with ingestion.naming(args.dev_series, args.project_series, error=InputError):
         report = stats.twin_analysis(
             dev_series,
             project_series,
@@ -461,6 +458,10 @@ _iterations = _bounded(
 )
 _seed = _bounded(int, lambda v: v >= 0, ">= 0")  # also the config file's seed
 _output_format = _bounded(str, FORMATS.__contains__, "json or csv")  # the config file's format
+# The config file's values that are not paths, by key.
+_CONFIG_VALUES = {
+    "year": int, "seed": _seed, "format": _output_format, "enforce_selection": ingestion.read_flag
+}
 
 
 def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:

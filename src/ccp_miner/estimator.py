@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .classifier import ConfusionMatrix, LabeledCommit, TermModel, classify_message
 from .errors import ConfigError, InputError
-from .ingestion import read_config, read_csv
+from .ingestion import naming, read_config, read_csv
 
 if TYPE_CHECKING:
     import numpy as np
@@ -212,13 +212,12 @@ class Resamples:
 
 def load_performance_config(path: str | Path) -> ModelPerformance:
     """Load a ``recall= / fpr= / model_id=`` key-value config file; ``model_id`` is a label."""
-    values = read_config(path, ("recall", "fpr", "model_id"), ConfigError)
-    try:
-        return ModelPerformance(recall=float(values["recall"]), fpr=float(values["fpr"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"performance config {path} needs numeric 'recall' and 'fpr'") from exc
-    except ConfigError as exc:  # recall and fpr out of their domain
-        raise ConfigError(f"{path}: {exc}") from exc
+    with naming(path, error=ConfigError):
+        values = read_config(path, ("recall", "fpr", "model_id"))
+        try:
+            return ModelPerformance(recall=float(values["recall"]), fpr=float(values["fpr"]))
+        except (KeyError, ValueError) as exc:
+            raise ConfigError("performance config needs numeric 'recall' and 'fpr'") from exc
 
 
 def load_default_performance() -> ModelPerformance:
@@ -445,11 +444,8 @@ class PercentileBand:
 
 def load_distribution_table(path: str | Path) -> DistributionTable:
     """Load a ``percentile,ccp`` CSV sorted ascending by percentile; its errors name the file."""
-    rows = tuple(read_csv(path, {"percentile": int, "ccp": float}, ConfigError))
-    try:
-        return DistributionTable(rows=rows)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    with naming(path, error=ConfigError):
+        return DistributionTable(rows=tuple(read_csv(path, {"percentile": int, "ccp": float})))
 
 
 def load_default_distribution_table() -> DistributionTable:

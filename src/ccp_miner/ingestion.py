@@ -2,8 +2,9 @@
 
 Every input file is opened by ``_opened`` as UTF-8 text, a leading byte-order
 mark dropped, in which only LF, CRLF or a lone CR ends a line, and streamed by
-``read_csv`` (CSV files) or ``read_records`` (the rest), whose errors name the
-file.
+``read_csv`` (CSV files) or ``read_records`` (the rest). Their errors name no
+file: each loader reads its file inside ``naming``, which puts the file's
+quoted path in front of the error.
 
 The canonical commit export format is newline-delimited JSON, one object per
 commit with string keys ``repo``, ``hash``, ``author``, ``ts`` (ISO-8601) and
@@ -40,19 +41,19 @@ INVOLVED_COMMITS = 12  # non-merge commits in a year for an involved developer
 
 
 @contextmanager
-def _opened(path: str | Path, error: type[CcpMinerError]) -> Iterator[TextIO]:
+def _opened(path: str | Path) -> Iterator[TextIO]:
     """The file at ``path`` as UTF-8 text with universal newlines: LF, CRLF and CR read as LF.
 
     A byte-order mark at the start is not part of the text. An unreadable
-    file or bytes that are not UTF-8 raise ``error`` naming the file and,
-    read again as bytes in blocks of RECORD_BLOCK, the offset of the first
-    bad byte in the file.
+    file or bytes that are not UTF-8 raise InputError; for bytes, with the
+    offset of the first bad one, found by reading the file again as bytes
+    in blocks of RECORD_BLOCK.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise InputError(f"cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         import codecs
 
@@ -70,43 +71,40 @@ def _opened(path: str | Path, error: type[CcpMinerError]) -> Iterator[TextIO]:
                     fed += len(block)
         except UnicodeDecodeError as bad:
             offset = fed - held + bad.start
-            raise error(f"{path} is not UTF-8: byte {offset} is {bad.object[bad.start]:#04x}") from exc
+            raise InputError(f"not UTF-8: byte {offset} is {bad.object[bad.start]:#04x}") from exc
         except OSError:
             pass
-        raise error(f"{path} is not UTF-8") from exc
+        raise InputError("not UTF-8") from exc
     except ValueError as exc:  # open() refuses a path with a NUL in it
-        raise error(f"cannot read {path!r}: {exc}") from exc
+        raise InputError(f"cannot read: {exc}") from exc
 
 
 @contextmanager
-def naming(path: str | Path, error: type[CcpMinerError]) -> Iterator[None]:
-    """Put ``path`` in front of an ``error`` raised inside, unless a reader raised it.
+def naming(*paths: str | Path, error: type[CcpMinerError]) -> Iterator[None]:
+    """Raise any CcpMinerError raised inside as ``error``, with the quoted ``paths`` in front.
 
-    A reader's own error comes from an OSError or a ValueError (bytes that
-    are not UTF-8, or a NUL in the path) and names the file already.
+    This is the one place an error names its files: ``'<path>': <detail>``,
+    several paths joined by `` and ``.
     """
     try:
         yield
-    except error as exc:
-        if isinstance(exc.__cause__, (OSError, ValueError)):
-            raise
-        raise error(f"{path}: {exc}") from exc
+    except CcpMinerError as exc:
+        quoted = " and ".join(repr(str(p)) for p in paths)
+        raise error(f"{quoted}: {exc}") from exc
 
 
 # Characters read_records reads at a time (bytes, where _opened looks for a bad byte).
 RECORD_BLOCK = 1 << 16
 
 
-def read_records(
-    path: str | Path, sep: str, error: type[CcpMinerError] = InputError
-) -> Iterator[str]:
+def read_records(path: str | Path, sep: str) -> Iterator[str]:
     """Yield the ``sep``-separated records of ``path``, read in blocks, never the file whole.
 
     The text is read as ``_opened`` reads it, and split as ``text.split(sep)``
     splits it. A record that spans many blocks is joined once, so a long
     record, or a file without ``sep``, stays linear.
     """
-    with _opened(path, error) as fh:
+    with _opened(path) as fh:
         pieces: list[str] = []
         while block := fh.read(RECORD_BLOCK):
             *records, last = block.split(sep)
@@ -120,28 +118,24 @@ def read_records(
         yield "".join(pieces)
 
 
-def read_csv(
-    path: str | Path,
-    columns: Mapping[str, Callable[[str], object]],
-    error: type[CcpMinerError] = InputError,
-) -> Iterator[tuple]:
+def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], object]]) -> Iterator[tuple]:
     """Yield the ``columns`` of each row of a CSV file with a header line.
 
     ``columns`` maps header names to converters; each tuple holds the converted
     values in that order. Blank lines are skipped, as ``csv.DictReader`` does,
     and a CR or CRLF in a quoted field reads as LF. A missing column, a short
-    row or a value its converter rejects raises ``error`` naming file and line.
+    row or a value its converter rejects raises InputError naming the line.
     """
-    try:
-        with _opened(path, error) as fh:
-            rows = csv.reader(fh)
+    with _opened(path) as fh:
+        rows = csv.reader(fh)
+        try:
             header = next(rows, None)
             if header is None:
                 return
             positions = {name: i for i, name in enumerate(header)}
             missing = [name for name in columns if name not in positions]
             if missing:
-                raise error(f"{path}: missing column(s) {', '.join(missing)}")
+                raise InputError(f"missing column(s) {', '.join(missing)}")
             wanted = [positions[name] for name in columns]
             width = max(wanted) + 1
             # csv.reader hands out a fresh list per row, so converting in place
@@ -154,39 +148,37 @@ def read_csv(
                 if len(row) < width:
                     if not row:
                         continue
-                    raise error(f"{path}, line {rows.line_num}: {len(row)} fields, need {width}")
+                    raise InputError(f"line {rows.line_num}: {len(row)} fields, need {width}")
                 try:
                     for i, fn in typed:
                         row[i] = fn(row[i])
                 except ValueError as exc:
-                    raise error(f"{path}, line {rows.line_num}: {exc}") from exc
+                    raise InputError(f"line {rows.line_num}: {exc}") from exc
                 yield pick(row)
-    except csv.Error as exc:
-        raise error(f"{path}: {exc}") from exc
+        except csv.Error as exc:
+            raise InputError(f"line {rows.line_num}: {exc}") from exc
 
 
-def read_config(
-    path: str | Path, keys: Iterable[str], error: type[CcpMinerError]
-) -> dict[str, str]:
+def read_config(path: str | Path, keys: Iterable[str]) -> dict[str, str]:
     """Read a ``key=value`` file: ``#`` comments, blank lines, one pair a line.
 
     Dashes in keys read as underscores. A line without ``=``, a key not in
-    ``keys`` or a key given twice raises ``error`` naming the file and line.
+    ``keys`` or a key given twice raises InputError naming the line.
     """
     known = set(keys)
     values = {}
-    for lineno, raw in enumerate(read_records(path, "\n", error), start=1):
+    for lineno, raw in enumerate(read_records(path, "\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise error(f"{path}, line {lineno}: expected key=value, got {line!r}")
+            raise InputError(f"line {lineno}: expected key=value, got {line!r}")
         key = key.strip().replace("-", "_")
         if key not in known:
-            raise error(f"{path}, line {lineno}: unknown key {key!r}; known: {sorted(known)}")
+            raise InputError(f"line {lineno}: unknown key {key!r}; known: {sorted(known)}")
         if key in values:
-            raise error(f"{path}, line {lineno}: key {key!r} is given twice")
+            raise InputError(f"line {lineno}: key {key!r} is given twice")
         values[key] = value.strip()
     return values
 
@@ -222,7 +214,6 @@ CommitTable = dict[str, dict[str, Commit]]
 class ParseResult:
     records: list[Commit]  # the commits this parse kept, in input order
     skipped: int
-    by_repo: CommitTable  # every commit kept, by earlier parses into the same table too
 
 
 def _utc_year(text: str) -> int:
@@ -332,7 +323,7 @@ def _accept(
             kept.append(commit)
     if not kept and not repeated:
         raise InputError(f"no parseable commit records (skipped {unparsed} {unit})")
-    return ParseResult(records=kept, skipped=unparsed + repeated, by_repo=by_repo)
+    return ParseResult(records=kept, skipped=unparsed + repeated)
 
 
 def parse_git_log(lines: Iterable[str], by_repo: CommitTable | None = None) -> ParseResult:
@@ -523,4 +514,5 @@ def load_project_metadata(path: str | Path) -> dict[str, tuple[str, str, bool]]:
     columns = {
         "repo_id": unique, "owner": str, "name": str, "is_fork": lambda t: read_flag(t, "is_fork")
     }
-    return {row[0]: row[1:] for row in read_csv(path, columns)}
+    with naming(path, error=InputError):
+        return {row[0]: row[1:] for row in read_csv(path, columns)}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError
-from .ingestion import read_csv
+from .ingestion import naming, read_csv
 
 
 def _finite(text: str) -> float:
@@ -42,17 +42,18 @@ def load_series_csv(
     n = len(keys)
     key_of = operator.itemgetter(*range(n))
     series: dict[str | tuple[str, ...], dict[int, float]] = {}
-    for row in read_csv(path, {**dict.fromkeys(keys, str), "year": int, "value": _finite}):
-        key = key_of(row)
-        year = row[n]
-        points = series.get(key)
-        if points is None:
-            series[key] = {year: row[n + 1]}
-        elif year in points:
-            named = " in ".join(f"{name} {text!r}" for name, text in zip(keys, row))
-            raise InputError(f"duplicate year {year} for {named} in {path}")
-        else:
-            points[year] = row[n + 1]
+    with naming(path, error=InputError):
+        for row in read_csv(path, {**dict.fromkeys(keys, str), "year": int, "value": _finite}):
+            key = key_of(row)
+            year = row[n]
+            points = series.get(key)
+            if points is None:
+                series[key] = {year: row[n + 1]}
+            elif year in points:
+                named = " in ".join(f"{name} {text!r}" for name, text in zip(keys, row))
+                raise InputError(f"duplicate year {year} for {named}")
+            else:
+                points[year] = row[n + 1]
     return series
 
 

@@ -184,9 +184,7 @@ def reference_read_commits(args: argparse.Namespace) -> ReferenceParseResult:
                 else:
                     result = reference_parse_git_log(fh, seen=seen)
         except InputError as exc:
-            if isinstance(exc.__cause__, (OSError, UnicodeDecodeError)):
-                raise  # the reader's error, which names the file already
-            raise InputError(f"{path}: {exc}") from exc
+            raise InputError(f"{str(path)!r}: {exc}") from exc
         merged.records.extend(result.records)
         merged.skipped += result.skipped
     return merged

@@ -388,7 +388,7 @@ class TestLabeledCorpus:
     def test_bad_votes_or_extra_column_is_a_named_input_error(self, tmp_path, line):
         corpus = tmp_path / "corpus.tsv"
         corpus.write_text(f"1\tfix the crash\n{line}\n")
-        with pytest.raises(InputError, match=f"{re.escape(str(corpus))}, line 2: "):
+        with pytest.raises(InputError, match=f"^{re.escape(repr(str(corpus)))}: line 2: "):
             classifier.load_labeled_corpus(corpus)
 
     def test_empty_votes_column_means_no_votes(self, tmp_path):
@@ -404,5 +404,5 @@ class TestLabeledCorpus:
         loaded = classifier.load_labeled_corpus(corpus)
         assert [c.message for c in loaded] == ["fix the crash", f"update{separator}docs"]
         corpus.write_bytes(f"1\tfix the crash\r0\tupdate{separator}docs\n2\tbad\n".encode())
-        with pytest.raises(InputError, match=f"{re.escape(str(corpus))}, line 3: "):
+        with pytest.raises(InputError, match=f"^{re.escape(repr(str(corpus)))}: line 3: "):
             classifier.load_labeled_corpus(corpus)

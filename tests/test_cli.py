@@ -221,7 +221,7 @@ class TestAnalyzeCommand:
             "--projects", str(projects),
         )
         assert code == EXIT_INPUT
-        assert err == f"input error: {projects}, {detail}\n"
+        assert err == f"input error: {str(projects)!r}: {detail}\n"
 
     def test_enforce_selection_excludes_small_project(self, capsys):
         code, out, _ = run(
@@ -455,7 +455,7 @@ class TestResampleThread:
         monkeypatch.setattr(estimator, "MAX_RESAMPLE_ITEMS", 10)
         code, _, err = self._run(capsys, *self.ARGS)
         assert code == EXIT_INPUT
-        assert err.startswith(f"input error: {GOLD}: resampling takes at most 10 corpus items, got ")
+        assert err.startswith(f"input error: {GOLD!r}: resampling takes at most 10 corpus items, got ")
         assert started == rows_drawn == []
 
 
@@ -525,7 +525,7 @@ class TestCochangeAndTwin:
         assert code == EXIT_INPUT
         assert out == ""
         assert err == (
-            f"input error: duplicate year 2019 for developer 'd1' in project 'p1' in {dev}\n"
+            f"input error: {str(dev)!r}: duplicate year 2019 for developer 'd1' in project 'p1'\n"
         )
 
     @pytest.mark.parametrize(
@@ -708,7 +708,7 @@ class TestConfigResolution:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_CONFIG, "")
         line = len(text.splitlines())
-        assert f"{cfg}, line {line}: key " in err and "given twice" in err
+        assert f"{str(cfg)!r}: line {line}: key " in err and "given twice" in err
 
 
 @pytest.mark.parametrize(
@@ -757,7 +757,7 @@ def test_a_flag_that_would_be_ignored_is_a_usage_error(capsys, tmp_path, argv, r
 
 
 # Each reads as a file that cannot be opened, whatever the kind of file.
-UNREADABLE_EMPTY = "cannot read : No such file or directory\n"
+UNREADABLE_EMPTY = "'': cannot read: No such file or directory\n"
 
 
 @pytest.mark.parametrize(
@@ -788,7 +788,7 @@ UNREADABLE_EMPTY = "cannot read : No such file or directory\n"
         (["rank", "--ccp", "0.2"], "table=\n", EXIT_CONFIG,
          "configuration error: " + UNREADABLE_EMPTY),
         (["rank", "--ccp", "0.2"], "model=a\0b\n", EXIT_CONFIG,
-         "configuration error: cannot read 'a\\x00b': embedded null byte\n"),
+         "configuration error: 'a\\x00b': cannot read: embedded null byte\n"),
         (["analyze", "{raw}", "--input-format", "git", "--repo", ""], None, EXIT_CONFIG,
          "configuration error: --repo must not be empty\n"),
     ],
@@ -814,6 +814,37 @@ def test_an_empty_config_variable_names_no_config_file(capsys, monkeypatch):
     monkeypatch.delenv(CONFIG_ENV_VAR)
     assert with_empty == run(capsys, "rank", "--ccp", "0.2")
     assert with_empty[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "path, content, argv, code, detail",
+    [
+        ("", None, ["analyze", LOG, "--head-listing", "{path}"], EXIT_INPUT,
+         "cannot read: No such file or directory"),
+        ("", None, ["--year", "2019", "--enforce-selection", "analyze", LOG, "--projects", "{path}"],
+         EXIT_INPUT, "cannot read: No such file or directory"),
+        ("{tmp}/head: ", "path,size_bytes\na.py,-4\n",
+         ["analyze", LOG, "--head-listing", "{path}"], EXIT_INPUT,
+         "line 2: size_bytes '-4' is negative"),
+        ("{tmp}/series\n.csv", "entity,year,value\np,2018,0.5\np,2019,nan\n",
+         ["cochange", "--series-i", "{path}", "--series-j", "{path}"], EXIT_INPUT,
+         "line 3: metric value 'nan' is not finite"),
+        ("a\0b", None, ["--model", "{path}", "rank", "--ccp", "0.2"], EXIT_CONFIG,
+         "cannot read: embedded null byte"),
+    ],
+    ids=["empty-head-listing", "empty-projects", "ends-in-colon-space", "holds-a-line-end",
+         "model-holds-a-nul"],
+)
+def test_an_error_quotes_its_path_once_before_the_detail(
+    capsys, tmp_path, path, content, argv, code, detail
+):
+    """``'<path>': <detail>``: where the path ends and the detail begins is never in doubt."""
+    path = path.format(tmp=tmp_path)
+    if content is not None:
+        Path(path).write_text(content)
+    kind = {EXIT_INPUT: "input error", EXIT_CONFIG: "configuration error"}[code]
+    got = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert got == (code, "", f"{kind}: {path!r}: {detail}\n")
 
 
 @pytest.mark.parametrize(
@@ -868,7 +899,7 @@ def test_non_finite_metric_value_is_a_named_input_error(
     assert code == EXIT_INPUT
     assert out == ""
     assert err == (
-        f"input error: {tmp_path / name}, line 3: metric value {value!r} is not finite\n"
+        f"input error: {str(tmp_path / name)!r}: line 3: metric value {value!r} is not finite\n"
     )
 
 
@@ -949,7 +980,7 @@ def test_bad_input_file_is_a_named_config_or_input_error(
         monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
     code, _, err = run(capsys, *(a.format(path=path) for a in argv))
     assert code == exit_code
-    assert str(path) in err
+    assert err.count(repr(str(path))) == 1
     if LATIN1 in content:
         assert f"byte {content.index(LATIN1) + 3} is 0xe9" in err
 
@@ -996,7 +1027,7 @@ def test_sensitivity_without_a_valid_resample_ends_with_a_named_input_error(tmp_
     )
     assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
     assert proc.stderr == (
-        f"input error: {corpus}: sensitivity needs a true positive and a true negative: "
+        f"input error: {str(corpus)!r}: sensitivity needs a true positive and a true negative: "
         "no resample of this corpus has recall > fpr\n"
     )
 
@@ -1042,7 +1073,7 @@ def test_sensitivity_with_too_rare_valid_resamples_ends_with_a_named_input_error
     assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
     limit = 10 * estimator.MAX_REDRAWS_PER_ITERATION
     assert proc.stderr == (
-        f"input error: {corpus}: sensitivity found too few valid resamples: "
+        f"input error: {str(corpus)!r}: sensitivity found too few valid resamples: "
         f"more than {limit} redraws ({estimator.MAX_REDRAWS_PER_ITERATION} per iteration)\n"
     )
 
@@ -1050,7 +1081,7 @@ def test_sensitivity_with_too_rare_valid_resamples_ends_with_a_named_input_error
 def test_directory_as_input_is_a_named_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(tmp_path))
     assert code == EXIT_INPUT
-    assert err.startswith(f"input error: cannot read {tmp_path}: ")
+    assert err.startswith(f"input error: {str(tmp_path)!r}: cannot read: ")
 
 
 # The characters other than LF and CR that str.splitlines breaks a line at.
@@ -1063,11 +1094,11 @@ def _env_config_line_rule(capsys, tmp_path, monkeypatch, c):
     cfg.write_text(f"seed=3{c}year=2019\n", newline="")
     code, out, err = run(capsys, "rank", "--ccp", "0.2")
     bad = f"3{c}year=2019"
-    assert (code, out, err) == (EXIT_CONFIG, "", f"configuration error: {cfg}: bad value for "
-                                f"seed: {bad!r}\n")
+    assert (code, out, err) == (EXIT_CONFIG, "", f"configuration error: {str(cfg)!r}: bad value "
+                                f"for seed: {bad!r}\n")
     cfg.write_text(f"# note{c}x\r\nseed=1\rbogus\n", newline="")
     code, _, err = run(capsys, "rank", "--ccp", "0.2")
-    assert (code, err) == (EXIT_CONFIG, f"configuration error: {cfg}, line 3: expected "
+    assert (code, err) == (EXIT_CONFIG, f"configuration error: {str(cfg)!r}: line 3: expected "
                            "key=value, got 'bogus'\n")
 
 
@@ -1079,10 +1110,10 @@ def _perf_line_rule(capsys, tmp_path, monkeypatch, c):
     meta = json.loads(out)["meta"]
     assert (code, meta["recall"], meta["fpr"]) == (EXIT_OK, 0.9, 0.1)
     keys = ("recall", "fpr", "model_id")
-    assert ingestion.read_config(perf, keys, InputError)["model_id"] == f"m{c}fpr=0.5"
+    assert ingestion.read_config(perf, keys)["model_id"] == f"m{c}fpr=0.5"
     perf.write_text(text + "bogus\n", newline="")
     code, _, err = run(capsys, "--perf", str(perf), "rank", "--ccp", "0.2")
-    assert (code, err) == (EXIT_CONFIG, f"configuration error: {perf}, line 4: expected "
+    assert (code, err) == (EXIT_CONFIG, f"configuration error: {str(perf)!r}: line 4: expected "
                            "key=value, got 'bogus'\n")
 
 
@@ -1095,7 +1126,7 @@ def _term_model_line_rule(capsys, tmp_path, monkeypatch, c):
     model.write_text(text + "[nope]\n", newline="")
     code, _, err = run(capsys, "--model", str(model), "rank", "--ccp", "0.2")
     assert (code, err) == (
-        EXIT_CONFIG, f"configuration error: {model}: unknown section [nope] at line 4\n"
+        EXIT_CONFIG, f"configuration error: {str(model)!r}: unknown section [nope] at line 4\n"
     )
 
 

@@ -544,5 +544,5 @@ class TestConfigFiles:
         for rows in ["10,0.3\n50,nan\n", "-5,0.3\n150,0.2\n", "0,0.3\n100,0.2\n",
                      "10,0.2\n50,0.3\n", ""]:
             path.write_text("percentile,ccp\n" + rows)
-            with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: distribution table "):
+            with pytest.raises(ConfigError, match=f"^{re.escape(repr(str(path)))}: distribution table "):
                 load_distribution_table(path)

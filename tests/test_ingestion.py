@@ -76,13 +76,14 @@ class TestParseGitLog:
         assert result.skipped == 1
 
     def test_round_trip(self):
+        by_repo = {}
         with open(FIXTURES / "log_small.ndjson", encoding="utf-8") as fh:
-            first = parse_git_log(fh)
+            first = parse_git_log(fh, by_repo)
         lines = [
             json.dumps({"repo": repo, "hash": commit_hash, "author": author_id,
                         "ts": f"{year}-07-01T00:00:00+00:00", "msg": message,
                         "files": list(files), "merge": is_merge})
-            for repo, commits in first.by_repo.items()
+            for repo, commits in by_repo.items()
             for commit_hash, author_id, year, message, files, is_merge in commits.values()
         ]
         second = parse_git_log(io.StringIO("\n".join(lines)))
@@ -206,7 +207,7 @@ class TestReadRecords:
         }[reader]
         with pytest.raises(InputError) as caught:
             read()
-        assert str(caught.value) == f"{path} is not UTF-8: byte {len(head) + 3} is 0xe9"
+        assert str(caught.value) == f"not UTF-8: byte {len(head) + 3} is 0xe9"
 
     def test_non_utf8_byte_past_a_mebibyte_is_named_at_its_offset(self, tmp_path):
         head = "é,1\n".encode() * (1_200_000 // 5)
@@ -215,7 +216,7 @@ class TestReadRecords:
         assert len(head) > 1 << 20
         with pytest.raises(InputError) as caught:
             list(read_records(path, "\n"))
-        assert str(caught.value) == f"{path} is not UTF-8: byte {16 + len(head) + 3} is 0xe9"
+        assert str(caught.value) == f"not UTF-8: byte {16 + len(head) + 3} is 0xe9"
 
     # A character of 2, 3 or 4 bytes cut by the end of the first block of
     # bytes, then a bad byte; a lead byte cut off by that end; a bad byte
@@ -241,7 +242,7 @@ class TestReadRecords:
         with pytest.raises(InputError) as caught:
             list(read_records(path, "\n"))
         value = tail[bad]
-        assert str(caught.value) == f"{path} is not UTF-8: byte {len(head) + bad} is {value:#04x}"
+        assert str(caught.value) == f"not UTF-8: byte {len(head) + bad} is {value:#04x}"
 
     def test_finding_the_bad_byte_holds_a_block_not_the_file(self, tmp_path):
         path = tmp_path / "log.ndjson"
@@ -333,9 +334,36 @@ class TestReadCsv:
         path.write_bytes(f'name,n{end}"a{end}b",1{end}c,2{end}'.encode())
         assert list(read_csv(path, {"name": str, "n": int})) == [("a\nb", 1), ("c", 2)]
 
+    def test_a_field_past_the_csv_limit_names_its_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "table.csv"
+        path.write_text(f'name,n\na,1\n"{"x" * (limit + 1)}",2\n')
+        with pytest.raises(InputError) as caught:
+            list(read_csv(path, {"name": str, "n": int}))
+        assert str(caught.value) == f"line 3: field larger than field limit ({limit})"
+
 
 # Readers that hold a whole file, which the package must not define again.
 WHOLE_FILE_READERS = {"read_text", "read_lines"}
+
+
+def _paths_in_error_messages(package: Path) -> list[str]:
+    """Each ``raise`` outside ``ingestion.naming`` whose error is built from a name holding "path"."""
+    found = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_bytes().decode("utf-8"))
+        exempt = set()
+        if source.name == "ingestion.py":
+            [namer] = [n for n in tree.body if getattr(n, "name", None) == "naming"]
+            exempt = {id(n) for n in ast.walk(namer)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None or id(node) in exempt:
+                continue
+            for part in ast.walk(node.exc):
+                name = getattr(part, "id", None) or getattr(part, "attr", None) or ""
+                if "path" in name.lower():
+                    found.append(f"{source.name}:{node.lineno}: {name}")
+    return found
 
 
 class TestSourceRules:
@@ -393,6 +421,29 @@ class TestSourceRules:
             self.test_one_opener_one_text_reader_and_no_splitlines()
 
 
+    def test_only_naming_puts_a_path_in_an_error(self):
+        """Every error names its file one way: ``naming`` quotes the path in front of it."""
+        assert _paths_in_error_messages(Path(ingestion.__file__).parent) == []
+
+    @pytest.mark.parametrize(
+        "source, name",
+        [
+            ("def f(path):\n    raise ValueError(f'cannot read {path}')\n", "path"),
+            ("def f(args):\n    raise InputError(f'bad {args.env_path!r}')\n", "env_path"),
+            ("def f(Path_):\n    raise InputError('{}: bad'.format(Path_))\n", "Path_"),
+            ("def f(paths):\n    raise InputError('%s: bad' % (paths[0],))\n", "paths"),
+        ],
+    )
+    def test_the_naming_rule_catches_each_break(self, tmp_path, source, name):
+        package = tmp_path / "ccp_miner"
+        package.mkdir()
+        (package / "ingestion.py").write_text(
+            "def naming(*paths, error):\n    raise error(f'{paths}')\n"
+        )
+        (package / "extra.py").write_text(source)
+        assert _paths_in_error_messages(package) == [f"extra.py:2: {name}"]
+
+
 class TestReadCsvProperties:
     @given(csv_tables())
     @settings(max_examples=150, deadline=None)
@@ -432,7 +483,7 @@ class TestReadCsvProperties:
             path, last_lines = write_table(tmp, header, rows, blanks, terminator)
             with pytest.raises(InputError) as caught:
                 list(read_csv(path, columns))
-        assert str(caught.value) == f"{path}, line {last_lines[bad]}: {detail}"
+        assert str(caught.value) == f"line {last_lines[bad]}: {detail}"
 
 
 class TestParseRawGitLog:

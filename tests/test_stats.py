@@ -194,7 +194,7 @@ class TestLoadDeveloperSeriesCsv:
         with pytest.raises(InputError) as caught:
             load_series_csv(path, DEVELOPER)
         message = str(caught.value)
-        assert str(path) in message
+        assert message.startswith(f"{str(path)!r}: ")
         assert "'d1'" in message and "'p1'" in message and "2019" in message
 
     def test_non_finite_value_names_file_and_line(self, tmp_path):
@@ -202,4 +202,4 @@ class TestLoadDeveloperSeriesCsv:
         path.write_text("developer,project,year,value\nd1,p1,2019,0.1\nd1,p2,2019,nan\n")
         with pytest.raises(InputError) as caught:
             load_series_csv(path, DEVELOPER)
-        assert str(caught.value) == f"{path}, line 3: metric value 'nan' is not finite"
+        assert str(caught.value) == f"{str(path)!r}: line 3: metric value 'nan' is not finite"
