@@ -16,7 +16,6 @@ from collections import Counter
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
-from .errors import InputError
 from .estimator import CcpEstimate
 
 # The paper's fixed thresholds.
@@ -40,12 +39,9 @@ LANGUAGE_EXTENSIONS = frozenset(
 def winsorize(values: list[float], quantile: float = CAP_QUANTILE) -> list[float]:
     """One-sided winsorizing: cap values above the nearest-rank(lower) quantile.
 
-    Order and length are preserved; idempotent and monotone.
+    ``values`` is non-empty and ``quantile`` in (0, 1). Order and length are
+    preserved; idempotent and monotone.
     """
-    if not values:
-        raise InputError("winsorize requires a non-empty list")
-    if not 0.0 < quantile < 1.0:
-        raise ValueError("quantile must be in (0, 1)")
     # nearest-rank threshold; small lists are left uncapped rather than
     # squashed to their minimum
     rank = max(1, math.ceil(quantile * len(values)))
@@ -63,9 +59,7 @@ def capped_sizes(
     touch systematically fewer files and would distort the comparison. Both
     coupling measures read this list.
     """
-    if len(files) != len(corrective):
-        raise ValueError("file lists and corrective flags must be aligned")
-    kept = [paths for paths, fix in zip(files, corrective) if not fix and paths]
+    kept = [paths for paths, fix in zip(files, corrective, strict=True) if not fix and paths]
     if not kept:
         return []
     return list(zip(kept, winsorize([float(len(paths)) for paths in kept])))
@@ -91,9 +85,7 @@ def coupling_by_file(capped: list[tuple[tuple[str, ...], float]]) -> float | Non
 
 
 def file_length_stats(head_listing: list[tuple[str, int]]) -> float:
-    """Mean file size in KB over a HEAD snapshot listing, winsorized at CAP_QUANTILE."""
-    if not head_listing:
-        raise InputError("file_length_stats requires a non-empty listing")
+    """Mean file size in KB over a non-empty HEAD snapshot listing, winsorized at CAP_QUANTILE."""
     sizes = winsorize([float(size) for _, size in head_listing])
     return math.fsum(sizes) / len(sizes) / 1024.0
 
@@ -133,10 +125,8 @@ def onboarding(
 
 
 def dominant_language(head_listing: list[tuple[str, int]]) -> str | None:
-    """Extension owning strictly more than 80% of the files, if it is a
-    known programming-language extension."""
-    if not head_listing:
-        raise InputError("dominant_language requires a non-empty listing")
+    """Extension owning strictly more than 80% of a non-empty listing's files, if it
+    is a known programming-language extension."""
     counts: Counter[str] = Counter()
     for path, _ in head_listing:
         _, _, ext = path.rpartition(".")

@@ -332,9 +332,7 @@ _TOKEN_RE = re.compile(r"[a-z']+")
 
 
 def english_hit_rate(messages: list[str], model: EnglishModel) -> float:
-    """Fraction of messages containing at least one model word as a whole token."""
-    if not messages:
-        raise InputError("english_hit_rate requires at least one message")
+    """Fraction of the messages, at least one, holding a model word as a whole token."""
     hits = 0
     for message in messages:
         tokens = _TOKEN_RE.findall(message.lower())
@@ -344,9 +342,7 @@ def english_hit_rate(messages: list[str], model: EnglishModel) -> float:
 
 
 def evaluate_model(corpus: list[LabeledCommit], model: TermModel) -> ConfusionMatrix:
-    """Count (label, verdict) pairs of the classifier over a labeled corpus."""
-    if not corpus:
-        raise InputError("evaluate_model requires a non-empty corpus")
+    """Count (label, verdict) pairs of the classifier over a non-empty labeled corpus."""
     tp = fn = fp = tn = 0
     for item in corpus:
         hit = classify_message(item.message, model).corrective
@@ -365,10 +361,8 @@ def terse_message_profile(messages: list[str]) -> tuple[int, int]:
     """Median and 90th-percentile message length in characters.
 
     Uses nearest-rank (lower) order statistics, so results are exact on
-    small fixtures.
+    small fixtures. ``messages`` is non-empty.
     """
-    if not messages:
-        raise InputError("terse_message_profile requires at least one message")
     lengths = sorted(len(m) for m in messages)
     last = len(lengths) - 1
     return lengths[50 * last // 100], lengths[90 * last // 100]

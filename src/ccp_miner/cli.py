@@ -3,7 +3,8 @@
 Every report embeds the tool version, model id, performance constants, seed
 and a hash of the resolved configuration, so identical runs are
 byte-identical. Exit codes: 0 success, 2 configuration error, 3 input
-error, 4 internal invariant violation.
+error, 4 internal invariant violation. Each flag is checked where argparse
+reads it and each file where it is loaded; the library re-checks neither.
 """
 
 from __future__ import annotations

@@ -80,11 +80,7 @@ def ccp_from_hit_rate(hr: float, perf: ModelPerformance) -> tuple[float, Estimat
 
 
 def estimate_ccp(k: int, n: int, perf: ModelPerformance) -> CcpEstimate:
-    """Maximum-likelihood CCP estimate from k classifier hits out of n commits."""
-    if n <= 0:
-        raise InputError("estimate_ccp requires n > 0")
-    if not 0 <= k <= n:
-        raise ValueError(f"hit count k={k} outside [0, {n}]")
+    """Maximum-likelihood CCP estimate from k classifier hits out of n > 0 commits."""
     hit_rate = k / n
     ccp, status = ccp_from_hit_rate(hit_rate, perf)
     return CcpEstimate(n=n, k=k, hit_rate=hit_rate, ccp_raw=ccp, status=status)
@@ -269,12 +265,6 @@ def bootstrap_difference_distribution(
     measured once on the full corpus, so the report isolates sampling noise
     from any mismatch between shipped constants and the corpus.
     """
-    if not corpus:
-        raise InputError("bootstrap requires a non-empty corpus")
-    if not 1 <= iterations <= MAX_ITERATIONS:
-        raise ValueError(f"iterations must be in [1, {MAX_ITERATIONS}]")
-    if not 0.0 < coverage < 1.0:
-        raise ValueError("coverage must be in (0, 1)")
     import numpy as np
 
     labels, hits, matrix = _corpus_arrays(corpus, model)
@@ -339,13 +329,6 @@ def estimator_sensitivity(
     without both, InputError. Valid resamples can still be too rare to
     find: past MAX_REDRAWS_PER_ITERATION x ``iterations`` redraws, InputError.
     """
-    if not corpus:
-        raise InputError("estimator_sensitivity requires a non-empty corpus")
-    if not 1 <= iterations <= MAX_ITERATIONS:
-        raise ValueError(f"iterations must be in [1, {MAX_ITERATIONS}]")
-    for low, high in eval_segments:
-        if not (0.0 <= low <= high <= 1.0):
-            raise ValueError(f"eval segment [{low}, {high}] outside [0, 1]")
     import numpy as np
 
     labels, hits, matrix = _corpus_arrays(corpus, model)
@@ -454,15 +437,13 @@ def load_default_distribution_table() -> DistributionTable:
 
 
 def rank_on_scale(ccp: float, table: DistributionTable) -> PercentileBand:
-    """Band a CCP value on the quality scale.
+    """Band a CCP value in [0, 1] on the quality scale.
 
     The project beats percentile p when its CCP is at most the p threshold;
     the band is the bracket between the best beaten percentile and the next
     listed one. Values between listed percentiles are banded, never
     interpolated.
     """
-    if not 0.0 <= ccp <= 1.0:
-        raise ValueError(f"ccp must be a probability, got {ccp}")
     best = None
     for percentile, threshold in table.rows:
         if ccp <= threshold:

@@ -123,8 +123,8 @@ def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], object]]) -
 
     ``columns`` maps header names to converters; each tuple holds the converted
     values in that order. Blank lines are skipped, as ``csv.DictReader`` does,
-    and a CR or CRLF in a quoted field reads as LF. A missing column, a short
-    row or a value its converter rejects raises InputError naming the line.
+    and a CR or CRLF in a quoted field reads as LF. A missing or repeated column,
+    a short row or a value its converter rejects raises InputError naming the line.
     """
     with _opened(path) as fh:
         rows = csv.reader(fh)
@@ -136,6 +136,9 @@ def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], object]]) -
             missing = [name for name in columns if name not in positions]
             if missing:
                 raise InputError(f"missing column(s) {', '.join(missing)}")
+            repeated = [name for name in columns if header.count(name) > 1]
+            if repeated:
+                raise InputError(f"repeated column(s) {', '.join(repeated)}")
             wanted = [positions[name] for name in columns]
             width = max(wanted) + 1
             # csv.reader hands out a fresh list per row, so converting in place
@@ -391,8 +394,6 @@ class ProjectDescriptor:
         is_fork: bool = False,
     ) -> "ProjectDescriptor":
         """The descriptor of project ``repo_id`` for analysis year ``year``, from its commits by hash."""
-        if not commits:
-            raise InputError("cannot build a project descriptor from zero commits")
         if not owner and "/" in repo_id:
             owner, _, name = repo_id.partition("/")
         return cls(
@@ -500,8 +501,8 @@ def read_flag(text: str, name: str = "flag") -> bool:
 def load_project_metadata(path: str | Path) -> dict[str, tuple[str, str, bool]]:
     """Load the ``repo_id,owner,name,is_fork`` project metadata CSV as repo_id -> the rest.
 
-    A repeated repo_id or an ``is_fork`` other than 1/0/true/false/yes/no (any
-    case) raises InputError naming the file and line.
+    A repeated repo_id, an empty owner or name, or an ``is_fork`` other than
+    1/0/true/false/yes/no (any case) raises InputError naming the file and line.
     """
     seen: set[str] = set()
 
@@ -511,8 +512,14 @@ def load_project_metadata(path: str | Path) -> dict[str, tuple[str, str, bool]]:
         seen.add(repo_id)
         return repo_id
 
+    def given(text: str, column: str) -> str:
+        if not text:
+            raise ValueError(f"{column} is empty")
+        return text
+
     columns = {
-        "repo_id": unique, "owner": str, "name": str, "is_fork": lambda t: read_flag(t, "is_fork")
+        "repo_id": unique, "owner": lambda t: given(t, "owner"),
+        "name": lambda t: given(t, "name"), "is_fork": lambda t: read_flag(t, "is_fork"),
     }
     with naming(path, error=InputError):
         return {row[0]: row[1:] for row in read_csv(path, columns)}

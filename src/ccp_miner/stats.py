@@ -65,13 +65,9 @@ _BEATS = {"strict": operator.gt, "inclusive": operator.ge}
 
 
 def _resolve_comparator(comparator: str, threshold: float) -> str:
-    if threshold < 0:
-        raise ValueError("thresholds must be non-negative")
     # Policy: strict for zero thresholds, inclusive for stated positive ones.
     if comparator == "auto":
         return "strict" if threshold == 0.0 else "inclusive"
-    if comparator not in _BEATS:
-        raise ValueError(f"unknown comparator {comparator!r}")
     return comparator
 
 
@@ -99,7 +95,7 @@ def co_change(
     Pools adjacent-year pairs of entities covered by both metrics, marks
     improvement events per metric, and reports match rate, precision
     P(j improved | i improved), base rate P(j improved), and the symmetric
-    precision lift. A negative threshold raises ValueError.
+    precision lift.
     """
     beats_i = _BEATS[_resolve_comparator(comparator, delta_i)]
     beats_j = _BEATS[_resolve_comparator(comparator, delta_j)]
@@ -165,8 +161,7 @@ def twin_analysis(
     is better than the other by more than `delta_project`, check whether
     the developer's own metric is better in the better project by more than
     `delta_dev`. Precision is the success fraction over all qualifying
-    (developer, project pair, year) cases. A negative threshold raises
-    ValueError.
+    (developer, project pair, year) cases.
     """
     cmp_project = _resolve_comparator(comparator, delta_project)
     project_beats = _BEATS[cmp_project]

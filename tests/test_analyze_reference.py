@@ -568,9 +568,10 @@ _project = st.fixed_dictionaries(
         "in_year": st.sampled_from([0, 5, 199, 200, 230, 240]),
         "other_years": st.sampled_from([0, 3, 20]),
         "shared": st.sampled_from([0, 50, 51, 120, 120]),
+        # A row gives its owner and name; a project without a row takes them from its id.
         "metadata": st.none() | st.tuples(
-            st.sampled_from(["", "o1", "o2", "o4"]),
-            st.sampled_from(["", "alpha", "beta"]),
+            st.sampled_from(["o1", "o2", "o4"]),
+            st.sampled_from(["alpha", "beta"]),
             st.sampled_from([False, False, True]),
         ),
     }

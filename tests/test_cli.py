@@ -210,8 +210,10 @@ class TestAnalyzeCommand:
              "line 3: repo_id 'acme/widget' is listed twice"),
             ("acme/widget,acme,widget,ture\n",
              "line 2: is_fork 'ture' is not one of 1/0/true/false/yes/no"),
+            ("acme/widget,,gadget,false\n", "line 2: owner is empty"),
+            ("acme/widget,acme,widget,no\nacme/gadget,acme,,no\n", "line 3: name is empty"),
         ],
-        ids=["repeated-repo-id", "is-fork-typo"],
+        ids=["repeated-repo-id", "is-fork-typo", "empty-owner", "empty-name"],
     )
     def test_bad_metadata_row_is_a_named_input_error(self, capsys, tmp_path, rows, detail):
         projects = tmp_path / "projects.csv"
@@ -723,10 +725,20 @@ class TestConfigResolution:
         (["bootstrap", GOLD, "--sensitivity", "--segments", "0.5:0.2"], "--segments"),
         (["bootstrap", GOLD, "--sensitivity", "--segments", "0:2"], "--segments"),
         (["--seed", "-1", "bootstrap", GOLD, "--iterations", "10"], "--seed"),
+        # Refused before any input is read: none of these files exists.
+        (["rank", "--ccp", "-0.1"], "--ccp"),
+        (["bootstrap", "missing.tsv", "--coverage", "1"], "--coverage"),
+        (["validate-model", "missing.tsv", "--iterations", "0"], "--iterations"),
+        (["bootstrap", "missing.tsv", "--sensitivity", "--segments", "0.5:0.2"], "--segments"),
+        (["cochange", "--series-i", "i.csv", "--series-j", "j.csv", "--comparator", "loose"],
+         "--comparator"),
+        (["twin", "--dev-series", "d.csv", "--project-series", "p.csv", "--comparator", "loose"],
+         "--comparator"),
     ],
     ids=["ccp-above-one", "ccp-nan", "iterations-zero", "iterations-negative",
          "coverage-above-one", "coverage-zero", "segment-reversed", "segment-above-one",
-         "seed-negative"],
+         "seed-negative", "ccp-below-zero", "coverage-one", "validate-iterations-zero",
+         "segment-reversed-no-corpus", "cochange-comparator", "twin-comparator"],
 )
 def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as caught:
@@ -961,6 +973,17 @@ DEEP = b"".join(
          EXIT_INPUT),
         ("perf.cfg", b"recall=0.1\nfpr=0.2\n", ["--perf", "{path}", "rank", "--ccp", "0.2"],
          EXIT_CONFIG),
+        ("corpus.tsv", b"\n \n", ["bootstrap", "{path}", "--sensitivity"], EXIT_INPUT),
+        # A column read twice: which copy holds the values is never guessed.
+        ("i.csv", b"entity,year,value,value\np,2018,0.5,9\np,2019,0.3,9\n",
+         ["cochange", "--series-i", "{path}", "--series-j", "{path}"], EXIT_INPUT),
+        ("head.csv", b"path,size_bytes,path\na.py,10,b.py\n",
+         ["analyze", LOG, "--head-listing", "{path}"], EXIT_INPUT),
+        ("projects.csv", b"repo_id,owner,name,is_fork,owner\nacme/widget,acme,widget,no,x\n",
+         ["--year", "2019", "--enforce-selection", "analyze", LOG, "--projects", "{path}"],
+         EXIT_INPUT),
+        ("table.csv", b"percentile,ccp,ccp\n10,0.3,0.9\n",
+         ["--table", "{path}", "rank", "--ccp", "0.2"], EXIT_CONFIG),
     ],
     ids=["metadata-short-row", "metadata-latin1", "corpus-latin1", "corpus-bom-latin1",
          "env-config-latin1",
@@ -969,7 +992,9 @@ DEEP = b"".join(
          "model-repeat-above-the-bound", "model-repeat-of-5000-digits",
          "english-model-short-word", "table-nan-threshold", "head-listing-negative",
          "validate-no-hit-corpus", "bootstrap-no-hit-corpus", "validate-all-positive-corpus",
-         "bootstrap-all-positive-corpus", "perf-recall-not-above-fpr"],
+         "bootstrap-all-positive-corpus", "perf-recall-not-above-fpr",
+         "bootstrap-corpus-without-records", "series-column-twice",
+         "head-listing-column-twice", "metadata-column-twice", "table-column-twice"],
 )
 def test_bad_input_file_is_a_named_config_or_input_error(
     capsys, tmp_path, monkeypatch, name, content, argv, exit_code

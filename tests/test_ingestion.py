@@ -342,6 +342,14 @@ class TestReadCsv:
             list(read_csv(path, {"name": str, "n": int}))
         assert str(caught.value) == f"line 3: field larger than field limit ({limit})"
 
+    def test_only_a_column_read_twice_is_refused(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("name,n,note,n,note\na,1,x,2,y\n")
+        with pytest.raises(InputError) as caught:
+            list(read_csv(path, {"name": str, "n": int}))
+        assert str(caught.value) == "repeated column(s) n"
+        assert list(read_csv(path, {"name": str})) == [("a",)]
+
 
 # Readers that hold a whole file, which the package must not define again.
 WHOLE_FILE_READERS = {"read_text", "read_lines"}

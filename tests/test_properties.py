@@ -201,7 +201,7 @@ def _mutated(draw, text: str) -> str:
 class TestInputKindExits:
     @pytest.mark.parametrize("kind", sorted(_INPUT_KINDS))
     @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_mutated_input_ends_with_a_report_or_an_error_naming_it(self, kind, data):
         """Exit 0, or 2 or 3 with a message quoting the file's path once; never exit 4."""
         good, argv = _INPUT_KINDS[kind]
@@ -839,7 +839,7 @@ def _repo_ids(commits: list[dict], metadata: list[tuple]) -> set[str]:
 def _owners(commits: list[dict], metadata: list[tuple]) -> list[str]:
     """The owners a project of the input may have, and one that owns nothing else."""
     owners = {repo.partition("/")[0] for repo in _repo_ids(commits, metadata)}
-    return sorted(owners | {row[1] for row in metadata if row[1]}) + ["new"]
+    return sorted(owners | {row[1] for row in metadata}) + ["new"]
 
 
 class TestSelectionRelations:
@@ -858,12 +858,13 @@ class TestSelectionRelations:
         commits, metadata, seed = corpus
         source = data.draw(st.sampled_from(sorted({c["repo"] for c in commits})))
         owner = data.draw(st.sampled_from(_owners(commits, metadata)))
-        fork = f"{owner}/{source.rpartition('/')[2]}"
+        name = source.rpartition("/")[2]
+        fork = f"{owner}/{name}"
         assume(fork not in _repo_ids(commits, metadata))
         copies = [{**c, "repo": fork} for c in commits if c["repo"] == source]
         extra = data.draw(st.integers(0, 30))
         own = [{**c, "hash": f"{fork}-{i}"} for i, c in enumerate(copies[:extra])]
-        row = (fork, data.draw(st.sampled_from(["", owner])), "", True)
+        row = (fork, owner, name, True)
         before = _selection_report(commits, metadata)
         after = _selection_report(_mixed_in(commits, copies + own, seed), [*metadata, row])
         self._only_added_is_excluded(before, after, fork, {"fork", "min_commits"})
@@ -888,7 +889,7 @@ class TestSelectionRelations:
         assume(added)
         rows = list(metadata)
         if data.draw(st.booleans()):
-            rows.append((small, data.draw(st.sampled_from(["", *owners])), "", False))
+            rows.append((small, data.draw(st.sampled_from(owners)), name, False))
         before = _selection_report(commits, metadata)
         after = _selection_report(_mixed_in(commits, added, seed), rows)
         self._only_added_is_excluded(before, after, small, {"min_commits"})

@@ -77,11 +77,6 @@ class TestCoChange:
         assert report.precision == 1.0
         assert report.base_rate == 1.0
 
-    def test_negative_threshold_rejected(self):
-        series = {"a": points(y2018=1.0, y2019=2.0)}
-        with pytest.raises(ValueError):
-            co_change(series, series, delta_i=-0.1)
-
     def test_no_overlap_is_an_error(self):
         with pytest.raises(InputError):
             co_change({"a": points(y2018=1.0, y2019=2.0)}, {"b": points(y2018=1.0, y2019=2.0)})
@@ -144,16 +139,6 @@ class TestTwinAnalysis:
         devs = {("ann", "good"): points(y2019=0.1)}
         with pytest.raises(InputError):
             twin_analysis(devs, self.project_pair(), improvement_sign=-1)
-
-    @pytest.mark.parametrize("thresholds", [{"delta_project": -0.1}, {"delta_dev": -0.1}])
-    def test_negative_threshold_rejected(self, thresholds):
-        devs = {
-            ("ann", "good"): points(y2019=0.1),
-            ("ann", "bad"): points(y2019=0.4),
-        }
-        with pytest.raises(ValueError, match="non-negative"):
-            twin_analysis(devs, self.project_pair(), improvement_sign=-1, **thresholds)
-
 
 class TestLoadSeriesCsv:
     def test_round_values(self, tmp_path):
