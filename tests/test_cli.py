@@ -734,11 +734,14 @@ class TestConfigResolution:
          "--comparator"),
         (["twin", "--dev-series", "d.csv", "--project-series", "p.csv", "--comparator", "loose"],
          "--comparator"),
+        (["bootstrap", "missing.tsv", "--coverage", "nan"], "--coverage"),
+        (["bootstrap", "missing.tsv", "--sensitivity", "--segments", "-0.1:0.5"], "--segments"),
     ],
     ids=["ccp-above-one", "ccp-nan", "iterations-zero", "iterations-negative",
          "coverage-above-one", "coverage-zero", "segment-reversed", "segment-above-one",
          "seed-negative", "ccp-below-zero", "coverage-one", "validate-iterations-zero",
-         "segment-reversed-no-corpus", "cochange-comparator", "twin-comparator"],
+         "segment-reversed-no-corpus", "cochange-comparator", "twin-comparator",
+         "coverage-nan", "segment-below-zero"],
 )
 def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as caught:
