@@ -1,10 +1,11 @@
 """Input file readers and commit-history ingestion.
 
-Every input file is opened by ``_opened`` as UTF-8 text, a leading byte-order
-mark dropped, in which only LF, CRLF or a lone CR ends a line, and streamed by
-``read_csv`` (CSV files) or ``read_records`` (the rest). Their errors name no
-file: each loader reads its file inside ``naming``, which puts the file's
-quoted path in front of the error.
+Every input file is read once, front to back, by ``_opened``, which decodes
+each block of bytes as it reads it: UTF-8, a leading byte-order mark dropped,
+only LF, CRLF or a lone CR ending a line. ``read_csv`` (CSV files) and
+``read_records`` (the rest) stream what it yields, so a pipe or a FIFO reads
+as a file does. Their errors name no file: each loader reads its file inside
+``naming``, which puts the file's quoted path in front of the error.
 
 The canonical commit export format is newline-delimited JSON, one object per
 commit with string keys ``repo``, ``hash``, ``author``, ``ts`` (ISO-8601) and
@@ -17,17 +18,18 @@ message read as LF.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 import operator
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
-from typing import TextIO
 
 from .errors import CcpMinerError, InputError
 
@@ -40,43 +42,40 @@ INVOLVED_COMMITS = 12  # non-merge commits in a year for an involved developer
 # Readers
 
 
-@contextmanager
-def _opened(path: str | Path) -> Iterator[TextIO]:
-    """The file at ``path`` as UTF-8 text with universal newlines: LF, CRLF and CR read as LF.
+def _opened(path: str | Path, sep: str) -> Iterator[str]:
+    """The text of ``path``, read once, in pieces that each end just after a ``sep`` but the last.
 
-    A byte-order mark at the start is not part of the text. An unreadable
-    file or bytes that are not UTF-8 raise InputError; for bytes, with the
-    offset of the first bad one, found by reading the file again as bytes
-    in blocks of RECORD_BLOCK.
+    Each block of RECORD_BLOCK bytes is decoded as it is read: UTF-8, a
+    byte-order mark at the start dropped, CRLF and CR read as LF. An
+    unreadable file, or bytes that are not UTF-8, raise InputError; for
+    bytes, with the offset of the first bad one.
     """
+    utf8 = codecs.getincrementaldecoder("utf-8-sig")()
+    decoder = io.IncrementalNewlineDecoder(utf8, translate=True)
+    done = 0  # bytes read
+    held: list[str] = []
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            yield fh
+        with open(path, "rb") as fh:
+            while block := fh.read(RECORD_BLOCK):
+                done += len(block)
+                text = decoder.decode(block)
+                end = text.rfind(sep) + 1
+                if end:
+                    held.append(text[:end])
+                    yield "".join(held)
+                    held = [text[end:]]
+                else:
+                    held.append(text)
+            held.append(decoder.decode(b"", final=True))
     except OSError as exc:
         raise InputError(f"cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        import codecs
-
-        decoder = codecs.getincrementaldecoder("utf-8")()
-        fed = 0  # bytes given to the decoder
-        try:
-            with open(path, "rb") as raw:
-                while True:
-                    block = raw.read(RECORD_BLOCK)
-                    # The decoder holds back the start of a character cut by the last block.
-                    held = len(decoder.getstate()[0])
-                    decoder.decode(block, final=not block)
-                    if not block:
-                        break
-                    fed += len(block)
-        except UnicodeDecodeError as bad:
-            offset = fed - held + bad.start
-            raise InputError(f"not UTF-8: byte {offset} is {bad.object[bad.start]:#04x}") from exc
-        except OSError:
-            pass
-        raise InputError("not UTF-8") from exc
+        # The bytes the decoder failed on end at the last byte read.
+        offset = done - len(exc.object) + exc.start
+        raise InputError(f"not UTF-8: byte {offset} is {exc.object[exc.start]:#04x}") from exc
     except ValueError as exc:  # open() refuses a path with a NUL in it
         raise InputError(f"cannot read: {exc}") from exc
+    yield "".join(held)
 
 
 @contextmanager
@@ -93,7 +92,7 @@ def naming(*paths: str | Path, error: type[CcpMinerError]) -> Iterator[None]:
         raise error(f"{quoted}: {exc}") from exc
 
 
-# Characters read_records reads at a time (bytes, where _opened looks for a bad byte).
+# Bytes _opened reads at a time.
 RECORD_BLOCK = 1 << 16
 
 
@@ -104,18 +103,11 @@ def read_records(path: str | Path, sep: str) -> Iterator[str]:
     splits it. A record that spans many blocks is joined once, so a long
     record, or a file without ``sep``, stays linear.
     """
-    with _opened(path) as fh:
-        pieces: list[str] = []
-        while block := fh.read(RECORD_BLOCK):
-            *records, last = block.split(sep)
-            if records:
-                pieces.append(records[0])
-                records[0] = "".join(pieces)
-                yield from records
-                pieces = [last]
-            else:
-                pieces.append(last)
-        yield "".join(pieces)
+    with closing(_opened(path, sep)) as pieces:
+        for piece in pieces:
+            *records, last = piece.split(sep)
+            yield from records
+        yield last
 
 
 def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], object]]) -> Iterator[tuple]:
@@ -126,8 +118,9 @@ def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], object]]) -
     and a CR or CRLF in a quoted field reads as LF. A missing or repeated column,
     a short row or a value its converter rejects raises InputError naming the line.
     """
-    with _opened(path) as fh:
-        rows = csv.reader(fh)
+    with closing(_opened(path, "\n")) as pieces:
+        # The lines of each piece, each with its LF, as iterating a text file gives them.
+        rows = csv.reader(chain.from_iterable(map(io.StringIO, pieces)))
         try:
             header = next(rows, None)
             if header is None:
@@ -231,7 +224,7 @@ _decode_json = json.JSONDecoder().raw_decode
 
 
 def _lf(text: str) -> str:
-    """``text`` with CRLF and CR line ends read as LF, as ``_opened`` reads a file."""
+    """``text`` with CRLF and CR line ends read as LF, as ``_opened`` decodes a file."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

@@ -1270,6 +1270,64 @@ def test_closed_stdout_ends_quietly(tmp_path):
     assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
 
 
+# A log whose second line holds a latin-1 byte, read from a pipe or a FIFO.
+PIPED_LOG = (
+    b'{"repo": "r", "hash": "h1", "author": "a@x", "ts": "2019-01-01T00:00:00+00:00", '
+    b'"msg": "fix crash"}\n{"msg": "' + LATIN1 + b'"}\n'
+)
+PIPED_BAD_BYTE = f"not UTF-8: byte {PIPED_LOG.index(LATIN1) + 3} is 0xe9"
+
+
+def test_piped_input_names_its_bad_byte():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccp_miner.cli", "classify", "/dev/stdin"],
+        input=PIPED_LOG, env=_subprocess_env(), capture_output=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.decode() == f"input error: '/dev/stdin': {PIPED_BAD_BYTE}\n"
+
+
+def test_a_fifo_is_read_once_and_names_its_bad_byte(tmp_path):
+    """The FIFO's writer ends once it has written, so a second open would wait for ever."""
+    log, fifo = tmp_path / "bad.ndjson", tmp_path / "log.fifo"
+    log.write_bytes(PIPED_LOG)
+    os.mkfifo(fifo)
+    # The child's shell writes the FIFO in the background and becomes its reader.
+    script = 'cat "$1" > "$2" & exec "$3" -m ccp_miner.cli classify "$2"'
+    try:
+        proc = subprocess.run(
+            ["sh", "-c", script, "sh", str(log), str(fifo), sys.executable],
+            env=_subprocess_env(), capture_output=True, timeout=30,
+        )
+    finally:
+        # A writer still waiting for a reader opens, and ends on writing to no reader.
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.decode() == f"input error: {str(fifo)!r}: {PIPED_BAD_BYTE}\n"
+
+
+@pytest.mark.parametrize("content", [b"", "\ufeff".encode()], ids=["empty", "bom-only"])
+def test_an_empty_csv_reads_as_no_rows(capsys, tmp_path, content):
+    path = tmp_path / "listing.csv"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "analyze", LOG, "--head-listing", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    projects = json.loads(out)["projects"]
+    assert projects and all(p["dominant_language"] is None for p in projects)
+    assert run(capsys, "analyze", LOG)[1] == out
+    code, out, err = run(capsys, "--table", str(path), "rank", "--ccp", "0.2")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"configuration error: {str(path)!r}: distribution table is empty\n"
+
+
+def test_a_csv_that_ends_inside_a_quoted_field_names_the_line_it_starts_on(capsys, tmp_path):
+    path = tmp_path / "listing.csv"
+    path.write_bytes(b'path,size_bytes\na.py,1\n"b.py,2\n')
+    code, out, err = run(capsys, "analyze", LOG, "--head-listing", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"input error: {str(path)!r}: line 3: 1 fields, need 2\n"
+
+
 def test_model_without_leading_literals_classifies_every_pattern(capsys, tmp_path):
     sections = {
         "fix": ["(bug|crash)", "[Ff]ix", r"\w*leak"],

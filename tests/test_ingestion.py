@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import codecs
 import csv
 import gc
 import io
@@ -177,11 +178,11 @@ class TestLoadProjectMetadata:
 
 
 class TestReadRecords:
-    # With ``at`` one, three or five bytes before a multiple of the 8 KiB read
-    # chunk, the CRLF, the two-byte character or the lone CR before a CR
-    # straddles that multiple. At 65535, 65533 and 65531 the last character of
-    # read_records' first 64 Ki-character block is the CRLF, the lone CR before
-    # a CR, and the \x1e (the two-byte character ends one character earlier).
+    # With ``at`` one, three or five bytes before a multiple of 8 KiB, the chunk
+    # a text file is read in, the CRLF, the two-byte character or the lone CR
+    # before a CR straddles that multiple. At 65535, 65533 and 65531 the last
+    # byte of _opened's first block is the CR of the CRLF, the first byte of
+    # the two-byte character, and the lone CR before a CR.
     @pytest.mark.parametrize("at", [8191, 8189, 8187, 65535, 65533, 65531])
     @pytest.mark.parametrize("sep", ["\n", "\x1e"])
     def test_records_across_read_buffers(self, tmp_path, at, sep):
@@ -285,6 +286,92 @@ class TestReadRecords:
             parse_raw_git_log(read_records(path, "\x1e"), repo_id="r")
 
 
+# Byte strings that end a line or record, quote or split a CSV field, start a
+# file, or stand for 2-, 3- and 4-byte characters; and bytes that are not UTF-8:
+# a stray continuation byte, a byte UTF-8 never uses, a lead byte without its
+# continuation, characters cut short.
+GOOD_BYTES = [b"\n", b"\r", b"\r\n", b"\x1e", b'"', b",", codecs.BOM_UTF8,
+              *(c.encode() for c in "\u00e9\u20ac\U0001d11e")]
+BAD_BYTES = [b"\x80", b"\xff", b"\xe9", "\u20ac".encode()[:2], "\U0001d11e".encode()[:3]]
+# ASCII runs between the drawn bytes, so that no run cuts a character.
+FILLERS = [b"x", b'x,"y"\n', b"xy\r\n", b"x\x1e"]
+
+
+@st.composite
+def bytes_across_blocks(draw):
+    """About one or two RECORD_BLOCKs of bytes, drawn bytes at the start and at each block end."""
+    pieces = st.sampled_from(GOOD_BYTES + draw(st.sampled_from([[], BAD_BYTES])))
+    cluster = st.lists(pieces, max_size=8).map(b"".join)
+    data = draw(st.sampled_from([b"", codecs.BOM_UTF8])) + draw(cluster)
+    for edge in range(1, draw(st.integers(1, 2)) + 1):
+        across = draw(cluster)
+        gap = edge * ingestion.RECORD_BLOCK - draw(st.integers(0, len(across))) - len(data)
+        unit = draw(st.sampled_from(FILLERS))
+        data += (unit * (gap // len(unit) + 1))[:gap] + across
+    return data + draw(cluster)
+
+
+def _read_csv_oracle(text: str, names: list[str]) -> list[tuple] | str:
+    """What read_csv gives for ``text``, each column a str: its rows, or its error's text."""
+    rows = csv.reader(io.StringIO(text))
+    try:
+        header = next(rows, None)
+        if header is None:
+            return []
+        missing = [name for name in names if name not in header]
+        if missing:
+            return f"missing column(s) {', '.join(missing)}"
+        repeated = [name for name in names if header.count(name) > 1]
+        if repeated:
+            return f"repeated column(s) {', '.join(repeated)}"
+        wanted = [header.index(name) for name in names]
+        width = max(wanted) + 1
+        found = []
+        for row in rows:
+            if not row:
+                continue
+            if len(row) < width:
+                return f"line {rows.line_num}: {len(row)} fields, need {width}"
+            found.append(tuple(row[i] for i in wanted))
+        return found
+    except csv.Error as exc:
+        return f"line {rows.line_num}: {exc}"
+
+
+class TestReadersAgainstWholeBytes:
+    @given(bytes_across_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_readers_read_the_bytes_as_decoding_them_whole_does(self, data):
+        """The readers give the text of the whole bytes decoded at once, or its first bad byte."""
+        body = data.removeprefix(codecs.BOM_UTF8)
+        try:
+            text = body.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError as exc:
+            text = None
+            bad = f"not UTF-8: byte {len(data) - len(body) + exc.start} is {body[exc.start]:#04x}"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input"
+            path.write_bytes(data)
+            for sep in "\n", "\x1e":
+                if text is None:
+                    with pytest.raises(InputError) as caught:
+                        list(read_records(path, sep))
+                    assert str(caught.value) == bad
+                else:
+                    assert list(read_records(path, sep)) == text.split(sep)
+            if text is None:
+                return
+            try:
+                names = list(dict.fromkeys(next(csv.reader(io.StringIO(text)), None) or ["h"]))
+            except csv.Error:
+                names = ["h"]
+            try:
+                got = list(read_csv(path, dict.fromkeys(names, str)))
+            except InputError as exc:
+                got = str(exc)
+        assert got == _read_csv_oracle(text, names)
+
+
 # Field text with the characters that force quoting: commas, quotes, newlines.
 FIELD_TEXT = st.text(alphabet='ab ,"\n\u00e9', max_size=6)
 FIELD_VALUES = {
@@ -342,6 +429,19 @@ class TestReadCsv:
             list(read_csv(path, {"name": str, "n": int}))
         assert str(caught.value) == f"line 3: field larger than field limit ({limit})"
 
+    @pytest.mark.parametrize("content", [b"", codecs.BOM_UTF8], ids=["empty", "bom-only"])
+    def test_an_empty_file_reads_as_no_rows(self, tmp_path, content):
+        path = tmp_path / "table.csv"
+        path.write_bytes(content)
+        assert list(read_csv(path, {"path": str, "size_bytes": int})) == []
+
+    def test_a_quoted_field_the_file_ends_in_names_the_line_it_starts_on(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b'path,size_bytes\na.py,1\n"b.py,2\n')
+        with pytest.raises(InputError) as caught:
+            list(read_csv(path, {"path": str, "size_bytes": int}))
+        assert str(caught.value) == "line 3: 1 fields, need 2"
+
     def test_only_a_column_read_twice_is_refused(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("name,n,note,n,note\na,1,x,2,y\n")
@@ -376,36 +476,49 @@ def _paths_in_error_messages(package: Path) -> list[str]:
 
 class TestSourceRules:
     def test_one_opener_one_text_reader_and_no_splitlines(self):
-        """Only ``ingestion._opened`` calls the builtin ``open`` or reads a file whole.
+        """Only ``ingestion._opened`` opens a file, decodes bytes or reads a file whole.
 
-        Every text input is streamed through ``read_records`` (or ``read_csv``):
-        nothing else calls ``.read()`` without a size, no whole-file reader is
-        defined again, and nothing calls ``.splitlines``.
+        Only ``read_records`` and ``read_csv`` call ``_opened``, and every text
+        input is streamed through them: nothing else calls ``.read()`` without
+        a size or ``.decode()``, or names ``codecs`` or ``TextIOWrapper``; no
+        whole-file reader is defined again, and nothing calls ``.splitlines``.
         """
         package = Path(ingestion.__file__).parent
         found = []
         for source in sorted(package.glob("*.py")):
             tree = ast.parse(source.read_bytes().decode("utf-8"))
-            allowed = set()
+            scopes = {"_opened": set(), "read_records": set(), "read_csv": set()}
             if source.name == "ingestion.py":
-                [opener] = [n for n in tree.body if getattr(n, "name", None) == "_opened"]
-                allowed = {id(n) for n in ast.walk(opener)}
+                for n in tree.body:
+                    if getattr(n, "name", None) in scopes:
+                        scopes[n.name] = {id(m) for m in ast.walk(n)}
+            readers = scopes["read_records"] | scopes["read_csv"]
             for node in ast.walk(tree):
+                where = f"{source.name}:{getattr(node, 'lineno', 0)}"
                 name = getattr(node, "name", None) or getattr(node, "id", None)
                 binds = not isinstance(getattr(node, "ctx", None), ast.Load)
                 if name in WHOLE_FILE_READERS and binds:
-                    found.append(f"{source.name}:{node.lineno}: defines {name}")
+                    found.append(f"{where}: defines {name}")
+                func = getattr(node, "func", None)
+                called = getattr(func, "attr", None) or getattr(func, "id", None)
+                if isinstance(node, ast.Call) and called == "splitlines":
+                    found.append(f"{where}: .splitlines()")
+                if id(node) in scopes["_opened"]:
+                    continue
+                if "TextIOWrapper" in (name, getattr(node, "attr", None)):
+                    found.append(f"{where}: TextIOWrapper")
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "codecs":
+                    found.append(f"{where}: codecs.")
                 if not isinstance(node, ast.Call):
                     continue
-                func = node.func
-                if isinstance(func, ast.Attribute) and func.attr == "splitlines":
-                    found.append(f"{source.name}:{node.lineno}: .splitlines()")
-                if id(node) in allowed:
-                    continue
-                if isinstance(func, ast.Name) and func.id == "open":
-                    found.append(f"{source.name}:{node.lineno}: open()")
-                if isinstance(func, ast.Attribute) and func.attr == "read" and not node.args:
-                    found.append(f"{source.name}:{node.lineno}: .read()")
+                if isinstance(func, ast.Name) and called == "open":
+                    found.append(f"{where}: open()")
+                if isinstance(func, ast.Attribute) and called == "read" and not node.args:
+                    found.append(f"{where}: .read()")
+                if isinstance(func, ast.Attribute) and called == "decode":
+                    found.append(f"{where}: .decode()")
+                if called == "_opened" and id(node) not in readers:
+                    found.append(f"{where}: _opened() outside read_records and read_csv")
         assert found == []
 
     @pytest.mark.parametrize(
@@ -417,6 +530,14 @@ class TestSourceRules:
             ("def read_text(path):\n    pass\n", "defines read_text"),
             ("read_lines = read_records\n", "defines read_lines"),
             ("def f(text):\n    return text.splitlines()\n", ".splitlines()"),
+            ("def f(data):\n    return data.decode()\n", ".decode()"),
+            ("import codecs\ndecoder = codecs.getincrementaldecoder('utf-8')()\n", "codecs."),
+            ("import io\ndef f(raw):\n    return io.TextIOWrapper(raw)\n", "TextIOWrapper"),
+            ("from io import TextIOWrapper\n", "TextIOWrapper"),
+            ("from .ingestion import _opened\ndef f(path):\n    return list(_opened(path, ''))\n",
+             "_opened() outside read_records and read_csv"),
+            ("from . import ingestion\ndef f(path):\n    return ingestion._opened(path, '')\n",
+             "_opened() outside read_records and read_csv"),
         ],
     )
     def test_the_source_rules_catch_each_break(self, tmp_path, monkeypatch, source, rule):
